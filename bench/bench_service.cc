@@ -487,8 +487,8 @@ uint64_t SplitMix(uint64_t x) {
 // Key ids are well-spread 64-bit values (tenants do not hand out dense
 // ids); sample s of a cell goes to key slot s % keys, so arrivals
 // interleave round-robin across every key — for cells where keys exceed
-// the batch size, every batch is all-distinct keys, the worst grouping
-// case AddBatch can see.
+// the batch size, every batch is all-distinct keys, the worst case for
+// AddBatch's run walk (one index probe per sample).
 uint64_t StoreKeyOf(int64_t slot) {
   return SplitMix(static_cast<uint64_t>(slot));
 }

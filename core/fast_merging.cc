@@ -7,8 +7,7 @@ namespace fasthist {
 StatusOr<MergingResult> ConstructHistogramFast(const SparseFunction& q,
                                                int64_t k,
                                                const MergingOptions& options) {
-  return internal::RunMergingRounds(q.domain_size(),
-                                    internal::AtomsFromSparse(q), k, options,
+  return internal::RunMergingRounds(q, k, options,
                                     internal::SelectionStrategy::kSelect);
 }
 

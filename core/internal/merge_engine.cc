@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "poly/fit_poly.h"
@@ -96,6 +97,35 @@ ThreadPool* PoolFor(const MergingOptions& options) {
   return effective > 1 ? &ThreadPool::Shared(effective) : nullptr;
 }
 
+// The support partition of q, in order: fn(interval, &value) for the
+// singleton at each support point, fn(interval, nullptr) for each zero run
+// between (and around) them.
+template <typename Fn>
+void ForEachSupportInterval(const SparseFunction& q, Fn&& fn) {
+  const std::vector<int64_t>& indices = q.indices();
+  const std::vector<double>& values = q.values();
+  int64_t cursor = 0;
+  for (size_t s = 0; s < indices.size(); ++s) {
+    if (indices[s] > cursor) fn(Interval{cursor, indices[s]}, nullptr);
+    fn(Interval{indices[s], indices[s] + 1}, &values[s]);
+    cursor = indices[s] + 1;
+  }
+  if (cursor < q.domain_size()) {
+    fn(Interval{cursor, q.domain_size()}, nullptr);
+  }
+}
+
+// The support partition as a list (the polynomial store's starting point).
+std::vector<Interval> SupportPartition(const SparseFunction& q) {
+  std::vector<Interval> intervals;
+  intervals.reserve(2 * q.support_size() + 1);
+  ForEachSupportInterval(q, [&intervals](Interval interval, const double*) {
+    intervals.push_back(interval);
+  });
+  if (intervals.empty()) intervals.push_back({0, q.domain_size()});
+  return intervals;
+}
+
 // ---------------------------------------------------------------------------
 // Structure-of-arrays stores.  RunRounds (below) is generic over a store
 // that owns the current partition as parallel planes plus the candidate and
@@ -148,25 +178,53 @@ ThreadPool* PoolFor(const MergingOptions& options) {
 // already had.)  The cold start is the streaming kernel trio PairwiseSum
 // (sum, sumsq, len) + ResidualError (util/simd.h); the fused kernel
 // produces the identical values scalar while committing.
+//
+// One store per thread (HistogramWorkspace below) is refilled by every run,
+// so its planes keep their capacity from run to run; the fills write the
+// planes straight from the input.
 class HistogramStore {
  public:
-  explicit HistogramStore(const std::vector<MergeAtom>& atoms) {
-    const size_t n = atoms.size();
-    origin_ = n > 0 ? atoms[0].begin : 0;
-    len_.resize(n);
-    sum_.resize(n);
-    sumsq_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      len_[i] = static_cast<double>(atoms[i].end - atoms[i].begin);
-      sum_[i] = atoms[i].sum;
-      sumsq_[i] = atoms[i].sumsq;
+  // The support partition of q with q's moments on each interval: a zero
+  // run carries (0, 0), the singleton at support point s carries (v, v*v).
+  void FillFromSparse(const SparseFunction& q) {
+    // Exact atom count first, so no plane is sized past the partition
+    // (which would also push it over the workspace cap needlessly).
+    size_t num_atoms = 0;
+    ForEachSupportInterval(q, [&num_atoms](Interval, const double*) {
+      ++num_atoms;
+    });
+    BeginFill(num_atoms);
+    ForEachSupportInterval(q, [this](Interval interval, const double* value) {
+      const double length = static_cast<double>(interval.length());
+      if (value == nullptr) {
+        PushAtom(length, 0.0, 0.0);
+      } else {
+        const double v = *value;
+        PushAtom(length, v, v * v);
+      }
+    });
+    EndFill();
+  }
+
+  // The boundary union of w1*h1 + w2*h2: flat on each union segment, so
+  // value * length and value * value * length are its exact moments there.
+  void FillFromUnion(const Histogram& h1, double w1, const Histogram& h2,
+                     double w2) {
+    BeginFill(static_cast<size_t>(h1.num_pieces() + h2.num_pieces()));
+    size_t i1 = 0, i2 = 0;
+    int64_t cursor = 0;
+    while (cursor < h1.domain_size()) {
+      const HistogramPiece& p1 = h1.pieces()[i1];
+      const HistogramPiece& p2 = h2.pieces()[i2];
+      const int64_t end = std::min(p1.interval.end, p2.interval.end);
+      const double value = w1 * p1.value + w2 * p2.value;
+      const double length = static_cast<double>(end - cursor);
+      PushAtom(length, value * length, value * value * length);
+      cursor = end;
+      if (p1.interval.end == end) ++i1;
+      if (p2.interval.end == end) ++i2;
     }
-    cand_len_.reserve(n / 2);
-    cand_sum_.reserve(n / 2);
-    cand_sumsq_.reserve(n / 2);
-    next_len_.reserve(n);
-    next_sum_.reserve(n);
-    next_sumsq_.reserve(n);
+    EndFill();
   }
 
   size_t size() const { return len_.size(); }
@@ -243,7 +301,7 @@ class HistogramStore {
 
   // Flat-value histogram of the surviving partition and its summed error.
   // Endpoints come back from the length plane by an exact integer prefix
-  // sum from the first atom's origin.
+  // sum from 0 (both fills tile the domain from its origin).
   StatusOr<MergingResult> Finish(int64_t domain_size,
                                  long long num_rounds) const {
     MergingResult result;
@@ -251,7 +309,7 @@ class HistogramStore {
     result.err_squared = 0.0;
     std::vector<HistogramPiece> pieces;
     pieces.reserve(size());
-    int64_t cursor = origin_;
+    int64_t cursor = 0;
     for (size_t i = 0; i < size(); ++i) {
       const double length = len_[i];
       const int64_t end = cursor + static_cast<int64_t>(length);
@@ -266,7 +324,46 @@ class HistogramStore {
     return result;
   }
 
+  // Calls fn on every plane and buffer (the workspace's capacity cap).
+  template <typename Fn>
+  void ForEachBuffer(Fn&& fn) {
+    for (std::vector<double>* plane :
+         {&len_, &sum_, &sumsq_, &cand_len_, &cand_sum_, &cand_sumsq_,
+          &next_len_, &next_sum_, &next_sumsq_, &pcand_len_, &pcand_sum_,
+          &pcand_sumsq_}) {
+      fn(*plane);
+    }
+    fn(chunk_bounds_);
+    fn(chunk_out_);
+  }
+
  private:
+  void BeginFill(size_t max_atoms) {
+    len_.clear();
+    sum_.clear();
+    sumsq_.clear();
+    len_.reserve(max_atoms);
+    sum_.reserve(max_atoms);
+    sumsq_.reserve(max_atoms);
+  }
+
+  void PushAtom(double length, double sum, double sumsq) {
+    len_.push_back(length);
+    sum_.push_back(sum);
+    sumsq_.push_back(sumsq);
+  }
+
+  // Sizes the round buffers for this partition (a no-op once warm).
+  void EndFill() {
+    const size_t n = size();
+    cand_len_.reserve(n / 2);
+    cand_sum_.reserve(n / 2);
+    cand_sumsq_.reserve(n / 2);
+    next_len_.reserve(n);
+    next_sum_.reserve(n);
+    next_sumsq_.reserve(n);
+  }
+
   // One fused streaming sweep: commit pair p's outcome, and as soon as an
   // adjacent output pair (2i, 2i+1) is complete, produce its candidate
   // statistics and error while both atoms are still in registers/L1.
@@ -437,7 +534,6 @@ class HistogramStore {
     sumsq_.swap(next_sumsq_);
   }
 
-  int64_t origin_ = 0;
   // Current partition planes (lengths as exact integral doubles).
   std::vector<double> len_, sum_, sumsq_;
   // Candidate planes (merged statistics of pair p).
@@ -846,6 +942,28 @@ struct ThresholdMarkScratch {
   size_t tie_quota = 0;
 };
 
+// RunRounds' scratch: sized once per run, then only resized downward as
+// the partition shrinks.  The histogram workspace keeps one across runs.
+struct RoundScratch {
+  std::vector<double> candidate_err;
+  std::vector<size_t> order;   // kSort ranking permutation
+  std::vector<double> select;  // kSelect threshold scratch
+  ThresholdMarkScratch mark;   // kSelect parallel mark-pass scratch
+  std::vector<char> keep_split;
+
+  template <typename Fn>
+  void ForEachBuffer(Fn&& fn) {
+    fn(candidate_err);
+    fn(order);
+    fn(select);
+    fn(mark.bounds);
+    fn(mark.above);
+    fn(mark.ties);
+    fn(mark.ties_before);
+    fn(keep_split);
+  }
+};
+
 // Marks the top `num_keep` pairs under the strict (error desc, index asc)
 // total order.  kSort is the reference formulation: sort an index
 // permutation and mark the prefix.  kSelect is value-based: a top-k heap
@@ -981,25 +1099,22 @@ void MarkKeepSplit(SelectionStrategy strategy,
 
 template <typename Store>
 long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
-                    SelectionStrategy strategy, ThreadPool* pool) {
+                    SelectionStrategy strategy, ThreadPool* pool,
+                    RoundScratch& scratch) {
   const int64_t keep = PairsKeptPerRound(k, options);
   const int64_t stop = StopThreshold(keep, options);
   long long num_rounds = 0;
   if (static_cast<int64_t>(store.size()) <= stop) return num_rounds;
 
-  // Round-persistent scratch: sized once, then only resized downward as the
-  // partition shrinks (capacity is never released mid-run).
-  std::vector<double> candidate_err;
-  std::vector<size_t> order;      // kSort ranking permutation
-  std::vector<double> scratch;    // kSelect threshold scratch
-  ThresholdMarkScratch mark;      // kSelect parallel mark-pass scratch
-  std::vector<char> keep_split;
+  // Capacity is never released mid-run.
+  std::vector<double>& candidate_err = scratch.candidate_err;
+  std::vector<char>& keep_split = scratch.keep_split;
   candidate_err.reserve(store.size() / 2);
   keep_split.reserve(store.size() / 2);
   if (strategy == SelectionStrategy::kSort) {
-    order.reserve(store.size() / 2);
+    scratch.order.reserve(store.size() / 2);
   } else {
-    scratch.reserve(store.size() / 2);
+    scratch.select.reserve(store.size() / 2);
   }
 
   // The fused round pipeline: one stand-alone evaluation primes the
@@ -1013,8 +1128,8 @@ long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
   while (true) {
     const size_t num_keep =
         std::min(static_cast<size_t>(keep), num_pairs);
-    MarkKeepSplit(strategy, candidate_err, num_pairs, num_keep, pool, order,
-                  scratch, mark, keep_split);
+    MarkKeepSplit(strategy, candidate_err, num_pairs, num_keep, pool,
+                  scratch.order, scratch.select, scratch.mark, keep_split);
     ++num_rounds;
     ++EngineCountersForTesting().rounds;
     const size_t next_size = num_pairs + num_keep + (store.size() & 1);
@@ -1030,47 +1145,11 @@ long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
 
 }  // namespace
 
-std::vector<Interval> SupportPartition(const SparseFunction& q) {
-  const std::vector<int64_t>& support = q.indices();
-  std::vector<Interval> intervals;
-  intervals.reserve(2 * support.size() + 1);
-  int64_t cursor = 0;
-  for (int64_t s : support) {
-    if (s > cursor) intervals.push_back({cursor, s});
-    intervals.push_back({s, s + 1});
-    cursor = s + 1;
-  }
-  if (cursor < q.domain_size()) {
-    intervals.push_back({cursor, q.domain_size()});
-  }
-  if (intervals.empty()) intervals.push_back({0, q.domain_size()});
-  return intervals;
-}
+namespace {
 
-std::vector<MergeAtom> AtomsFromSparse(const SparseFunction& q) {
-  const std::vector<int64_t>& indices = q.indices();
-  const std::vector<double>& values = q.values();
-  const std::vector<Interval> intervals = SupportPartition(q);
-  std::vector<MergeAtom> atoms;
-  atoms.reserve(intervals.size());
-  size_t s = 0;  // the singleton intervals align with the support in order
-  for (const Interval& interval : intervals) {
-    if (s < indices.size() && interval.begin == indices[s]) {
-      const double v = values[s];
-      atoms.push_back({interval.begin, interval.end, v, v * v});
-      ++s;
-    } else {
-      atoms.push_back({interval.begin, interval.end, 0.0, 0.0});
-    }
-  }
-  return atoms;
-}
-
-StatusOr<MergingResult> RunMergingRounds(int64_t domain_size,
-                                         std::vector<MergeAtom> atoms,
-                                         int64_t k,
-                                         const MergingOptions& options,
-                                         SelectionStrategy strategy) {
+// ValidateRoundArgs plus the histogram store's domain limit.
+Status ValidateHistogramRoundArgs(int64_t domain_size, int64_t k,
+                                  const MergingOptions& options) {
   if (Status s = ValidateRoundArgs(domain_size, k, options); !s.ok()) return s;
   // The histogram store tracks interval lengths as exact integral doubles
   // (endpoints come back by prefix sum at Finish), which is exact only up
@@ -1081,11 +1160,93 @@ StatusOr<MergingResult> RunMergingRounds(int64_t domain_size,
         "merging: domain above 2^53 not supported (interval lengths are "
         "tracked as exact doubles)");
   }
+  return Status::Ok();
+}
 
-  HistogramStore store(atoms);
+// The calling thread's histogram workspace (kWorkspaceRetainedAtoms in the
+// header has the reuse contract and why it is safe).
+struct HistogramWorkspace {
+  HistogramStore store;
+  RoundScratch rounds;
+
+  template <typename Fn>
+  void ForEachBuffer(Fn&& fn) {
+    store.ForEachBuffer(fn);
+    rounds.ForEachBuffer(fn);
+  }
+
+  // Largest capacity, in elements, of any buffer.
+  size_t MaxCapacity() {
+    size_t most = 0;
+    ForEachBuffer([&most](auto& buffer) {
+      most = std::max(most, buffer.capacity());
+    });
+    return most;
+  }
+
+  // Frees every buffer a run grew past the cap.
+  void ReleaseAboveCap() {
+    ForEachBuffer([](auto& buffer) {
+      if (buffer.capacity() > kWorkspaceRetainedAtoms) {
+        std::decay_t<decltype(buffer)>().swap(buffer);
+      }
+    });
+  }
+};
+
+HistogramWorkspace& ThreadWorkspace() {
+  thread_local HistogramWorkspace workspace;
+  return workspace;
+}
+
+// Rounds + Finish over a filled workspace, then the end-of-run release.
+StatusOr<MergingResult> RunFilledRounds(HistogramWorkspace& workspace,
+                                        int64_t domain_size, int64_t k,
+                                        const MergingOptions& options,
+                                        SelectionStrategy strategy) {
   const long long num_rounds =
-      RunRounds(store, k, options, strategy, PoolFor(options));
-  return store.Finish(domain_size, num_rounds);
+      RunRounds(workspace.store, k, options, strategy, PoolFor(options),
+                workspace.rounds);
+  auto result = workspace.store.Finish(domain_size, num_rounds);
+  EngineCounters& counters = EngineCountersForTesting();
+  counters.workspace_peak_elements =
+      static_cast<long long>(workspace.MaxCapacity());
+  workspace.ReleaseAboveCap();
+  counters.workspace_retained_elements =
+      static_cast<long long>(workspace.MaxCapacity());
+  return result;
+}
+
+}  // namespace
+
+StatusOr<MergingResult> RunMergingRounds(const SparseFunction& q, int64_t k,
+                                         const MergingOptions& options,
+                                         SelectionStrategy strategy) {
+  if (Status s = ValidateHistogramRoundArgs(q.domain_size(), k, options);
+      !s.ok()) {
+    return s;
+  }
+  HistogramWorkspace& workspace = ThreadWorkspace();
+  workspace.store.FillFromSparse(q);
+  return RunFilledRounds(workspace, q.domain_size(), k, options, strategy);
+}
+
+StatusOr<Histogram> RunUnionMergingRounds(const Histogram& h1, double w1,
+                                          const Histogram& h2, double w2,
+                                          int64_t k,
+                                          const MergingOptions& options) {
+  if (Status s = ValidateHistogramRoundArgs(h1.domain_size(), k, options);
+      !s.ok()) {
+    return s;
+  }
+  HistogramWorkspace& workspace = ThreadWorkspace();
+  workspace.store.FillFromUnion(h1, w1, h2, w2);
+  // The selection path: identical output to kSort (the engine's strict
+  // total order) at linear per-round cost — this is a serving primitive.
+  auto merged = RunFilledRounds(workspace, h1.domain_size(), k, options,
+                                SelectionStrategy::kSelect);
+  if (!merged.ok()) return merged.status();
+  return std::move(merged->histogram);
 }
 
 StatusOr<PiecewisePolyResult> RunPolyMergingRounds(
@@ -1110,7 +1271,9 @@ StatusOr<PiecewisePolyResult> RunPolyMergingRounds(
   GramBasisCache cache(degree);
   PolyStore store(q, &cache, degree);
   store.InitFromSupportPartition(pool);
-  const long long num_rounds = RunRounds(store, k, options, strategy, pool);
+  RoundScratch scratch;
+  const long long num_rounds =
+      RunRounds(store, k, options, strategy, pool, scratch);
   return store.Finish(num_rounds);
 }
 

@@ -1,6 +1,7 @@
 #ifndef FASTHIST_CORE_INTERNAL_MERGE_ENGINE_H_
 #define FASTHIST_CORE_INTERNAL_MERGE_ENGINE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -11,16 +12,6 @@
 
 namespace fasthist {
 namespace internal {
-
-// An interval of the current partition together with the sufficient
-// statistics of q on it: with L = end - begin, S = sum, SS = sumsq, the best
-// flat value is S/L and the squared residual is SS - S^2/L.
-struct MergeAtom {
-  int64_t begin = 0;
-  int64_t end = 0;
-  double sum = 0.0;
-  double sumsq = 0.0;
-};
 
 // How each round finds the m pairs with the largest merged error.  kSort is
 // the textbook O(s log s) formulation; kSelect uses nth_element (the
@@ -38,10 +29,11 @@ enum class SelectionStrategy { kSort, kSelect };
 // (CommitAndEvaluate): committing round r's survivors produces round
 // r+1's candidate statistics and errors while the planes are still hot, so
 // a round reads and writes every plane exactly once.  Candidate and
-// next-generation buffers persist across rounds (no per-round allocation),
-// and the fused pass is data-parallel over MergingOptions::num_threads
+// next-generation buffers persist across rounds (no per-round allocation)
+// — for histograms across runs too (kWorkspaceRetainedAtoms) — and the
+// fused pass is data-parallel over MergingOptions::num_threads
 // (util/parallel.h, clamped to the hardware by EffectiveParallelism) with
-// bit-identical output at any thread count.  Both entry points below share
+// bit-identical output at any thread count.  The entry points below share
 // the selection strategies, the (error, index) total order, the delta/gamma
 // round schedule, and the termination argument — which is what makes the
 // sqrt(1 + delta) guarantee a single proof and the engine a single
@@ -55,11 +47,18 @@ enum class SelectionStrategy { kSort, kSelect };
 // evaluate in one), commit_passes counts final-round Commit sweeps.  The
 // fused engine's invariant, asserted by tests/perf_smoke_test.cc, is
 // evaluate_passes + fused_passes + commit_passes == rounds + 1.
+//
+// The workspace fields report the calling thread's histogram workspace
+// (see kWorkspaceRetainedAtoms) at the end of its last run, in elements of
+// its largest buffer: workspace_peak_elements before the end-of-run
+// release, workspace_retained_elements after it.
 struct EngineCounters {
   long long evaluate_passes = 0;
   long long fused_passes = 0;
   long long commit_passes = 0;
   long long rounds = 0;
+  long long workspace_peak_elements = 0;
+  long long workspace_retained_elements = 0;
 };
 EngineCounters& EngineCountersForTesting();
 void ResetEngineCountersForTesting();
@@ -74,21 +73,38 @@ void ResetEngineCountersForTesting();
 // striped ingestor's lock-free summary planes) size them with this.
 int64_t MaxSurvivingPieces(int64_t k, const MergingOptions& options);
 
-// Initial sample-linear partition of q: alternating zero-run atoms and
-// singleton support atoms covering [0, domain).
-std::vector<MergeAtom> AtomsFromSparse(const SparseFunction& q);
+// The histogram rounds run in a per-thread workspace: the partition
+// planes and the round scratch live in a thread_local object that every
+// run on the thread refills, so a warm run allocates only its output
+// Histogram.  A run that grows a workspace buffer past this many elements
+// (about 70 bytes per atom across all buffers) frees that buffer when it
+// ends, so one huge construction does not pin its planes to the thread.
+//
+// Thread-local reuse is safe because no engine call starts on a thread
+// between a run's fill and its Finish: the round loop calls nothing that
+// re-enters the engine, a ParallelFor nested inside a pool task runs inline
+// on that task's thread, and a pool serializes its dispatches (the caller
+// runs its own chunk and then only waits — no work stealing).
+constexpr size_t kWorkspaceRetainedAtoms = size_t{1} << 18;
 
-// The interval skeleton of AtomsFromSparse, shared with the polynomial
-// path (whose atoms carry fitted coefficients instead of moments).
-std::vector<Interval> SupportPartition(const SparseFunction& q);
-
-// Runs the merging rounds over `atoms` (which must tile [0, domain_size))
-// and returns the flat-value histogram of the surviving partition.
-StatusOr<MergingResult> RunMergingRounds(int64_t domain_size,
-                                         std::vector<MergeAtom> atoms,
-                                         int64_t k,
+// Runs the merging rounds over the support partition of q — alternating
+// zero-run intervals and singleton support intervals covering [0, domain),
+// each carrying q's moments — and returns the flat-value histogram of the
+// surviving partition.  Backs
+// ConstructHistogram (kSort) and ConstructHistogramFast (kSelect).
+StatusOr<MergingResult> RunMergingRounds(const SparseFunction& q, int64_t k,
                                          const MergingOptions& options,
                                          SelectionStrategy strategy);
+
+// Runs the kSelect rounds over the boundary union of w1*h1 + w2*h2: the
+// combined function is flat on each union segment, so its statistics there
+// are exact and the rounds start from at most p1 + p2 intervals, however
+// large the domain.  h1 and h2 must share a domain, and w1, w2 are the
+// already-normalized weights — the engine half of MergeHistograms.
+StatusOr<Histogram> RunUnionMergingRounds(const Histogram& h1, double w1,
+                                          const Histogram& h2, double w2,
+                                          int64_t k,
+                                          const MergingOptions& options);
 
 // Runs the same rounds over PolyFit atoms with the degree-`degree`
 // least-squares projection as the merge oracle, starting from the support

@@ -1,7 +1,6 @@
 #include "core/merging.h"
 
-#include <algorithm>
-#include <vector>
+#include <cmath>
 
 #include "core/internal/merge_engine.h"
 
@@ -9,8 +8,7 @@ namespace fasthist {
 
 StatusOr<MergingResult> ConstructHistogram(const SparseFunction& q, int64_t k,
                                            const MergingOptions& options) {
-  return internal::RunMergingRounds(q.domain_size(),
-                                    internal::AtomsFromSparse(q), k, options,
+  return internal::RunMergingRounds(q, k, options,
                                     internal::SelectionStrategy::kSort);
 }
 
@@ -21,40 +19,17 @@ StatusOr<Histogram> MergeHistograms(const Histogram& h1, double weight1,
   if (h1.domain_size() != h2.domain_size()) {
     return Status::Invalid("MergeHistograms: domain mismatch");
   }
-  if (weight1 < 0.0 || weight2 < 0.0 || weight1 + weight2 <= 0.0) {
-    return Status::Invalid("MergeHistograms: weights must be non-negative "
-                           "with a positive total");
+  // Written so NaN fails every comparison: a NaN or infinite weight (or
+  // a total that overflows) would normalize to NaN or zero weights.
+  const double total = weight1 + weight2;
+  if (!(weight1 >= 0.0) || !(weight2 >= 0.0) || !(total > 0.0) ||
+      !std::isfinite(total)) {
+    return Status::Invalid("MergeHistograms: weights must be finite and "
+                           "non-negative with a positive total");
   }
-  const double w1 = weight1 / (weight1 + weight2);
-  const double w2 = weight2 / (weight1 + weight2);
-
-  // Atoms of the boundary union: the combined function w1*h1 + w2*h2 is
-  // flat on each union segment, so its sufficient statistics are exact and
-  // the merge runs on p1 + p2 atoms, independent of the domain size.
-  std::vector<internal::MergeAtom> atoms;
-  atoms.reserve(
-      static_cast<size_t>(h1.num_pieces() + h2.num_pieces()));
-  size_t i1 = 0, i2 = 0;
-  int64_t cursor = 0;
-  while (cursor < h1.domain_size()) {
-    const HistogramPiece& p1 = h1.pieces()[i1];
-    const HistogramPiece& p2 = h2.pieces()[i2];
-    const int64_t end = std::min(p1.interval.end, p2.interval.end);
-    const double value = w1 * p1.value + w2 * p2.value;
-    const double length = static_cast<double>(end - cursor);
-    atoms.push_back({cursor, end, value * length, value * value * length});
-    cursor = end;
-    if (p1.interval.end == end) ++i1;
-    if (p2.interval.end == end) ++i2;
-  }
-
-  // The selection path: identical output to kSort (the engine's strict
-  // total order) at linear per-round cost — this is a serving primitive.
-  auto merged = internal::RunMergingRounds(
-      h1.domain_size(), std::move(atoms), k, options,
-      internal::SelectionStrategy::kSelect);
-  if (!merged.ok()) return merged.status();
-  return std::move(merged->histogram);
+  const double w1 = weight1 / total;
+  const double w2 = weight2 / total;
+  return internal::RunUnionMergingRounds(h1, w1, h2, w2, k, options);
 }
 
 }  // namespace fasthist

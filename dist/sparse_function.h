@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/span.h"
 #include "util/status.h"
 
 namespace fasthist {
@@ -50,6 +51,10 @@ class SparseFunction {
   std::vector<double> ToDense() const;
 
  private:
+  // Fills the support straight from one ordered pass over its samples.
+  friend StatusOr<SparseFunction> EmpiricalDistribution(
+      int64_t domain_size, Span<const int64_t> samples);
+
   int64_t domain_size_ = 0;
   std::vector<int64_t> indices_;  // sorted ascending
   std::vector<double> values_;    // aligned with indices_

@@ -209,7 +209,7 @@ Status ArchetypePool::FlushWindow(Chunk& chunk, size_t slot) {
   return Status::Ok();
 }
 
-Status ArchetypePool::Append(uint64_t ref, Span<const int64_t> values) {
+Status ArchetypePool::Append(uint64_t ref, Span<const KeyedSample> run) {
   if (ChunkOf(ref) >= chunks_.size() || !chunks_[ChunkOf(ref)]->live[SlotOf(ref)]) {
     return Status::Invalid("ArchetypePool: append to a slot not live");
   }
@@ -217,15 +217,15 @@ Status ArchetypePool::Append(uint64_t ref, Span<const int64_t> values) {
   const size_t slot = SlotOf(ref);
   int64_t* window = chunk.window.data() + slot * config_.window_capacity;
   size_t i = 0;
-  while (i < values.size()) {
+  while (i < run.size()) {
     auto len = static_cast<size_t>(chunk.window_len[slot]);
     const size_t space = config_.window_capacity - len;
-    const size_t take = std::min(space, values.size() - i);
+    const size_t take = std::min(space, run.size() - i);
     // AddMany's valid-prefix contract: on an out-of-domain sample the valid
     // prefix is still appended, so slot state matches a per-sample loop.
     size_t valid = 0;
     while (valid < take) {
-      const int64_t sample = values[i + valid];
+      const int64_t sample = run[i + valid].value;
       if (sample < 0 || sample >= config_.domain_size) break;
       window[len + valid] = sample;
       ++valid;

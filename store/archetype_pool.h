@@ -15,6 +15,12 @@
 
 namespace fasthist {
 
+// One keyed observation: `value` joins the streaming summary of `key`.
+struct KeyedSample {
+  uint64_t key = 0;
+  int64_t value = 0;
+};
+
 // The shape shared by every summary in one pool: all per-slot plane sizes
 // are functions of these fields, which is what lets thousands of keyed
 // ladders share slabs with zero per-key headers.
@@ -92,10 +98,10 @@ class ArchetypePool {
   // instead of growing them (stress-tested).
   Status ReleaseSlot(uint64_t ref);
 
-  // Appends samples to the slot's window, condensing into its ladder one
-  // full window at a time.  Same semantics as
-  // StreamingHistogramBuilder::AddMany, per slot.
-  Status Append(uint64_t ref, Span<const int64_t> values);
+  // Appends the values of `run` (samples of this slot's key) to the slot's
+  // window, condensing into its ladder one full window at a time.  Same
+  // semantics as StreamingHistogramBuilder::AddMany, per slot.
+  Status Append(uint64_t ref, Span<const KeyedSample> run);
 
   // The slot's current summary — the same read-side fold as
   // StreamingHistogramBuilder::Peek (uniform when empty).

@@ -1,7 +1,6 @@
 #include "store/summary_store.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace fasthist {
 
@@ -60,48 +59,27 @@ StatusOr<uint64_t> SummaryStore::FindOrCreateValue(uint64_t key,
 }
 
 Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
-  if (samples.empty()) return Status::Ok();
-  // Group by key with a stable sort of indices: one index probe and one
-  // Append per distinct key, with each key's samples kept in span order —
-  // the bit-identity contract (the summary must match a per-sample replay).
-  std::vector<uint32_t> order(samples.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&samples](uint32_t a, uint32_t b) {
-                     return samples[a].key < samples[b].key;
-                   });
-  std::vector<int64_t> scratch;
-  size_t group_begin = 0;
-  while (group_begin < order.size()) {
-    const uint64_t key = samples[order[group_begin]].key;
-    size_t group_end = group_begin + 1;
-    while (group_end < order.size() &&
-           samples[order[group_end]].key == key) {
-      ++group_end;
-    }
-    scratch.clear();
-    scratch.reserve(group_end - group_begin);
-    for (size_t i = group_begin; i < group_end; ++i) {
-      scratch.push_back(samples[order[i]].value);
-    }
+  size_t run_begin = 0;
+  while (run_begin < samples.size()) {
+    const uint64_t key = samples[run_begin].key;
+    size_t run_end = run_begin + 1;
+    while (run_end < samples.size() && samples[run_end].key == key) ++run_end;
     auto value = FindOrCreateValue(key, archetype);
     if (!value.ok()) return value.status();
     if (Status s = pools_[static_cast<size_t>(ArchetypeOf(*value))].Append(
-            PoolRefOf(*value), scratch);
+            PoolRefOf(*value),
+            samples.subspan(run_begin, run_end - run_begin));
         !s.ok()) {
       return s;
     }
-    group_begin = group_end;
+    run_begin = run_end;
   }
   return Status::Ok();
 }
 
 Status SummaryStore::Add(uint64_t key, int64_t value, int archetype) {
-  auto packed = FindOrCreateValue(key, archetype);
-  if (!packed.ok()) return packed.status();
-  const int64_t sample[] = {value};
-  return pools_[static_cast<size_t>(ArchetypeOf(*packed))].Append(
-      PoolRefOf(*packed), sample);
+  const KeyedSample sample[] = {{key, value}};
+  return AddBatch(sample, archetype);
 }
 
 Status SummaryStore::EnsureKeys(Span<const uint64_t> keys, int archetype) {

@@ -18,12 +18,6 @@
 
 namespace fasthist {
 
-// One keyed observation: `value` joins the streaming summary of `key`.
-struct KeyedSample {
-  uint64_t key = 0;
-  int64_t value = 0;
-};
-
 // What the store's memory goes to, measured from its own bookkeeping (heap
 // bytes of every plane, table, and vector it owns — resident pages are the
 // bench's job to compare against).
@@ -59,13 +53,12 @@ struct StoreMemoryStats {
 // computation, never the computation (property-tested, serial and
 // threaded).
 //
-// Ingest is batched: AddBatch groups a span of (key, value) pairs by key
-// (preserving per-key arrival order) and pays one index probe and one slab
-// touch per distinct key, not per sample.  Bulk read-side ops — merge all
-// keys matching a predicate, group-by rollups, top-k — sweep the slabs
-// chunk-major and reduce through the deterministic merge tree, so their
-// outputs are bit-identical regardless of insertion history (canonical key
-// order) and thread count.
+// Ingest is batched: AddBatch walks a span of (key, value) pairs once, one
+// index probe and one slab append per run of consecutive equal keys.  Bulk
+// read-side ops — merge all keys matching a predicate, group-by rollups,
+// top-k — sweep the slabs chunk-major and reduce through the deterministic
+// merge tree, so their outputs are bit-identical regardless of insertion
+// history (canonical key order) and thread count.
 //
 // Concurrency: mutating entry points are serial by default, with one
 // carve-out for ingest — concurrent AddBatch calls are safe iff their key
@@ -88,11 +81,14 @@ class SummaryStore {
     return pools_[static_cast<size_t>(archetype)].config();
   }
 
-  // Batched keyed ingest.  Samples of one key are appended in span order;
-  // keys not yet present are created in `archetype`'s pool.  A key that
-  // exists under a different archetype, or an out-of-domain value, fails
-  // the batch — samples of earlier groups (and the failing key's valid
-  // prefix) stay ingested, mirroring AddMany's valid-prefix contract.
+  // Batched keyed ingest, with exactly the effect of calling Add on each
+  // sample in span order: keys not yet present are created in
+  // `archetype`'s pool in first-seen order, and a failing sample (its key
+  // exists under a different archetype, or its value is out of domain)
+  // stops the batch with every sample before it ingested and none after.
+  // The span is walked once; each run of consecutive equal keys costs one
+  // index probe and one slab append, so batches that arrive grouped by key
+  // pay per key, not per sample.
   Status AddBatch(Span<const KeyedSample> samples, int archetype = 0);
 
   // Single-sample convenience (same semantics as a one-element batch).

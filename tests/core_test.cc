@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "baseline/exact_dp.h"
@@ -118,6 +119,18 @@ TEST(MergingRejectsBadArguments) {
   const SparseFunction at_limit =
       EmpiricalDistribution(int64_t{1} << 53, {0, 5}).value();
   CHECK(ConstructHistogramFast(at_limit, 2).ok());
+  // MergeHistograms weights must be finite: a NaN weight, an infinite one
+  // (inf / inf normalizes to NaN) or a total that overflows would yield
+  // NaN or all-zero pieces.
+  const Histogram h = ConstructHistogram(q, 2).value().histogram;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  CHECK(!MergeHistograms(h, nan, h, 1.0, 2).ok());
+  CHECK(!MergeHistograms(h, 1.0, h, nan, 2).ok());
+  CHECK(!MergeHistograms(h, inf, h, 1.0, 2).ok());
+  CHECK(!MergeHistograms(h, 1.0, h, inf, 2).ok());
+  CHECK(!MergeHistograms(h, 1.5e308, h, 1.5e308, 2).ok());
+  CHECK(MergeHistograms(h, 1e300, h, 1.0, 2).ok());
 }
 
 TEST(MergingClampsExtremeKeepSchedule) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -46,6 +47,49 @@ TEST(EmpiricalDistributionCountsSamples) {
   CHECK_NEAR(empirical->TotalMass(), 1.0, 1e-12);
   CHECK(!EmpiricalDistribution(3, {0, 3}).ok());
   CHECK(!EmpiricalDistribution(3, {}).ok());
+}
+
+// EmpiricalDistribution counts small domains into per-thread scratch and
+// sorts large ones; both must give exactly what sorting and counting runs
+// gives (mass unit * count, unit = 1/m), and the counting scratch must come
+// back clean after every call — including one that rejects its input —
+// whatever domains came before.
+TEST(EmpiricalDistributionCountingMatchesSorting) {
+  Rng rng(0xe3);
+  const int64_t domains[] = {1, 2, 63, 64, 65, 1000, 1024, 4096, 16384, 16385,
+                             1 << 20, 7, 300};
+  const size_t sizes[] = {1, 3, 16, 64, 257, 2000};
+  for (const int64_t domain : domains) {
+    for (const size_t m : sizes) {
+      std::vector<int64_t> samples(m);
+      // Half the windows crowd a few values, half spread over the domain.
+      const int64_t spread = rng.UniformInt(2) == 0 ? std::min<int64_t>(domain, 5)
+                                                    : domain;
+      for (int64_t& x : samples) x = rng.UniformInt(spread);
+      auto empirical = EmpiricalDistribution(domain, samples);
+      CHECK_OK(empirical);
+
+      std::vector<int64_t> sorted = samples;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<int64_t> indices;
+      std::vector<double> values;
+      const double unit = 1.0 / static_cast<double>(m);
+      for (size_t i = 0; i < m;) {
+        size_t j = i;
+        while (j < m && sorted[j] == sorted[i]) ++j;
+        indices.push_back(sorted[i]);
+        values.push_back(unit * static_cast<double>(j - i));
+        i = j;
+      }
+      CHECK(empirical->domain_size() == domain);
+      CHECK(empirical->indices() == indices);
+      CHECK(empirical->values() == values);
+
+      // A rejected window (one sample past the domain) leaves no trace.
+      samples.back() = domain;
+      CHECK(!EmpiricalDistribution(domain, samples).ok());
+    }
+  }
 }
 
 TEST(AliasSamplerMatchesPmfChiSquared) {

@@ -11,10 +11,13 @@
 #include <vector>
 
 #include "core/fast_merging.h"
+#include "core/merging.h"
 #include "core/streaming.h"
 #include "core/internal/merge_engine.h"
 #include "data/generators.h"
+#include "dist/empirical.h"
 #include "poly/poly_merging.h"
+#include "store/summary_store.h"
 #include "tests/fasthist_test.h"
 #include "util/parallel.h"
 
@@ -48,12 +51,19 @@ SparseFunction Signal(int64_t n) {
   return SparseFunction::FromDense(MakePolyDataset(options));
 }
 
-// A warm serial construction allocates a fixed, input-size-independent
-// number of vectors: the store's planes and scratch resize within capacity
-// reserved up front, and the fused rounds reuse every buffer — so two
-// inputs whose constructions run different round counts must land on the
-// *same* allocation count, and that count must stay at or below the 17 the
-// SoA engine shipped with.
+// Allocations made by fn(), counted on every thread of the process.
+template <typename Fn>
+long long CountAllocations(Fn&& fn) {
+  const long long before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+// A warm serial construction allocates exactly its output histogram: the
+// engine's planes and round scratch live in a per-thread workspace that the
+// previous run already sized, and the fused rounds reuse every buffer — so
+// two inputs whose constructions run different round counts must land on
+// the same count, 1.
 TEST(WarmConstructionAllocationsAreRoundCountIndependent) {
   const int64_t k = 64;
   long long counts[2] = {0, 0};
@@ -65,14 +75,89 @@ TEST(WarmConstructionAllocationsAreRoundCountIndependent) {
     auto warm = ConstructHistogramFast(q, k, serial);  // buffers sized here
     CHECK_OK(warm);
     rounds[i] = warm->num_rounds;
-    const long long before = g_allocations.load(std::memory_order_relaxed);
-    auto probe = ConstructHistogramFast(q, k, serial);
-    counts[i] = g_allocations.load(std::memory_order_relaxed) - before;
-    CHECK_OK(probe);
+    counts[i] = CountAllocations(
+        [&] { CHECK_OK(ConstructHistogramFast(q, k, serial)); });
   }
   CHECK(rounds[0] != rounds[1]);  // the sizes really differ in round count
   CHECK(counts[0] == counts[1]);
-  CHECK(counts[0] <= 17);
+  CHECK(counts[0] == 1);
+}
+
+// A warm MergeHistograms fills the engine planes straight from the
+// boundary union, so it too allocates only its output histogram.
+TEST(WarmMergeHistogramsAllocatesOnlyItsOutput) {
+  std::vector<int64_t> samples(500);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = static_cast<int64_t>((i * 7919) % 4096);
+  }
+  auto a = ConstructHistogramFast(Signal(4096), 16);
+  auto b = ConstructHistogramFast(EmpiricalDistribution(4096, samples).value(),
+                                  16);
+  CHECK_OK(a);
+  CHECK_OK(b);
+  for (const int64_t k : {2, 8, 16}) {
+    CHECK_OK(MergeHistograms(a->histogram, 3.0, b->histogram, 5.0, k));
+    const long long count = CountAllocations([&] {
+      CHECK_OK(MergeHistograms(a->histogram, 3.0, b->histogram, 5.0, k));
+    });
+    CHECK(count == 1);
+  }
+}
+
+// The served condense path, counted over many windows of one key:
+// each condensed window allocates its empirical support (indices and
+// values) and its condensed histogram, and each dyadic ladder carry one
+// Load copy of the resident summary and one merged histogram.  Nothing
+// else — no sort scratch in AddBatch, no engine buffers, no store vectors.
+// A warm-up key in the same slab chunk first grows the chunk's ladder
+// planes (and the per-thread scratch) so the measured key pays none of it.
+TEST(WarmAddBatchAllocatesPerWindowAndPerCarry) {
+  ArchetypeConfig config;  // domain 1024, k 8, window 64: the served shape
+  auto store = SummaryStore::Create(config);
+  CHECK_OK(store);
+  constexpr int64_t kWindows = 128;
+  const auto window = static_cast<int64_t>(config.window_capacity);
+  std::vector<KeyedSample> batch(static_cast<size_t>(kWindows * window));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i] = {1, static_cast<int64_t>((i * 2654435761u) % 1024)};
+  }
+  const uint64_t measured_key = 2;
+  CHECK(store->EnsureKeys({uint64_t{1}, measured_key}).ok());
+  CHECK(store->AddBatch(batch).ok());  // warm-up: key 1
+  for (KeyedSample& sample : batch) sample.key = measured_key;
+  const long long count =
+      CountAllocations([&] { CHECK(store->AddBatch(batch).ok()); });
+  // Commit i (1-based) carries once per trailing zero bit of i.
+  long long carries = 0;
+  for (int64_t i = 1; i <= kWindows; ++i) {
+    for (int64_t v = i; v % 2 == 0; v /= 2) ++carries;
+  }
+  CHECK(carries == kWindows - 1);
+  CHECK(count == 3 * kWindows + 2 * carries);
+  CHECK(store->NumSamples(measured_key).value() == kWindows * window);
+}
+
+// The per-thread workspace must not keep what a huge run grew: a
+// construction larger than kWorkspaceRetainedAtoms frees its oversized
+// buffers when it ends, and a small construction afterwards leaves the
+// workspace at or below the cap (and warm: only its output allocates).
+TEST(EngineWorkspaceReleasesCapacityAboveCap) {
+  const auto cap = static_cast<long long>(internal::kWorkspaceRetainedAtoms);
+  const internal::EngineCounters& counters =
+      internal::EngineCountersForTesting();
+  const SparseFunction large = Signal(1 << 20);
+  CHECK_OK(ConstructHistogramFast(large, 64));
+  CHECK(counters.workspace_peak_elements > cap);
+  CHECK(counters.workspace_retained_elements <= cap);
+
+  const SparseFunction small = Signal(1 << 12);
+  CHECK_OK(ConstructHistogramFast(small, 64));
+  CHECK(counters.workspace_retained_elements > 0);
+  CHECK(counters.workspace_retained_elements <= cap);
+  const long long count =
+      CountAllocations([&] { CHECK_OK(ConstructHistogramFast(small, 64)); });
+  CHECK(count == 1);
+  CHECK(counters.workspace_retained_elements <= cap);
 }
 
 // One fused round = one sweep over the planes.  The engine's pass counters

@@ -139,6 +139,78 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
   }
 }
 
+// AddBatch's contract is the per-sample Add loop, failures included: a
+// batch that hits an out-of-domain value or a key of another archetype
+// stops there, with every earlier sample ingested (keys created on first
+// sight) and nothing after.  Batches mix runs of one key with interleaved
+// keys, so both the run walk and its boundaries are exercised.
+TEST(StoreAddBatchMatchesPerSampleAddLoop) {
+  ArchetypeConfig config;
+  config.domain_size = 64;
+  config.k = 4;
+  config.window_capacity = 8;
+  ArchetypeConfig other = config;
+  other.k = 3;
+  other.window_capacity = 5;
+  auto batched = SummaryStore::Create(config);
+  auto looped = SummaryStore::Create(config);
+  CHECK_OK(batched);
+  CHECK_OK(looped);
+  CHECK(batched->RegisterArchetype(other).value() == 1);
+  CHECK(looped->RegisterArchetype(other).value() == 1);
+  // Keys 100-103 live under archetype 1; batches target archetype 0.
+  const std::vector<uint64_t> foreign = {100, 101, 102, 103};
+  CHECK(batched->EnsureKeys(foreign, 1).ok());
+  CHECK(looped->EnsureKeys(foreign, 1).ok());
+
+  Rng rng(0xadd);
+  std::vector<KeyedSample> batch;
+  int failures = 0;
+  for (int round = 0; round < 300; ++round) {
+    batch.clear();
+    const size_t size = static_cast<size_t>(rng.UniformInt(60)) + 1;
+    while (batch.size() < size) {
+      const auto key = static_cast<uint64_t>(rng.UniformInt(40));
+      const size_t run = static_cast<size_t>(rng.UniformInt(6)) + 1;
+      for (size_t r = 0; r < run && batch.size() < size; ++r) {
+        batch.push_back({key, rng.UniformInt(config.domain_size)});
+      }
+    }
+    // One batch in five carries a failing sample somewhere.
+    if (rng.UniformInt(5) == 0) {
+      KeyedSample& bad = batch[static_cast<size_t>(
+          rng.UniformInt(static_cast<int64_t>(batch.size())))];
+      if (rng.UniformInt(2) == 0) {
+        bad.value = rng.UniformInt(2) == 0 ? -1 : config.domain_size;
+      } else {
+        bad.key = foreign[static_cast<size_t>(rng.UniformInt(4))];
+      }
+    }
+    const bool batch_ok = batched->AddBatch(batch).ok();
+    bool loop_ok = true;
+    for (const KeyedSample& sample : batch) {
+      if (!looped->Add(sample.key, sample.value).ok()) {
+        loop_ok = false;
+        break;
+      }
+    }
+    CHECK(batch_ok == loop_ok);
+    failures += batch_ok ? 0 : 1;
+
+    CHECK(batched->num_keys() == looped->num_keys());
+    for (uint64_t key = 0; key < 40; ++key) {
+      CHECK(batched->Contains(key) == looped->Contains(key));
+      if (!looped->Contains(key)) continue;
+      CHECK(batched->NumSamples(key).value() == looped->NumSamples(key).value());
+      CHECK(batched->ErrorLevels(key).value() ==
+            looped->ErrorLevels(key).value());
+      CHECK(BitIdentical(batched->Query(key).value(),
+                         looped->Query(key).value()));
+    }
+  }
+  CHECK(failures > 20);  // the failure paths really ran
+}
+
 // Key churn must recycle slab slots, not grow the slabs: erase half the
 // keys, insert as many new ones, and the pool's total bytes stay flat.  A
 // recycled slot must behave exactly like a fresh one (no state bleed from
