@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the library's kernels: merging at
-// several input sizes (sample-linear time, Theorem 3.4), the hierarchical
-// builder, Gram evaluation (O(d) per point), the projection oracle, alias
-// sampling (O(1)), empirical-distribution construction, selection, and the
-// exact DP for context.
+// several input sizes (sample-linear time, Theorem 3.4), the served
+// 64-sample window condense, the hierarchical builder, Gram evaluation
+// (O(d) per point), the projection oracle, alias sampling (O(1)),
+// empirical-distribution construction, selection, and the exact DP for
+// context.
 //
 // Invoked with --merge-grid the binary instead runs the thread/size scaling
 // grid of the SoA merge engine (2^20 .. 2^26 domains x 1/2/4/8 threads) and
@@ -45,6 +46,7 @@
 #include "util/random.h"
 #include "util/selection.h"
 #include "util/simd.h"
+#include "util/span.h"
 #include "util/timer.h"
 
 // ---------------------------------------------------------------------------
@@ -88,15 +90,51 @@ void BM_ConstructHistogram(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstructHistogram)->Range(1 << 10, 1 << 18)->Complexity();
 
-void BM_ConstructHistogramFast(benchmark::State& state) {
+// k = 8 keeps 8 pairs per round (the top-8 network select), k = 10 keeps
+// 10 (the heap select); one family each, so each gets its own fit.
+void BM_ConstructHistogramFast(benchmark::State& state, int64_t k) {
   const SparseFunction q = SparseFunction::FromDense(Signal(state.range(0)));
   for (auto _ : state) {
-    auto result = ConstructHistogramFast(q, 10);
+    auto result = ConstructHistogramFast(q, k);
     benchmark::DoNotOptimize(result);
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_ConstructHistogramFast)->Range(1 << 10, 1 << 18)->Complexity();
+BENCHMARK_CAPTURE(BM_ConstructHistogramFast, k8, 8)
+    ->Range(1 << 10, 1 << 18)
+    ->Complexity();
+BENCHMARK_CAPTURE(BM_ConstructHistogramFast, k10, 10)
+    ->Range(1 << 10, 1 << 18)
+    ->Complexity();
+
+// The served condense path: EmpiricalDistribution + ConstructHistogramFast
+// on one 64-sample window of the paper's "hist" panel over domain 1024,
+// k = 8.  Iterations cycle through 4096 pre-drawn windows: replaying a
+// single window lets the branch predictor learn its keep decisions and
+// hides about half of the cost.
+void BM_CondenseWindow(benchmark::State& state) {
+  constexpr int64_t kDomain = 1024;
+  constexpr size_t kWindow = 64;
+  constexpr size_t kWindows = 4096;
+  HistDatasetOptions hist;
+  hist.domain_size = kDomain;
+  auto p = NormalizeToDistribution(MakeHistDataset(hist)).value();
+  auto sampler = AliasSampler::Create(p).value();
+  Rng rng(6);
+  const std::vector<int64_t> samples =
+      sampler.SampleMany(kWindow * kWindows, &rng);
+  size_t window = 0;
+  for (auto _ : state) {
+    auto q = EmpiricalDistribution(
+        kDomain, Span<const int64_t>(samples.data() + window * kWindow,
+                                     kWindow));
+    auto result = ConstructHistogramFast(*q, 8);
+    benchmark::DoNotOptimize(result);
+    window = (window + 1) % kWindows;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kWindow));
+}
+BENCHMARK(BM_CondenseWindow);
 
 void BM_ConstructHistogramFastThreaded(benchmark::State& state) {
   const SparseFunction q = SparseFunction::FromDense(Signal(state.range(0)));

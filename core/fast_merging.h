@@ -12,9 +12,12 @@ namespace fasthist {
 
 // Theorem 3.4: the sample-linear variant of Algorithm 1.  Each round finds
 // the m pairs with the largest merged error with a linear-time selection
-// (std::nth_element) instead of a full sort; since round sizes decay
-// geometrically (s -> ceil(s/2) + m), total work is O(s) in the support
-// size s instead of O(s log s).
+// instead of a full sort: the m-th largest error comes from a top-8
+// register network (m <= 8), a top-m heap scan (m <= 2048) or
+// std::nth_element, and one pass marks the pairs above it plus the
+// earliest ties.  Since round sizes decay geometrically
+// (s -> ceil(s/2) + m), total work is O(s) in the support size s instead
+// of O(s log s).
 //
 // Contract: because the selection uses the same strict (error, index) order
 // as the sorting variant, the selected pair sets — and therefore the output

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -36,11 +37,13 @@ namespace {
 constexpr int64_t kHistogramGrain = 8192;
 constexpr int64_t kPolyGrain = 64;
 constexpr int64_t kSelectGrain = 32768;
-// Below this keep count the selection threshold comes from a single
-// sequential top-k heap scan instead of copy + nth_element (see
-// SelectThreshold): with the paper's settings keep ~ k, which is tiny
-// against millions of pairs, and the heap scan touches the error plane
-// exactly once.
+// The selection threshold's three tiers (MarkKeepSplit): up to
+// kNetworkSelectWidth kept pairs it comes from a sorted top-8 register
+// buffer (TopEightThreshold), up to kHeapSelectCutoff from a sequential
+// top-k heap scan, and above that from copy + nth_element.  With the
+// paper's settings keep ~ k, which is tiny against the pairs of a large
+// partition, so the two scan tiers touch the error plane exactly once.
+constexpr size_t kNetworkSelectWidth = 8;
 constexpr size_t kHeapSelectCutoff = 2048;
 // Interior chunk boundaries are rounded down to a cache line's worth of
 // elements, so adjacent chunks never write the same line at a seam.
@@ -964,17 +967,67 @@ struct RoundScratch {
   }
 };
 
+// The num_keep-th largest of err[0, n), duplicates counted, for
+// 1 <= num_keep <= kNetworkSelectWidth and num_keep < n: the value the
+// heap tier would return.  Eight registers hold the largest errors seen so
+// far, b0 >= ... >= b7.  An error enters only when it beats b7 and then
+// shifts into place without a branch, each slot taking
+// min(its upper neighbour, max(e, itself)).  On the served path a
+// partition has tens of pairs and keep is 8, where a heap's sift decisions
+// are coin flips for the branch predictor; here the one branch left is
+// the entry test, which a scan mostly fails.
+//
+// Exactness needs an error plane without NaN, and both stores guarantee
+// it: every error is clamped into [0, +inf] — the histogram store with
+// r > 0 ? r : 0 (util/simd.h's ResidualError kernel identically), the poly
+// store with std::max(0.0, ...).  So the strict entry test and the heap's
+// e > front() reject exactly the same values (an equal error changes
+// neither the top-8 multiset nor the heap).  The -inf sentinels never come
+// back: every error beats them, and there are more than num_keep errors.
+double TopEightThreshold(const double* err, size_t n, size_t num_keep) {
+  static_assert(kNetworkSelectWidth == 8, "one register per slot below");
+  constexpr double kEmpty = -std::numeric_limits<double>::infinity();
+  double b0 = kEmpty, b1 = kEmpty, b2 = kEmpty, b3 = kEmpty;
+  double b4 = kEmpty, b5 = kEmpty, b6 = kEmpty, b7 = kEmpty;
+  for (size_t p = 0; p < n; ++p) {
+    const double e = err[p];
+    if (e > b7) {
+      b7 = std::min(b6, std::max(e, b7));
+      b6 = std::min(b5, std::max(e, b6));
+      b5 = std::min(b4, std::max(e, b5));
+      b4 = std::min(b3, std::max(e, b4));
+      b3 = std::min(b2, std::max(e, b3));
+      b2 = std::min(b1, std::max(e, b2));
+      b1 = std::min(b0, std::max(e, b1));
+      b0 = std::max(e, b0);
+    }
+  }
+  // A switch, not an indexed array: an array makes the compiler pack the
+  // slots into vector pairs and shuffle them inside the loop.
+  switch (num_keep) {
+    case 1: return b0;
+    case 2: return b1;
+    case 3: return b2;
+    case 4: return b3;
+    case 5: return b4;
+    case 6: return b5;
+    case 7: return b6;
+    default: return b7;
+  }
+}
+
 // Marks the top `num_keep` pairs under the strict (error desc, index asc)
 // total order.  kSort is the reference formulation: sort an index
-// permutation and mark the prefix.  kSelect is value-based: a top-k heap
-// scan (or nth_element on a scratch copy) of the error plane finds the
-// num_keep-th largest error, then a sequential mark pass keeps everything
+// permutation and mark the prefix.  kSelect is value-based.  One of three
+// tiers finds the num_keep-th largest error: the top-8 register network
+// for keep <= 8, a top-k heap scan up to kHeapSelectCutoff, nth_element on
+// a scratch copy above it.  Then a sequential mark pass keeps everything
 // strictly above the threshold plus the first (num_keep - #above)
 // threshold ties in index order — the same set the sorted prefix contains,
-// without ever chasing an index indirection.  The mark pass is
-// data-parallel when a pool is available: per-chunk above/tie counts, a
-// serial prefix over the (few) chunks, then disjoint marking with each
-// chunk's global tie rank in hand.
+// without ever chasing an index indirection.  Serially the mark pass is
+// branch-free; it is data-parallel when a pool is available: per-chunk
+// above/tie counts, a serial prefix over the (few) chunks, then disjoint
+// marking with each chunk's global tie rank in hand.
 void MarkKeepSplit(SelectionStrategy strategy,
                    const std::vector<double>& candidate_err, size_t num_pairs,
                    size_t num_keep, ThreadPool* pool,
@@ -1002,7 +1055,9 @@ void MarkKeepSplit(SelectionStrategy strategy,
   // kSelect: threshold select on the error values themselves — the
   // num_keep-th largest error (duplicates counted), never an index.
   double threshold;
-  if (num_keep <= kHeapSelectCutoff) {
+  if (num_keep <= kNetworkSelectWidth) {
+    threshold = TopEightThreshold(candidate_err.data(), num_pairs, num_keep);
+  } else if (num_keep <= kHeapSelectCutoff) {
     // One sequential pass: a min-heap of the num_keep largest values seen
     // (only strictly-greater values displace the root, which is exactly
     // the k-th-largest-with-duplicates semantics nth_element gives).
@@ -1031,19 +1086,30 @@ void MarkKeepSplit(SelectionStrategy strategy,
                       : ChunkCount(static_cast<int64_t>(num_pairs),
                                    kSelectGrain, pool->num_threads());
   if (chunks <= 1) {
-    size_t above = 0;
-    for (size_t p = 0; p < num_pairs; ++p) above += candidate_err[p] > threshold;
-    size_t tie_quota = num_keep - above;  // >= 1: the threshold itself ties
-    for (size_t p = 0; p < num_pairs; ++p) {  // every slot written: no
-                                              // zero-fill sweep needed
-      char mark_p = 0;
-      if (candidate_err[p] > threshold) {
-        mark_p = 1;
-      } else if (candidate_err[p] == threshold && tie_quota > 0) {
-        mark_p = 1;
-        --tie_quota;
-      }
-      keep_split[p] = mark_p;
+    // Raw views: a char store may alias any object, so through the vectors
+    // every iteration would reload both data pointers.
+    const double* err = candidate_err.data();
+    char* marks = keep_split.data();
+    size_t above = 0, at_least = 0;
+    for (size_t p = 0; p < num_pairs; ++p) {
+      above += err[p] > threshold;
+      at_least += err[p] >= threshold;
+    }
+    // Every flag below comes from comparisons, not branches: on tiny
+    // partitions each keep decision is a coin flip for the predictor.
+    // Every slot is written, so no zero-fill sweep is needed.
+    if (at_least == num_keep) {  // all threshold ties kept, the usual case
+      for (size_t p = 0; p < num_pairs; ++p) marks[p] = err[p] >= threshold;
+      return;
+    }
+    // More ties than slots: keep the first tie_quota of them in index order.
+    const size_t tie_quota = num_keep - above;  // >= 1: the threshold ties
+    size_t tie_rank = 0;
+    for (size_t p = 0; p < num_pairs; ++p) {
+      const bool gt = err[p] > threshold;
+      const bool eq = err[p] == threshold;
+      marks[p] = static_cast<char>(gt | (eq & (tie_rank < tie_quota)));
+      tie_rank += eq;
     }
     return;
   }

@@ -14,10 +14,13 @@ namespace fasthist {
 namespace internal {
 
 // How each round finds the m pairs with the largest merged error.  kSort is
-// the textbook O(s log s) formulation; kSelect uses nth_element (the
-// Theorem 3.4 trick) for O(s) per round and — thanks to the strict
-// (error, index) tie-break order — selects exactly the same pair set, so
-// the two strategies produce identical outputs.
+// the textbook O(s log s) formulation; kSelect (the Theorem 3.4 trick) is
+// O(s) per round: it takes the m-th largest error as a threshold — from a
+// top-8 register network for m <= 8, a top-m heap scan for m <= 2048, and
+// nth_element above that — and marks the pairs above it plus the earliest
+// ties.  Thanks to the strict (error, index) tie-break order it selects
+// exactly the same pair set, so the two strategies produce identical
+// outputs.
 enum class SelectionStrategy { kSort, kSelect };
 
 // The round loop itself (RunRounds in merge_engine.cc) is generic over a

@@ -34,6 +34,11 @@ StatusOr<Aggregator> Aggregator::Create(Histogram summary,
   if (!(prefix_mass.back() > 0.0)) {
     return Status::Invalid("Aggregator: summary must carry positive mass");
   }
+  // Finite pieces can still sum past DBL_MAX; an infinite total would turn
+  // every Cdf and range mass into NaN and feed Quantile an infinite target.
+  if (!std::isfinite(prefix_mass.back())) {
+    return Status::Invalid("Aggregator: summary's total mass overflows");
+  }
   return Aggregator(std::move(summary), error_budget, std::move(prefix_mass));
 }
 

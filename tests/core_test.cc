@@ -63,7 +63,7 @@ TEST(FastMergingMatchesSlowExactly) {
   const std::vector<double> hist = SmallHistData();
   for (const std::vector<double>* data : {&poly, &hist}) {
     const SparseFunction q = SparseFunction::FromDense(*data);
-    for (int64_t k : {2, 10, 25}) {
+    for (int64_t k : {2, 8, 10, 25}) {
       for (const MergingOptions& options :
            {MergingOptions{1000.0, 1.0}, MergingOptions{0.5, 1.0},
             MergingOptions{1000.0, 8.0}}) {

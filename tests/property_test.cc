@@ -308,7 +308,9 @@ TEST(ThresholdSelectionTieBreakingMatchesSort) {
   // pool dispatch even on a 1-core container) for histograms and poly
   // degrees 0-3.  The retired index-indirect nth_element select was
   // proven identical to kSort by this same comparison, so matching kSort
-  // also proves parity with it.
+  // also proves parity with it.  With the default delta, keep = k: k = 1
+  // and 8 are the top-8 network's narrowest and full widths, k = 9 is the
+  // heap tier's first keep.
   SetHardwareParallelismForTesting(8);
   std::vector<std::vector<double>> inputs;
   inputs.push_back(std::vector<double>(30'000, 1.0));  // constant
@@ -329,7 +331,7 @@ TEST(ThresholdSelectionTieBreakingMatchesSort) {
   }
   for (const std::vector<double>& data : inputs) {
     const SparseFunction q = SparseFunction::FromDense(data);
-    for (int64_t k : {7, 32}) {
+    for (int64_t k : {1, 7, 8, 9, 32}) {
       MergingOptions serial;
       const auto reference = ConstructHistogram(q, k, serial);
       CHECK_OK(reference);

@@ -589,6 +589,18 @@ TEST(AggregatorCdfQuantileRangeMass) {
       8, {{{0, 4}, 0.1}, {{4, 8}, std::numeric_limits<double>::infinity()}});
   CHECK_OK(with_inf);
   CHECK(!Aggregator::Create(*with_inf).ok());
+  // Finite values whose total mass overflows to +inf (1e308 on each of 4
+  // points): the codec accepts them, since every value is finite, so the
+  // snapshot path must reject them as well — otherwise Cdf and
+  // RangeMassQuery serve NaN.
+  auto overflowing = Histogram::Create(4, {{{0, 2}, 1e308}, {{2, 4}, 1e308}});
+  CHECK_OK(overflowing);
+  CHECK(!Aggregator::Create(*overflowing).ok());
+  ShardSnapshot overflowing_snapshot;
+  overflowing_snapshot.num_samples = 1;
+  overflowing_snapshot.error_levels = 1;
+  overflowing_snapshot.encoded_histogram = EncodeHistogram(*overflowing);
+  CHECK(!Aggregator::CreateForSnapshot(overflowing_snapshot).ok());
 }
 
 TEST(QuantileCdfRoundTripsWithinOnePiece) {

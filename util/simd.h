@@ -69,7 +69,10 @@ inline void ResidualError(const double* sum, const double* sumsq,
     const __m256d l = _mm256_loadu_pd(len + i);
     const __m256d r =
         _mm256_sub_pd(ss, _mm256_div_pd(_mm256_mul_pd(s, s), l));
-    _mm256_storeu_pd(err + i, _mm256_max_pd(zero, r));
+    // max_pd(a, b) is a > b ? a : b, so a NaN or -0 residual yields +0
+    // exactly like the scalar tail (the selection tiers rely on a NaN-free
+    // error plane).
+    _mm256_storeu_pd(err + i, _mm256_max_pd(r, zero));
   }
 #endif
   for (; i < n; ++i) {
