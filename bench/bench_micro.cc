@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the library's kernels: merging at
-// several input sizes (sample-linear time, Theorem 3.4), the served
-// 64-sample window condense, the hierarchical builder, Gram evaluation
+// several input sizes (sample-linear time, Theorem 3.4) and on both sides
+// of the engine's small-run cutoff, the served 64-sample window condense
+// and ladder carry, the hierarchical builder, Gram evaluation
 // (O(d) per point), the projection oracle, alias sampling (O(1)),
 // empirical-distribution construction, selection, and the exact DP for
 // context.
@@ -107,34 +108,96 @@ BENCHMARK_CAPTURE(BM_ConstructHistogramFast, k10, 10)
     ->Range(1 << 10, 1 << 18)
     ->Complexity();
 
-// The served condense path: EmpiricalDistribution + ConstructHistogramFast
-// on one 64-sample window of the paper's "hist" panel over domain 1024,
-// k = 8.  Iterations cycle through 4096 pre-drawn windows: replaying a
-// single window lets the branch predictor learn its keep decisions and
-// hides about half of the cost.
-void BM_CondenseWindow(benchmark::State& state) {
-  constexpr int64_t kDomain = 1024;
-  constexpr size_t kWindow = 64;
-  constexpr size_t kWindows = 4096;
+// The served window shape: 64 samples of the paper's "hist" panel over
+// domain 1024, condensed at k = 8.
+constexpr int64_t kServedDomain = 1024;
+constexpr size_t kServedWindow = 64;
+constexpr int64_t kServedK = 8;
+
+// `windows` pre-drawn served windows, back to back.
+std::vector<int64_t> ServedWindowSamples(size_t windows) {
   HistDatasetOptions hist;
-  hist.domain_size = kDomain;
+  hist.domain_size = kServedDomain;
   auto p = NormalizeToDistribution(MakeHistDataset(hist)).value();
   auto sampler = AliasSampler::Create(p).value();
   Rng rng(6);
-  const std::vector<int64_t> samples =
-      sampler.SampleMany(kWindow * kWindows, &rng);
+  return sampler.SampleMany(kServedWindow * windows, &rng);
+}
+
+// The served condense path: EmpiricalDistribution + ConstructHistogramFast
+// on one window.  Iterations cycle through 4096 pre-drawn windows:
+// replaying a single window lets the branch predictor learn its keep
+// decisions and hides about half of the cost.
+void BM_CondenseWindow(benchmark::State& state) {
+  constexpr size_t kWindows = 4096;
+  const std::vector<int64_t> samples = ServedWindowSamples(kWindows);
   size_t window = 0;
   for (auto _ : state) {
     auto q = EmpiricalDistribution(
-        kDomain, Span<const int64_t>(samples.data() + window * kWindow,
-                                     kWindow));
-    auto result = ConstructHistogramFast(*q, 8);
+        kServedDomain,
+        Span<const int64_t>(samples.data() + window * kServedWindow,
+                            kServedWindow));
+    auto result = ConstructHistogramFast(*q, kServedK);
     benchmark::DoNotOptimize(result);
     window = (window + 1) % kWindows;
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kWindow));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kServedWindow));
 }
 BENCHMARK(BM_CondenseWindow);
+
+// The served ladder carry: MergeHistograms of two condensed windows at
+// weights 64/64, k = 8 (a union of at most 34 atoms).  Iterations cycle
+// through 2048 pre-built pairs, like BM_CondenseWindow (BM_MergeHistograms
+// replays one pair, so the predictor learns it).
+void BM_LadderCarry(benchmark::State& state) {
+  constexpr size_t kPairs = 2048;
+  const std::vector<int64_t> samples = ServedWindowSamples(2 * kPairs);
+  std::vector<Histogram> condensed;
+  condensed.reserve(2 * kPairs);
+  for (size_t w = 0; w < 2 * kPairs; ++w) {
+    auto q = EmpiricalDistribution(
+        kServedDomain,
+        Span<const int64_t>(samples.data() + w * kServedWindow,
+                            kServedWindow));
+    condensed.push_back(ConstructHistogramFast(*q, kServedK)->histogram);
+  }
+  const auto weight = static_cast<double>(kServedWindow);
+  size_t pair = 0;
+  for (auto _ : state) {
+    auto merged = MergeHistograms(condensed[2 * pair], weight,
+                                  condensed[2 * pair + 1], weight, kServedK);
+    benchmark::DoNotOptimize(merged);
+    pair = (pair + 1) % kPairs;
+  }
+}
+BENCHMARK(BM_LadderCarry);
+
+// ConstructHistogramFast (k 8) on random supports that start the rounds at
+// exactly `atoms` atoms (every support point ringed by zero runs): 511
+// runs the small-run round loop, 513 the streaming one, so the step at the
+// engine's cutoff (512) has a number.  Iterations cycle through 64 inputs.
+void BM_ConstructAtSmallRunCutoff(benchmark::State& state) {
+  constexpr size_t kInputs = 64;
+  const int64_t support = (state.range(0) - 1) / 2;
+  Rng rng(511);
+  std::vector<SparseFunction> inputs;
+  for (size_t i = 0; i < kInputs; ++i) {
+    std::vector<double> dense(static_cast<size_t>(4 * support + 4), 0.0);
+    for (int64_t s = 0; s < support; ++s) {
+      dense[static_cast<size_t>(4 * s + 1 + rng.UniformInt(2))] =
+          1.0 + static_cast<double>(rng.UniformInt(1000));
+    }
+    inputs.push_back(SparseFunction::FromDense(dense));
+  }
+  size_t input = 0;
+  for (auto _ : state) {
+    auto result = ConstructHistogramFast(inputs[input], 8);
+    benchmark::DoNotOptimize(result);
+    input = (input + 1) % kInputs;
+  }
+}
+BENCHMARK(BM_ConstructAtSmallRunCutoff)->Arg(511)->Arg(513);
 
 void BM_ConstructHistogramFastThreaded(benchmark::State& state) {
   const SparseFunction q = SparseFunction::FromDense(Signal(state.range(0)));

@@ -549,6 +549,29 @@ double ReadRssMb() {
   return kb / 1024.0;
 }
 
+// The ShardIngestor baseline of a store cell: one ingestor swallowing the
+// identical value stream (same generator, same batch rhythm, no keys) with
+// its buffer sized to the store's per-key window — the same condensation
+// cadence, so the ratio prices multi-tenancy itself (grouping, index
+// probes, slab scatter), not a different summarization schedule.  (A
+// 2048-sample buffer baseline is ~2.7x faster per sample but produces a
+// different summary: fewer, larger condensations.)
+void RunShardBaselineOnce(const StoreCell& cell,
+                          std::vector<int64_t>& scratch) {
+  auto ingestor = ShardIngestor::Create(/*shard_id=*/0, kStoreDomain, kStoreK,
+                                        kStoreWindow);
+  if (!ingestor.ok()) Die("ShardIngestor::Create", ingestor.status());
+  const int64_t total = cell.keys * cell.samples_per_key;
+  for (int64_t off = 0; off < total; off += cell.batch) {
+    const int64_t len = std::min(cell.batch, total - off);
+    scratch.clear();
+    for (int64_t s = off; s < off + len; ++s) {
+      scratch.push_back(StoreValueOf(s));
+    }
+    if (Status s = ingestor->Ingest(scratch); !s.ok()) Die("Ingest", s);
+  }
+}
+
 int RunStoreGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
   // Cells ascend in key count so the million-key build runs last: arena
   // fragments the smaller cells leave behind cannot inflate its VmRSS
@@ -566,26 +589,26 @@ int RunStoreGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
                                      {1048576, 64, 65536}};
   const double threads_effective = 1.0;  // serial end to end, like --grid
 
-  TablePrinter table({"keys", "samples/key", "batch", "ingest Msamp/s",
-                      "vs shard", "payload B/key", "slack B/key",
-                      "overhead B/key", "rss MB", "err lvls"});
-
-  std::vector<KeyedSample> keyed_scratch;
-  std::vector<int64_t> value_scratch;
-  for (const StoreCell& cell : cells) {
-    keyed_scratch.reserve(static_cast<size_t>(cell.batch));
-    value_scratch.reserve(static_cast<size_t>(cell.batch));
-    const int64_t total = cell.keys * cell.samples_per_key;
-
-    // Memory + correctness pass (untimed): one build, then the store's own
-    // byte accounting, the process RSS while the store is live, and
-    // spot-checks that the keyed pipeline actually ran — exact per-key
-    // counts at both ends of the key range and unit mass on a summary.
+  struct CellMemory {
     double overhead_per_key = 0.0;
     double payload_per_key = 0.0;
     double slack_per_key = 0.0;
     double rss_mb = 0.0;
     int error_levels = 0;
+  };
+  std::vector<CellMemory> memory(cells.size());
+  std::vector<KeyedSample> keyed_scratch;
+  std::vector<int64_t> value_scratch;
+  for (size_t ci = 0; ci < cells.size(); ++ci) {
+    const StoreCell& cell = cells[ci];
+    CellMemory& mem = memory[ci];
+    keyed_scratch.reserve(static_cast<size_t>(cell.batch));
+    value_scratch.reserve(static_cast<size_t>(cell.batch));
+
+    // Memory + correctness pass (untimed): one build, then the store's own
+    // byte accounting, the process RSS while the store is live, and
+    // spot-checks that the keyed pipeline actually ran — exact per-key
+    // counts at both ends of the key range and unit mass on a summary.
     {
       SummaryStore store = BuildStoreOnce(cell, keyed_scratch);
       const StoreMemoryStats stats = store.memory();
@@ -594,12 +617,12 @@ int RunStoreGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
                      stats.num_keys, static_cast<long long>(cell.keys));
         return 2;
       }
-      overhead_per_key = stats.overhead_bytes_per_key();
-      payload_per_key = static_cast<double>(stats.payload_bytes) /
-                        static_cast<double>(stats.num_keys);
-      slack_per_key = static_cast<double>(stats.ladder_slack_bytes) /
-                      static_cast<double>(stats.num_keys);
-      rss_mb = ReadRssMb();
+      mem.overhead_per_key = stats.overhead_bytes_per_key();
+      mem.payload_per_key = static_cast<double>(stats.payload_bytes) /
+                            static_cast<double>(stats.num_keys);
+      mem.slack_per_key = static_cast<double>(stats.ladder_slack_bytes) /
+                          static_cast<double>(stats.num_keys);
+      mem.rss_mb = ReadRssMb();
       for (const int64_t slot : {int64_t{0}, cell.keys - 1}) {
         auto count = store.NumSamples(StoreKeyOf(slot));
         if (!count.ok()) Die("NumSamples", count.status());
@@ -621,61 +644,69 @@ int RunStoreGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
       }
       auto levels = store.ErrorLevels(StoreKeyOf(0));
       if (!levels.ok()) Die("ErrorLevels", levels.status());
-      error_levels = *levels;
+      mem.error_levels = *levels;
     }
 
     // Budget gates.  The overhead budget applies where amortization is
     // meant to have kicked in (small-key cells are dominated by fixed
     // chunk bookkeeping and would gate nothing real).
     if (cell.keys >= kStoreOverheadGateMinKeys &&
-        overhead_per_key > kStoreMaxOverheadBytesPerKey) {
+        mem.overhead_per_key > kStoreMaxOverheadBytesPerKey) {
       std::fprintf(stderr,
                    "bench_service: %.1f overhead bytes/key at %lld keys "
                    "busts the %.0f-byte budget\n",
-                   overhead_per_key, static_cast<long long>(cell.keys),
+                   mem.overhead_per_key, static_cast<long long>(cell.keys),
                    kStoreMaxOverheadBytesPerKey);
       return 2;
     }
-    if (rss_mb > kStoreMaxRssMb) {
+    if (mem.rss_mb > kStoreMaxRssMb) {
       std::fprintf(stderr,
                    "bench_service: %.0f MB RSS at %lld keys busts the "
                    "%.0f MB budget\n",
-                   rss_mb, static_cast<long long>(cell.keys), kStoreMaxRssMb);
+                   mem.rss_mb, static_cast<long long>(cell.keys),
+                   kStoreMaxRssMb);
       return 2;
     }
+  }
 
-    // Timed pass: the full keyed pipeline (store create + reserve +
-    // generate + AddBatch everything), min-of-R.
-    const double store_ms = bench_util::MinMillis(
-        [&] { BuildStoreOnce(cell, keyed_scratch); }, reps);
+  // Timed passes, min-of-R with the reps interleaved and rotated across
+  // cells (RunStripedGrid's pattern): each rep times every cell's store
+  // pass (store create + reserve + generate + AddBatch everything) and its
+  // ShardIngestor baseline back to back, so a swing in host speed hits
+  // every cell alike instead of moving one cell against its neighbours.
+  // Pass -1 is an uncounted warm-up.
+  std::vector<double> store_ms(cells.size(), 0.0);
+  std::vector<double> baseline_ms(cells.size(), 0.0);
+  for (int rep = -1; rep < reps; ++rep) {
+    for (size_t j = 0; j < cells.size(); ++j) {
+      const size_t ci = (static_cast<size_t>(rep + 1) + j) % cells.size();
+      WallTimer store_timer;
+      BuildStoreOnce(cells[ci], keyed_scratch);
+      const double store_pass_ms = store_timer.ElapsedMillis();
+      WallTimer baseline_timer;
+      RunShardBaselineOnce(cells[ci], value_scratch);
+      const double baseline_pass_ms = baseline_timer.ElapsedMillis();
+      if (rep < 0) continue;
+      if (store_ms[ci] == 0.0 || store_pass_ms < store_ms[ci]) {
+        store_ms[ci] = store_pass_ms;
+      }
+      if (baseline_ms[ci] == 0.0 || baseline_pass_ms < baseline_ms[ci]) {
+        baseline_ms[ci] = baseline_pass_ms;
+      }
+    }
+  }
+
+  TablePrinter table({"keys", "samples/key", "batch", "ingest Msamp/s",
+                      "vs shard", "payload B/key", "slack B/key",
+                      "overhead B/key", "rss MB", "err lvls"});
+  for (size_t ci = 0; ci < cells.size(); ++ci) {
+    const StoreCell& cell = cells[ci];
+    const CellMemory& mem = memory[ci];
+    const int64_t total = cell.keys * cell.samples_per_key;
     const double msamples_per_s =
-        static_cast<double>(total) / (store_ms * 1e3);
-
-    // Baseline: one ShardIngestor swallowing the identical value stream
-    // (same generator, same batch rhythm, no keys) with its buffer sized
-    // to the store's per-key window — the same condensation cadence, so
-    // the ratio prices multi-tenancy itself (grouping, index probes, slab
-    // scatter), not a different summarization schedule.  (A 2048-sample
-    // buffer baseline is ~2.7x faster per sample but produces a different
-    // summary: fewer, larger condensations.)
-    const double baseline_ms = bench_util::MinMillis(
-        [&] {
-          auto ingestor = ShardIngestor::Create(/*shard_id=*/0, kStoreDomain,
-                                                kStoreK, kStoreWindow);
-          if (!ingestor.ok()) Die("ShardIngestor::Create", ingestor.status());
-          for (int64_t off = 0; off < total; off += cell.batch) {
-            const int64_t len = std::min(cell.batch, total - off);
-            value_scratch.clear();
-            for (int64_t s = off; s < off + len; ++s) {
-              value_scratch.push_back(StoreValueOf(s));
-            }
-            if (Status s = ingestor->Ingest(value_scratch); !s.ok()) {
-              Die("Ingest", s);
-            }
-          }
-        },
-        reps);
-    const double slowdown = baseline_ms > 0.0 ? store_ms / baseline_ms : 0.0;
+        static_cast<double>(total) / (store_ms[ci] * 1e3);
+    const double slowdown =
+        baseline_ms[ci] > 0.0 ? store_ms[ci] / baseline_ms[ci] : 0.0;
 
     const std::string name = "store_keys" + std::to_string(cell.keys) +
                              "_spk" + std::to_string(cell.samples_per_key) +
@@ -687,24 +718,24 @@ int RunStoreGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
                 {"batch", static_cast<double>(cell.batch)},
                 {"threads_effective", threads_effective},
                 {"reps", static_cast<double>(reps)},
-                {"ms", store_ms},
+                {"ms", store_ms[ci]},
                 {"ingest_msamples_per_s", msamples_per_s},
                 {"slowdown_vs_shard_ingestor", slowdown},
-                {"payload_bytes_per_key", payload_per_key},
-                {"ladder_slack_bytes_per_key", slack_per_key},
-                {"bytes_per_key_overhead", overhead_per_key},
-                {"rss_mb", rss_mb},
-                {"error_levels", static_cast<double>(error_levels)}});
+                {"payload_bytes_per_key", mem.payload_per_key},
+                {"ladder_slack_bytes_per_key", mem.slack_per_key},
+                {"bytes_per_key_overhead", mem.overhead_per_key},
+                {"rss_mb", mem.rss_mb},
+                {"error_levels", static_cast<double>(mem.error_levels)}});
     table.AddRow({TablePrinter::FormatInt(cell.keys),
                   TablePrinter::FormatInt(cell.samples_per_key),
                   TablePrinter::FormatInt(cell.batch),
                   TablePrinter::FormatDouble(msamples_per_s, 2),
                   TablePrinter::FormatDouble(slowdown, 2),
-                  TablePrinter::FormatDouble(payload_per_key, 1),
-                  TablePrinter::FormatDouble(slack_per_key, 1),
-                  TablePrinter::FormatDouble(overhead_per_key, 1),
-                  TablePrinter::FormatDouble(rss_mb, 0),
-                  TablePrinter::FormatInt(error_levels)});
+                  TablePrinter::FormatDouble(mem.payload_per_key, 1),
+                  TablePrinter::FormatDouble(mem.slack_per_key, 1),
+                  TablePrinter::FormatDouble(mem.overhead_per_key, 1),
+                  TablePrinter::FormatDouble(mem.rss_mb, 0),
+                  TablePrinter::FormatInt(mem.error_levels)});
   }
 
   table.Print(std::cout);

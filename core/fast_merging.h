@@ -17,7 +17,9 @@ namespace fasthist {
 // std::nth_element, and one pass marks the pairs above it plus the
 // earliest ties.  Since round sizes decay geometrically
 // (s -> ceil(s/2) + m), total work is O(s) in the support size s instead
-// of O(s log s).
+// of O(s log s).  An input whose rounds start at <= 512 atoms (2s + 1; a
+// served 64-sample window starts at <= 129) runs them in a branch-free
+// loop whose planes stay in L1; larger ones in the fused streaming loop.
 //
 // Contract: because the selection uses the same strict (error, index) order
 // as the sorting variant, the selected pair sets — and therefore the output

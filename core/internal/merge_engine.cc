@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -45,6 +46,12 @@ constexpr int64_t kSelectGrain = 32768;
 // partition, so the two scan tiers touch the error plane exactly once.
 constexpr size_t kNetworkSelectWidth = 8;
 constexpr size_t kHeapSelectCutoff = 2048;
+// A kSelect histogram run that starts at or below this many atoms takes
+// the small-run round loop (SmallRun below) instead of RunRounds.  The
+// cutoff is set by footprint: the small loop's planes take about 64 bytes
+// per atom, so 512 atoms stay inside a 48 KB L1d.  It covers every served
+// run (a 64-sample window starts at <= 129 atoms, a ladder carry at <= 34).
+constexpr size_t kSmallRunAtoms = 512;
 // Interior chunk boundaries are rounded down to a cache line's worth of
 // elements, so adjacent chunks never write the same line at a seam.
 constexpr int64_t kDoubleAlign = 8;   // 8 doubles = 64 bytes
@@ -129,6 +136,81 @@ std::vector<Interval> SupportPartition(const SparseFunction& q) {
   return intervals;
 }
 
+// The two histogram fills, shared by both round loops (RunRounds' store
+// and SmallRun), which differ only in where push(length, sum, sumsq)
+// writes each atom.  One walk each also keeps an FMA build's contraction
+// of w1 * v1 + w2 * v2 the same on both loops.
+
+// The support partition of q with q's moments on each interval: a zero
+// run carries (0, 0), the singleton at support point s carries (v, v*v).
+template <typename Push>
+void ForEachSupportAtom(const SparseFunction& q, Push&& push) {
+  ForEachSupportInterval(q, [&push](Interval interval, const double* value) {
+    const double length = static_cast<double>(interval.length());
+    if (value == nullptr) {
+      push(length, 0.0, 0.0);
+    } else {
+      const double v = *value;
+      push(length, v, v * v);
+    }
+  });
+}
+
+// The boundary union of w1*h1 + w2*h2: flat on each union segment, so
+// value * length and value * value * length are its exact moments there.
+template <typename Push>
+void ForEachUnionAtom(const Histogram& h1, double w1, const Histogram& h2,
+                      double w2, Push&& push) {
+  size_t i1 = 0, i2 = 0;
+  int64_t cursor = 0;
+  while (cursor < h1.domain_size()) {
+    const HistogramPiece& p1 = h1.pieces()[i1];
+    const HistogramPiece& p2 = h2.pieces()[i2];
+    const int64_t end = std::min(p1.interval.end, p2.interval.end);
+    const double value = w1 * p1.value + w2 * p2.value;
+    const double length = static_cast<double>(end - cursor);
+    push(length, value * length, value * value * length);
+    cursor = end;
+    if (p1.interval.end == end) ++i1;
+    if (p2.interval.end == end) ++i2;
+  }
+}
+
+// Raw views of one partition's three planes.
+struct PlaneView {
+  double* len;
+  double* sum;
+  double* sumsq;
+};
+
+// Flat-value histogram of a surviving partition of n atoms and its summed
+// error, for both round loops.  Endpoints come back from the length plane
+// by an exact integer prefix sum from 0 (both fills tile the domain from
+// its origin).
+StatusOr<MergingResult> FinishPartition(const PlaneView& planes, size_t n,
+                                        int64_t domain_size,
+                                        long long num_rounds) {
+  MergingResult result;
+  result.num_rounds = num_rounds;
+  result.err_squared = 0.0;
+  std::vector<HistogramPiece> pieces;
+  pieces.reserve(n);
+  int64_t cursor = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const double length = planes.len[i];
+    const int64_t end = cursor + static_cast<int64_t>(length);
+    pieces.push_back({{cursor, end}, planes.sum[i] / length});
+    const double residual =
+        planes.sumsq[i] - planes.sum[i] * planes.sum[i] / length;
+    result.err_squared += residual > 0.0 ? residual : 0.0;
+    cursor = end;
+  }
+  auto histogram = Histogram::Create(domain_size, std::move(pieces));
+  if (!histogram.ok()) return histogram.status();
+  result.histogram = std::move(histogram).value();
+  return result;
+}
+
 // ---------------------------------------------------------------------------
 // Structure-of-arrays stores.  RunRounds (below) is generic over a store
 // that owns the current partition as parallel planes plus the candidate and
@@ -187,8 +269,6 @@ std::vector<Interval> SupportPartition(const SparseFunction& q) {
 // planes straight from the input.
 class HistogramStore {
  public:
-  // The support partition of q with q's moments on each interval: a zero
-  // run carries (0, 0), the singleton at support point s carries (v, v*v).
   void FillFromSparse(const SparseFunction& q) {
     // Exact atom count first, so no plane is sized past the partition
     // (which would also push it over the workspace cap needlessly).
@@ -197,36 +277,19 @@ class HistogramStore {
       ++num_atoms;
     });
     BeginFill(num_atoms);
-    ForEachSupportInterval(q, [this](Interval interval, const double* value) {
-      const double length = static_cast<double>(interval.length());
-      if (value == nullptr) {
-        PushAtom(length, 0.0, 0.0);
-      } else {
-        const double v = *value;
-        PushAtom(length, v, v * v);
-      }
+    ForEachSupportAtom(q, [this](double length, double sum, double sumsq) {
+      PushAtom(length, sum, sumsq);
     });
     EndFill();
   }
 
-  // The boundary union of w1*h1 + w2*h2: flat on each union segment, so
-  // value * length and value * value * length are its exact moments there.
   void FillFromUnion(const Histogram& h1, double w1, const Histogram& h2,
                      double w2) {
     BeginFill(static_cast<size_t>(h1.num_pieces() + h2.num_pieces()));
-    size_t i1 = 0, i2 = 0;
-    int64_t cursor = 0;
-    while (cursor < h1.domain_size()) {
-      const HistogramPiece& p1 = h1.pieces()[i1];
-      const HistogramPiece& p2 = h2.pieces()[i2];
-      const int64_t end = std::min(p1.interval.end, p2.interval.end);
-      const double value = w1 * p1.value + w2 * p2.value;
-      const double length = static_cast<double>(end - cursor);
-      PushAtom(length, value * length, value * value * length);
-      cursor = end;
-      if (p1.interval.end == end) ++i1;
-      if (p2.interval.end == end) ++i2;
-    }
+    ForEachUnionAtom(h1, w1, h2, w2,
+                     [this](double length, double sum, double sumsq) {
+                       PushAtom(length, sum, sumsq);
+                     });
     EndFill();
   }
 
@@ -302,29 +365,9 @@ class HistogramStore {
     sumsq_.swap(next_sumsq_);
   }
 
-  // Flat-value histogram of the surviving partition and its summed error.
-  // Endpoints come back from the length plane by an exact integer prefix
-  // sum from 0 (both fills tile the domain from its origin).
-  StatusOr<MergingResult> Finish(int64_t domain_size,
-                                 long long num_rounds) const {
-    MergingResult result;
-    result.num_rounds = num_rounds;
-    result.err_squared = 0.0;
-    std::vector<HistogramPiece> pieces;
-    pieces.reserve(size());
-    int64_t cursor = 0;
-    for (size_t i = 0; i < size(); ++i) {
-      const double length = len_[i];
-      const int64_t end = cursor + static_cast<int64_t>(length);
-      pieces.push_back({{cursor, end}, sum_[i] / length});
-      const double residual = sumsq_[i] - sum_[i] * sum_[i] / length;
-      result.err_squared += residual > 0.0 ? residual : 0.0;
-      cursor = end;
-    }
-    auto histogram = Histogram::Create(domain_size, std::move(pieces));
-    if (!histogram.ok()) return histogram.status();
-    result.histogram = std::move(histogram).value();
-    return result;
+  StatusOr<MergingResult> Finish(int64_t domain_size, long long num_rounds) {
+    return FinishPartition({len_.data(), sum_.data(), sumsq_.data()}, size(),
+                           domain_size, num_rounds);
   }
 
   // Calls fn on every plane and buffer (the workspace's capacity cap).
@@ -1016,18 +1059,49 @@ double TopEightThreshold(const double* err, size_t n, size_t num_keep) {
   }
 }
 
+// kSelect's threshold: the num_keep-th largest of err[0, num_pairs),
+// duplicates counted — a value, never an index — for
+// 1 <= num_keep < num_pairs.  One of three tiers finds it: the top-8
+// register network for keep <= 8, a top-k heap scan up to
+// kHeapSelectCutoff, nth_element on a scratch copy above it.  Both round
+// loops call this.
+double SelectThreshold(const double* err, size_t num_pairs, size_t num_keep,
+                       std::vector<double>& scratch) {
+  if (num_keep <= kNetworkSelectWidth) {
+    return TopEightThreshold(err, num_pairs, num_keep);
+  }
+  if (num_keep <= kHeapSelectCutoff) {
+    // One sequential pass: a min-heap of the num_keep largest values seen
+    // (only strictly-greater values displace the root, which is exactly
+    // the k-th-largest-with-duplicates semantics nth_element gives).
+    scratch.assign(err, err + num_keep);
+    std::make_heap(scratch.begin(), scratch.end(), std::greater<double>());
+    for (size_t p = num_keep; p < num_pairs; ++p) {
+      if (err[p] > scratch.front()) {
+        std::pop_heap(scratch.begin(), scratch.end(), std::greater<double>());
+        scratch.back() = err[p];
+        std::push_heap(scratch.begin(), scratch.end(), std::greater<double>());
+      }
+    }
+    return scratch.front();
+  }
+  scratch.assign(err, err + num_pairs);
+  std::nth_element(scratch.begin(),
+                   scratch.begin() + static_cast<ptrdiff_t>(num_keep - 1),
+                   scratch.end(), std::greater<double>());
+  return scratch[num_keep - 1];
+}
+
 // Marks the top `num_keep` pairs under the strict (error desc, index asc)
 // total order.  kSort is the reference formulation: sort an index
-// permutation and mark the prefix.  kSelect is value-based.  One of three
-// tiers finds the num_keep-th largest error: the top-8 register network
-// for keep <= 8, a top-k heap scan up to kHeapSelectCutoff, nth_element on
-// a scratch copy above it.  Then a sequential mark pass keeps everything
-// strictly above the threshold plus the first (num_keep - #above)
-// threshold ties in index order — the same set the sorted prefix contains,
-// without ever chasing an index indirection.  Serially the mark pass is
-// branch-free; it is data-parallel when a pool is available: per-chunk
-// above/tie counts, a serial prefix over the (few) chunks, then disjoint
-// marking with each chunk's global tie rank in hand.
+// permutation and mark the prefix.  kSelect is value-based: after
+// SelectThreshold, a sequential mark pass keeps everything strictly above
+// the threshold plus the first (num_keep - #above) threshold ties in index
+// order — the same set the sorted prefix contains, without ever chasing an
+// index indirection.  Serially the mark pass is branch-free; it is
+// data-parallel when a pool is available: per-chunk above/tie counts, a
+// serial prefix over the (few) chunks, then disjoint marking with each
+// chunk's global tie rank in hand.
 void MarkKeepSplit(SelectionStrategy strategy,
                    const std::vector<double>& candidate_err, size_t num_pairs,
                    size_t num_keep, ThreadPool* pool,
@@ -1052,34 +1126,8 @@ void MarkKeepSplit(SelectionStrategy strategy,
     return;
   }
 
-  // kSelect: threshold select on the error values themselves — the
-  // num_keep-th largest error (duplicates counted), never an index.
-  double threshold;
-  if (num_keep <= kNetworkSelectWidth) {
-    threshold = TopEightThreshold(candidate_err.data(), num_pairs, num_keep);
-  } else if (num_keep <= kHeapSelectCutoff) {
-    // One sequential pass: a min-heap of the num_keep largest values seen
-    // (only strictly-greater values displace the root, which is exactly
-    // the k-th-largest-with-duplicates semantics nth_element gives).
-    scratch.assign(candidate_err.begin(),
-                   candidate_err.begin() + static_cast<ptrdiff_t>(num_keep));
-    std::make_heap(scratch.begin(), scratch.end(), std::greater<double>());
-    for (size_t p = num_keep; p < num_pairs; ++p) {
-      if (candidate_err[p] > scratch.front()) {
-        std::pop_heap(scratch.begin(), scratch.end(), std::greater<double>());
-        scratch.back() = candidate_err[p];
-        std::push_heap(scratch.begin(), scratch.end(), std::greater<double>());
-      }
-    }
-    threshold = scratch.front();
-  } else {
-    scratch.assign(candidate_err.begin(),
-                   candidate_err.begin() + static_cast<ptrdiff_t>(num_pairs));
-    std::nth_element(scratch.begin(),
-                     scratch.begin() + static_cast<ptrdiff_t>(num_keep - 1),
-                     scratch.end(), std::greater<double>());
-    threshold = scratch[num_keep - 1];
-  }
+  const double threshold =
+      SelectThreshold(candidate_err.data(), num_pairs, num_keep, scratch);
 
   const int64_t chunks =
       pool == nullptr ? 1
@@ -1209,6 +1257,193 @@ long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
   return num_rounds;
 }
 
+// mask ? a : b as a select on the bits, for a mask of all ones or all
+// zeros.  Written as a ternary, GCC compiles it into a branch on the flag
+// behind the mask — the mispredict SmallRun's commit exists to remove.
+inline double SelectBits(uint64_t mask, double a, double b) {
+  uint64_t bits_a, bits_b;
+  std::memcpy(&bits_a, &a, sizeof(a));
+  std::memcpy(&bits_b, &b, sizeof(b));
+  const uint64_t bits = (bits_a & mask) | (bits_b & ~mask);
+  double out;
+  std::memcpy(&out, &bits, sizeof(out));
+  return out;
+}
+
+// SmallRun's evaluate pass: the statistics and error of every adjacent
+// pair, with EvaluateCandidate's operations in its order.  The planes are
+// disjoint, and saying so lets the compiler vectorize the pass; the clamp
+// then becomes a compare-and-mask, exact like the scalar r > 0 ? r : 0.
+void EvaluateSmallPairs(const double* __restrict len,
+                        const double* __restrict sum,
+                        const double* __restrict sumsq, size_t num_pairs,
+                        double* __restrict cand_len,
+                        double* __restrict cand_sum,
+                        double* __restrict cand_sumsq,
+                        double* __restrict err) {
+  for (size_t p = 0; p < num_pairs; ++p) {
+    const double l = len[2 * p] + len[2 * p + 1];
+    const double s = sum[2 * p] + sum[2 * p + 1];
+    const double ss = sumsq[2 * p] + sumsq[2 * p + 1];
+    cand_len[p] = l;
+    cand_sum[p] = s;
+    cand_sumsq[p] = ss;
+    const double r = ss - s * s / l;
+    err[p] = r > 0.0 ? r : 0.0;
+  }
+}
+
+// The small-run round loop: a kSelect histogram run that starts at or
+// below kSmallRunAtoms atoms (every served window condense, ladder carry
+// and read-side fold).  On such runs RunRounds' fused streaming sweep is
+// dominated by its keep branch, a coin flip for the predictor on tens of
+// pairs, and by per-run costs (pool lookup, capacity scans).  Here every
+// round is three loops over a few planes that stay in L1: evaluate every
+// pair, SelectThreshold, then count the pairs above the threshold and
+// commit without a branch.  The pairing, (error desc, index asc) order,
+// keep/stop schedule and arithmetic are RunRounds' and MarkKeepSplit's,
+// so the output bits are the streaming path's.
+//
+// The planes are one buffer, grown to the largest small run the thread has
+// seen (never past kSmallRunAtoms, about 33 KB), so a warm run allocates
+// only its output histogram.  Each plane starts on a cache line, and no
+// two start a multiple of 4 KiB apart: at 512 atoms a plane is exactly
+// 4 KiB, and a load whose address matches an in-flight store's in the low
+// 12 bits can be held back as if it depended on that store (4K aliasing).
+class SmallRun {
+ public:
+  // The fills write the run's atoms into the current planes; the
+  // partition must start at or below kSmallRunAtoms atoms.
+  void FillFromSparse(const SparseFunction& q) {
+    Reserve(2 * q.support_size() + 1);
+    size_ = 0;
+    ForEachSupportAtom(q, [this](double length, double sum, double sumsq) {
+      PushAtom(length, sum, sumsq);
+    });
+  }
+
+  void FillFromUnion(const Histogram& h1, double w1, const Histogram& h2,
+                     double w2) {
+    Reserve(static_cast<size_t>(h1.num_pieces() + h2.num_pieces()));
+    size_ = 0;
+    ForEachUnionAtom(h1, w1, h2, w2,
+                     [this](double length, double sum, double sumsq) {
+                       PushAtom(length, sum, sumsq);
+                     });
+  }
+
+  // Runs the rounds; returns their count.  select_scratch is the heap
+  // tier's scratch (SelectThreshold).
+  long long Rounds(int64_t k, const MergingOptions& options,
+                   std::vector<double>& select_scratch) {
+    const int64_t keep = PairsKeptPerRound(k, options);
+    const int64_t stop = StopThreshold(keep, options);
+    PlaneView cur = cur_;
+    PlaneView next = next_;
+    const PlaneView cand = cand_;
+    double* const err = err_;
+    size_t n = size_;
+    long long num_rounds = 0;
+    while (static_cast<int64_t>(n) > stop) {
+      const size_t num_pairs = n / 2;
+      EvaluateSmallPairs(cur.len, cur.sum, cur.sumsq, num_pairs, cand.len,
+                         cand.sum, cand.sumsq, err);
+      // n > stop >= 2 * keep + 1, so keep < num_pairs (see RunRounds).
+      const auto num_keep = static_cast<size_t>(keep);
+      const double threshold =
+          SelectThreshold(err, num_pairs, num_keep, select_scratch);
+      size_t above = 0;
+      for (size_t p = 0; p < num_pairs; ++p) above += err[p] > threshold;
+      // MarkKeepSplit's set: every pair above the threshold plus the first
+      // tie_quota ties.  A kept pair writes its left atom, a merged pair
+      // its candidate; both write the right atom one slot on, where the
+      // next pair overwrites it unless the pair was kept.
+      const size_t tie_quota = num_keep - above;
+      size_t out = 0;
+      size_t tie_rank = 0;
+      for (size_t p = 0; p < num_pairs; ++p) {
+        const size_t gt = err[p] > threshold;
+        const size_t eq = err[p] == threshold;
+        const size_t kept = gt | (eq & (tie_rank < tie_quota));
+        tie_rank += eq;
+        const uint64_t mask = uint64_t{0} - kept;
+        next.len[out] = SelectBits(mask, cur.len[2 * p], cand.len[p]);
+        next.sum[out] = SelectBits(mask, cur.sum[2 * p], cand.sum[p]);
+        next.sumsq[out] = SelectBits(mask, cur.sumsq[2 * p], cand.sumsq[p]);
+        next.len[out + 1] = cur.len[2 * p + 1];
+        next.sum[out + 1] = cur.sum[2 * p + 1];
+        next.sumsq[out + 1] = cur.sumsq[2 * p + 1];
+        out += 1 + kept;
+      }
+      if (n % 2 == 1) {
+        next.len[out] = cur.len[n - 1];
+        next.sum[out] = cur.sum[n - 1];
+        next.sumsq[out] = cur.sumsq[n - 1];
+        ++out;
+      }
+      std::swap(cur, next);
+      n = out;
+      ++num_rounds;
+    }
+    cur_ = cur;
+    next_ = next;
+    size_ = n;
+    return num_rounds;
+  }
+
+  StatusOr<MergingResult> Finish(int64_t domain_size, long long num_rounds) {
+    return FinishPartition(cur_, size_, domain_size, num_rounds);
+  }
+
+ private:
+  static constexpr size_t kLine = 8;   // doubles per 64-byte cache line
+  static constexpr size_t kPage = 512;  // doubles per 4 KiB
+
+  // Carves room for a run of up to `atoms` atoms: the current and next
+  // generations (atom planes), then the candidate planes and errors (pair
+  // planes).  A no-op once the thread has seen a run this large.
+  void Reserve(size_t atoms) {
+    if (atoms <= capacity_) return;
+    double** const planes[] = {&cur_.len,  &cur_.sum,   &cur_.sumsq,
+                               &next_.len, &next_.sum,  &next_.sumsq,
+                               &cand_.len, &cand_.sum,  &cand_.sumsq,
+                               &err_};
+    constexpr size_t kPlanes = sizeof(planes) / sizeof(planes[0]);
+    constexpr size_t kAtomPlanes = 6;
+    const size_t atom_plane = (atoms + kLine - 1) / kLine * kLine;
+    const size_t pair_plane = (atoms / 2 + kLine - 1) / kLine * kLine;
+    size_t offsets[kPlanes];
+    size_t end = 0;
+    for (size_t i = 0; i < kPlanes; ++i) {
+      while (std::any_of(offsets, offsets + i, [end](size_t offset) {
+        return (end - offset) % kPage == 0;
+      })) {
+        end += kLine;
+      }
+      offsets[i] = end;
+      end += i < kAtomPlanes ? atom_plane : pair_plane;
+    }
+    buffer_.assign(end, 0.0);
+    for (size_t i = 0; i < kPlanes; ++i) {
+      *planes[i] = buffer_.data() + offsets[i];
+    }
+    capacity_ = atoms;
+  }
+
+  void PushAtom(double length, double sum, double sumsq) {
+    cur_.len[size_] = length;
+    cur_.sum[size_] = sum;
+    cur_.sumsq[size_] = sumsq;
+    ++size_;
+  }
+
+  std::vector<double> buffer_;
+  size_t capacity_ = 0;  // atoms the planes have room for
+  size_t size_ = 0;      // atoms in the current planes
+  PlaneView cur_{}, next_{}, cand_{};
+  double* err_ = nullptr;
+};
+
 }  // namespace
 
 namespace {
@@ -1230,10 +1465,12 @@ Status ValidateHistogramRoundArgs(int64_t domain_size, int64_t k,
 }
 
 // The calling thread's histogram workspace (kWorkspaceRetainedAtoms in the
-// header has the reuse contract and why it is safe).
+// header has the reuse contract and why it is safe).  The small-run planes
+// never outgrow kSmallRunAtoms, so the capacity cap leaves them alone.
 struct HistogramWorkspace {
   HistogramStore store;
   RoundScratch rounds;
+  SmallRun small;
 
   template <typename Fn>
   void ForEachBuffer(Fn&& fn) {
@@ -1283,6 +1520,17 @@ StatusOr<MergingResult> RunFilledRounds(HistogramWorkspace& workspace,
   return result;
 }
 
+// Rounds + Finish over the filled small-run planes.  No pool, no capacity
+// scans: the run is serial whatever num_threads says (RunRounds would be
+// too, below two kHistogramGrain chunks), and its planes are capped.
+StatusOr<MergingResult> RunSmallRounds(HistogramWorkspace& workspace,
+                                       int64_t domain_size, int64_t k,
+                                       const MergingOptions& options) {
+  const long long num_rounds =
+      workspace.small.Rounds(k, options, workspace.rounds.select);
+  return workspace.small.Finish(domain_size, num_rounds);
+}
+
 }  // namespace
 
 StatusOr<MergingResult> RunMergingRounds(const SparseFunction& q, int64_t k,
@@ -1293,6 +1541,12 @@ StatusOr<MergingResult> RunMergingRounds(const SparseFunction& q, int64_t k,
     return s;
   }
   HistogramWorkspace& workspace = ThreadWorkspace();
+  // The support partition has at most 2 * support + 1 atoms.
+  if (strategy == SelectionStrategy::kSelect &&
+      2 * q.support_size() + 1 <= kSmallRunAtoms) {
+    workspace.small.FillFromSparse(q);
+    return RunSmallRounds(workspace, q.domain_size(), k, options);
+  }
   workspace.store.FillFromSparse(q);
   return RunFilledRounds(workspace, q.domain_size(), k, options, strategy);
 }
@@ -1306,11 +1560,19 @@ StatusOr<Histogram> RunUnionMergingRounds(const Histogram& h1, double w1,
     return s;
   }
   HistogramWorkspace& workspace = ThreadWorkspace();
-  workspace.store.FillFromUnion(h1, w1, h2, w2);
   // The selection path: identical output to kSort (the engine's strict
   // total order) at linear per-round cost — this is a serving primitive.
-  auto merged = RunFilledRounds(workspace, h1.domain_size(), k, options,
-                                SelectionStrategy::kSelect);
+  auto merged = [&] {
+    // The union has at most p1 + p2 atoms.
+    if (static_cast<size_t>(h1.num_pieces() + h2.num_pieces()) <=
+        kSmallRunAtoms) {
+      workspace.small.FillFromUnion(h1, w1, h2, w2);
+      return RunSmallRounds(workspace, h1.domain_size(), k, options);
+    }
+    workspace.store.FillFromUnion(h1, w1, h2, w2);
+    return RunFilledRounds(workspace, h1.domain_size(), k, options,
+                           SelectionStrategy::kSelect);
+  }();
   if (!merged.ok()) return merged.status();
   return std::move(merged->histogram);
 }

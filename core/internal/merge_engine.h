@@ -23,8 +23,8 @@ namespace internal {
 // outputs.
 enum class SelectionStrategy { kSort, kSelect };
 
-// The round loop itself (RunRounds in merge_engine.cc) is generic over a
-// policy-owned structure-of-arrays store: the histogram store keeps
+// The streaming round loop (RunRounds in merge_engine.cc) is generic over
+// a policy-owned structure-of-arrays store: the histogram store keeps
 // len[]/sum[]/sumsq[] planes and merges statistics with streaming SIMD
 // kernels (util/simd.h), the piecewise-polynomial store keeps interval and
 // coefficient planes and refits a Gram-basis least-squares projection per
@@ -36,25 +36,35 @@ enum class SelectionStrategy { kSort, kSelect };
 // — for histograms across runs too (kWorkspaceRetainedAtoms) — and the
 // fused pass is data-parallel over MergingOptions::num_threads
 // (util/parallel.h, clamped to the hardware by EffectiveParallelism) with
-// bit-identical output at any thread count.  The entry points below share
-// the selection strategies, the (error, index) total order, the delta/gamma
-// round schedule, and the termination argument — which is what makes the
-// sqrt(1 + delta) guarantee a single proof and the engine a single
-// SIMD/threading target.
+// bit-identical output at any thread count.
+//
+// Small kSelect histogram runs — at most 512 starting atoms (2 * support
+// + 1 for a construction, p1 + p2 for a merge), which covers every served
+// window condense, ladder carry and fold — take a second, serial loop
+// instead (SmallRun in merge_engine.cc): each round evaluates every pair,
+// selects the threshold, and commits without a branch, in a few planes
+// that stay in L1.  kSort, larger runs and the polynomial store stay on
+// RunRounds.  Both loops share the selection strategies, the (error,
+// index) total order, the delta/gamma round schedule, the fills, Finish
+// and the termination argument — which is what makes the sqrt(1 + delta)
+// guarantee a single proof and their outputs bit-identical.
 
-// Test-only visibility into the engine's pass structure (thread-local, so
-// concurrent constructions — e.g. merge-tree groups on pool workers —
-// never race).  A "plane pass" is one sweep over the partition planes:
-// evaluate_passes counts stand-alone EvaluatePairs sweeps (the cold start),
-// fused_passes counts CommitAndEvaluate sweeps (commit + next-round
-// evaluate in one), commit_passes counts final-round Commit sweeps.  The
-// fused engine's invariant, asserted by tests/perf_smoke_test.cc, is
+// Test-only visibility into the streaming loop's pass structure
+// (thread-local, so concurrent constructions — e.g. merge-tree groups on
+// pool workers — never race).  A "plane pass" is one sweep over the
+// partition planes: evaluate_passes counts stand-alone EvaluatePairs
+// sweeps (the cold start), fused_passes counts CommitAndEvaluate sweeps
+// (commit + next-round evaluate in one), commit_passes counts final-round
+// Commit sweeps.  The fused engine's invariant, asserted by
+// tests/perf_smoke_test.cc, is
 // evaluate_passes + fused_passes + commit_passes == rounds + 1.
+// Every counter here counts streaming (RunRounds) runs only: small runs
+// touch none of them, so the invariant holds over any mix of runs.
 //
 // The workspace fields report the calling thread's histogram workspace
-// (see kWorkspaceRetainedAtoms) at the end of its last run, in elements of
-// its largest buffer: workspace_peak_elements before the end-of-run
-// release, workspace_retained_elements after it.
+// (see kWorkspaceRetainedAtoms) at the end of its last streaming run, in
+// elements of its largest buffer: workspace_peak_elements before the
+// end-of-run release, workspace_retained_elements after it.
 struct EngineCounters {
   long long evaluate_passes = 0;
   long long fused_passes = 0;
@@ -82,6 +92,7 @@ int64_t MaxSurvivingPieces(int64_t k, const MergingOptions& options);
 // Histogram.  A run that grows a workspace buffer past this many elements
 // (about 70 bytes per atom across all buffers) frees that buffer when it
 // ends, so one huge construction does not pin its planes to the thread.
+// (The small-run loop's planes never grow past its 512-atom cutoff.)
 //
 // Thread-local reuse is safe because no engine call starts on a thread
 // between a run's fill and its Finish: the round loop calls nothing that

@@ -141,6 +141,13 @@ Status EventLoop::SetInterest(int fd, bool want_read, bool want_write) {
   if (it == watched_.end()) {
     return Status::Invalid("EventLoop::SetInterest: fd is not watched");
   }
+  // Registrations are level-triggered, so re-arming an unchanged interest
+  // set changes nothing; skip the syscall (the servers ask for read-only
+  // interest again after every fully flushed reply).
+  if (it->second.want_read == want_read &&
+      it->second.want_write == want_write) {
+    return Status::Ok();
+  }
 #if defined(__linux__)
   if (Status s = EpollControl(EPOLL_CTL_MOD, fd, want_read, want_write);
       !s.ok()) {

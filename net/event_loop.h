@@ -71,7 +71,8 @@ class EventLoop {
   Status Watch(int fd, bool want_read, bool want_write, IoCallback callback);
 
   // Adjusts the interest set of an already-watched fd, keeping its
-  // callback.  Loop-thread only.
+  // callback; a call that leaves the set unchanged is free (no syscall).
+  // Loop-thread only.
   Status SetInterest(int fd, bool want_read, bool want_write);
 
   // Stops watching `fd` (the caller still owns and closes it).  Safe to

@@ -61,7 +61,18 @@ TEST(FastMergingMatchesSlowExactly) {
   // ConstructHistogram (selection replaces sorting, same total order).
   const std::vector<double> poly = MakePolyDataset();
   const std::vector<double> hist = SmallHistData();
-  for (const std::vector<double>* data : {&poly, &hist}) {
+  // Support s with a zero run around every point starts the rounds at
+  // 2s + 1 atoms: 511 and 513 sit on either side of the engine's small-run
+  // cutoff (512 atoms), so fast runs both round loops.
+  const auto gapped = [&poly](size_t s) {
+    std::vector<double> data(2 * s + 2, 0.0);
+    for (size_t i = 0; i < s; ++i) data[2 * i + 1] = poly[i];
+    return data;
+  };
+  const std::vector<double> below_cutoff = gapped(255);
+  const std::vector<double> above_cutoff = gapped(256);
+  for (const std::vector<double>* data :
+       {&poly, &hist, &below_cutoff, &above_cutoff}) {
     const SparseFunction q = SparseFunction::FromDense(*data);
     for (int64_t k : {2, 8, 10, 25}) {
       for (const MergingOptions& options :

@@ -337,6 +337,69 @@ TEST(NetEventLoopRunsTimersAndPostedTasks) {
   CHECK(order[0] == 1 && order[1] == 2);
 }
 
+// SetInterest skips the syscall when the interest set is unchanged, which
+// is only sound because readiness is level-triggered.  On both backends,
+// over a socketpair: an unread byte keeps reporting readability while the
+// callback re-requests the same interest, switching to write interest
+// reports writability, and switching back stops it.
+TEST(NetEventLoopSetInterestStaysLevelTriggered) {
+  std::vector<EventLoopBackend> backends = {EventLoopBackend::kPoll};
+  if (EventLoop::EpollSupported()) backends.push_back(EventLoopBackend::kEpoll);
+  for (const EventLoopBackend backend : backends) {
+    auto loop_or = EventLoop::Create(backend);
+    CHECK_OK(loop_or);
+    EventLoop& loop = **loop_or;
+    int fds[2];
+    CHECK(socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
+    // Loop-thread state until the join below.
+    int readable = 0;
+    int writable = 0;
+    int writable_after_switch_back = 0;
+    bool switched_back = false;
+    bool calls_ok = true;
+    std::promise<void> done;
+    const auto on_event = [&](EventLoop::IoEvent event) {
+      if (event.writable) {
+        ++writable;
+        if (switched_back) ++writable_after_switch_back;
+        if (writable == 3) {
+          calls_ok &= loop.SetInterest(fds[0], true, false).ok();
+          switched_back = true;
+          loop.ScheduleAt(MonotonicNanos() + 50'000'000,
+                          [&done] { done.set_value(); });
+        }
+        return;
+      }
+      if (!event.readable) return;
+      ++readable;
+      calls_ok &= loop.SetInterest(fds[0], true, false).ok();  // unchanged
+      if (readable == 3) {
+        char byte = 0;
+        calls_ok &= read(fds[0], &byte, 1) == 1;
+        calls_ok &= loop.SetInterest(fds[0], false, true).ok();
+      }
+    };
+    std::thread runner([&loop] { loop.Run(); });
+    loop.Post([&] {
+      calls_ok &= loop.Watch(fds[0], true, false, on_event).ok();
+    });
+    const char byte = 1;
+    CHECK(write(fds[1], &byte, 1) == 1);
+    const bool finished =
+        done.get_future().wait_for(std::chrono::seconds(10)) ==
+        std::future_status::ready;
+    loop.Quit();
+    runner.join();
+    close(fds[0]);
+    close(fds[1]);
+    CHECK(finished);
+    CHECK(calls_ok);
+    CHECK(readable == 3);
+    CHECK(writable == 3);
+    CHECK(writable_after_switch_back == 0);
+  }
+}
+
 // --- Latency recorder -------------------------------------------------------
 
 // The recorded distribution's quantiles must agree with a sorted-vector

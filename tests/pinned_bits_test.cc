@@ -6,9 +6,10 @@
 // changes both sides alike passes all of them.  These digests pin the
 // absolute output bits of the served path instead: keyed store ingest,
 // ConstructHistogram / ConstructHistogramFast on empirical windows,
-// MergeHistograms, and FoldBufferIntoSummary.  A change to any of them —
-// an operand reordered, an intermediate rounded differently — moves the
-// digest.
+// MergeHistograms (served shapes, and large-k unions on both sides of the
+// engine's small-run cutoff), and FoldBufferIntoSummary.  A change to any
+// of them — an operand reordered, an intermediate rounded differently —
+// moves the digest.
 //
 // Two constants per section: GCC contracts `a*b + c*d` into a fused
 // multiply-add when the target has FMA (e.g. -march=native builds), which
@@ -41,11 +42,13 @@ constexpr uint64_t kStoreDigest = 0x1241943720cc30b2ull;
 constexpr uint64_t kConstructDigest = 0x07522b570374f9edull;
 constexpr uint64_t kMergeDigest = 0xbe18cb8d70beca8aull;
 constexpr uint64_t kFoldDigest = 0xd843418ce629a099ull;
+constexpr uint64_t kMergeLargeKDigest = 0x71c35f3372343a20ull;
 #else
 constexpr uint64_t kStoreDigest = 0x9f7c453ed408c2ecull;
 constexpr uint64_t kConstructDigest = 0x07522b570374f9edull;
 constexpr uint64_t kMergeDigest = 0xf778df95822802d2ull;
 constexpr uint64_t kFoldDigest = 0xd035992b2789a30full;
+constexpr uint64_t kMergeLargeKDigest = 0xa1ef211a686df215ull;
 #endif
 
 // 64-bit FNV-1a.
@@ -253,6 +256,45 @@ TEST(PinnedBitsMergeHistograms) {
     }
   }
   CheckDigest("MergeHistograms", digest, kMergeDigest);
+}
+
+// MergeHistograms over large-k operands (k 100 to 200, so up to 2k + 1
+// pieces each): the boundary unions start on both sides of the engine's
+// small-run cutoff (512 atoms), which routes a merge's rounds by
+// p1 + p2 <= 512.  The corpus must really reach both sides.
+TEST(PinnedBitsMergeHistogramsLargeK) {
+  constexpr int64_t kCutoffAtoms = 512;
+  constexpr int64_t kDomain = int64_t{1} << 14;
+  Digest digest;
+  Rng rng(0x1a46e);
+  std::vector<Histogram> parts;
+  for (const int64_t k : {100, 126, 127, 128, 129, 200}) {
+    auto empirical =
+        EmpiricalDistribution(kDomain, Window(rng, 4096, kDomain));
+    CHECK_OK(empirical);
+    auto built = ConstructHistogramFast(*empirical, k);
+    CHECK_OK(built);
+    parts.push_back(std::move(built->histogram));
+  }
+  const double weights[][2] = {{1.0, 1.0}, {64.0, 128.0}, {1e-3, 7.5}};
+  int unions_at_most_cutoff = 0;
+  int unions_above_cutoff = 0;
+  for (size_t a = 0; a < parts.size(); ++a) {
+    for (size_t b = 0; b < parts.size(); ++b) {
+      const int64_t union_bound = parts[a].num_pieces() + parts[b].num_pieces();
+      ++(union_bound <= kCutoffAtoms ? unions_at_most_cutoff
+                                     : unions_above_cutoff);
+      const double* w = weights[(a + b) % 3];
+      for (const int64_t k : {8, 64, 200}) {
+        auto merged = MergeHistograms(parts[a], w[0], parts[b], w[1], k);
+        CHECK_OK(merged);
+        digest.Hist(*merged);
+      }
+    }
+  }
+  CHECK(unions_at_most_cutoff > 0);
+  CHECK(unions_above_cutoff > 0);
+  CheckDigest("MergeHistograms large k", digest, kMergeLargeKDigest);
 }
 
 // FoldBufferIntoSummary, both halves: condensing a bare buffer, and

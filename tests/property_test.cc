@@ -329,6 +329,14 @@ TEST(ThresholdSelectionTieBreakingMatchesSort) {
     }
     inputs.push_back(std::move(blocks));
   }
+  // Equal values on s support points, each ringed by zero runs: the rounds
+  // start at 2s + 1 atoms, just below (511) and just above (513) the
+  // engine's small-run cutoff (512), with every first-round error tied.
+  for (const size_t s : {size_t{255}, size_t{256}}) {
+    std::vector<double> gapped(30'000, 0.0);
+    for (size_t i = 0; i < s; ++i) gapped[2 * i + 1] = 1.0;
+    inputs.push_back(std::move(gapped));
+  }
   for (const std::vector<double>& data : inputs) {
     const SparseFunction q = SparseFunction::FromDense(data);
     for (int64_t k : {1, 7, 8, 9, 32}) {
