@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the library's kernels: merging at
 // several input sizes (sample-linear time, Theorem 3.4) and on both sides
 // of the engine's small-run cutoff, the served 64-sample window condense
-// and ladder carry, the hierarchical builder, Gram evaluation
+// and ladder carry, the store's batched ingest at few and many keys, the
+// hierarchical builder, Gram evaluation
 // (O(d) per point), the projection oracle, alias sampling (O(1)),
 // empirical-distribution construction, selection, and the exact DP for
 // context.
@@ -25,6 +26,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +45,7 @@
 #include "poly/fit_poly.h"
 #include "poly/gram.h"
 #include "poly/poly_merging.h"
+#include "store/summary_store.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/selection.h"
@@ -172,6 +175,83 @@ void BM_LadderCarry(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LadderCarry);
+
+// The served store ingest: 4096-sample AddBatch flushes into one
+// partition's store, with the served archetype (domain 1024, k 8, window
+// 64).  /64 is one ingest_hot partition: 64 keys drawn at random, so every
+// window fills and condenses.  /131072 is one ingest_wide partition: an odd
+// multiplier walks every key once per sweep, so no key gets a second sample
+// before all have had one, no window fills, and the index, slot and window
+// cache misses are the cost.  Batches are pre-built; at 131072 keys, where
+// each key starts with one sample, the store is rebuilt untimed after 62
+// sweeps, before any window could fill.  ns per sample = Time / 4096.
+void BM_StoreAddBatch(benchmark::State& state) {
+  constexpr size_t kFlush = 4096;
+  constexpr uint64_t kStride = 0x9e3779b97f4a7c15ull;  // odd
+  constexpr int kSweepsBeforeFill = 62;
+  const auto num_keys = static_cast<uint64_t>(state.range(0));
+  const bool wide = num_keys >= kFlush;  // a flush holds each key once
+  const auto key_of = [](uint64_t slot) { return (uint64_t{1} << 40) | slot; };
+  ArchetypeConfig config;
+  config.domain_size = kServedDomain;
+  config.k = kServedK;
+  config.window_capacity = kServedWindow;
+
+  // /64 cycles 16 random flushes; /131072 cycles the 32 flushes of a sweep.
+  const size_t num_flushes =
+      wide ? static_cast<size_t>(num_keys) / kFlush : 16;
+  const std::vector<int64_t> values = ServedWindowSamples(
+      (num_flushes * kFlush + num_keys) / kServedWindow + 1);
+  Rng rng(7);
+  std::vector<std::vector<KeyedSample>> flushes(num_flushes);
+  size_t next_value = 0;
+  for (size_t f = 0; f < num_flushes; ++f) {
+    for (size_t i = 0; i < kFlush; ++i) {
+      const uint64_t j = f * kFlush + i;
+      const uint64_t slot =
+          wide ? (j * kStride) & (num_keys - 1)
+               : static_cast<uint64_t>(
+                     rng.UniformInt(static_cast<int64_t>(num_keys)));
+      flushes[f].push_back({key_of(slot), values[next_value++]});
+    }
+  }
+  // Setup as in the workloads: 4 windows per key at 64 keys, one sample
+  // per key at 131072, keys created in slot order.
+  std::vector<KeyedSample> setup;
+  for (int round = 0; round < (wide ? 1 : 4 * static_cast<int>(kServedWindow));
+       ++round) {
+    for (uint64_t slot = 0; slot < num_keys; ++slot) {
+      setup.push_back({key_of(slot), values[next_value++ % values.size()]});
+    }
+  }
+  std::optional<SummaryStore> store;
+  const auto rebuild = [&] {
+    store.reset();
+    store.emplace(SummaryStore::Create(config).value());
+    if (!store->AddBatch(setup).ok()) state.SkipWithError("setup failed");
+  };
+  rebuild();
+
+  size_t flush = 0;
+  int sweeps = 0;
+  for (auto _ : state) {
+    if (!store->AddBatch(flushes[flush]).ok()) {
+      state.SkipWithError("AddBatch failed");
+      break;
+    }
+    if (++flush == num_flushes) {
+      flush = 0;
+      if (wide && ++sweeps == kSweepsBeforeFill) {
+        state.PauseTiming();
+        rebuild();
+        sweeps = 0;
+        state.ResumeTiming();
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kFlush));
+}
+BENCHMARK(BM_StoreAddBatch)->Arg(64)->Arg(131072);
 
 // ConstructHistogramFast (k 8) on random supports that start the rounds at
 // exactly `atoms` atoms (every support point ringed by zero runs): 511

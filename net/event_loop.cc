@@ -265,7 +265,9 @@ void EventLoop::RunPoll() {
       short events = 0;
       if (watched.want_read) events |= POLLIN;
       if (watched.want_write) events |= POLLOUT;
-      if (events != 0) pollfds.push_back({fd, events, 0});
+      // Listed even with no interest: poll reports POLLERR/POLLHUP/POLLNVAL
+      // regardless, as epoll does EPOLLERR/EPOLLHUP.
+      pollfds.push_back({fd, events, 0});
     }
 
     const int timeout = NextTimerTimeoutMillis();

@@ -37,8 +37,8 @@ enum class EventLoopBackend {
 // callback keeps firing while the fd stays readable, so handlers must drain
 // (or Unwatch) before returning to avoid a hot loop.  Error/hangup
 // conditions (POLLERR/POLLHUP equivalents) are reported to the same
-// callback as `error = true`; the handler decides whether to tear the fd
-// down.
+// callback as `error = true`, even while the fd's interest set is empty;
+// the handler decides whether to tear the fd down.
 class EventLoop {
  public:
   struct IoEvent {

@@ -47,6 +47,15 @@ uint32_t KeepShiftForDepth(uint64_t depth, size_t soft, size_t hard) {
 // connection's teardown never has samples to rescue.  `id` disambiguates
 // fd reuse: replies built on another loop come back as (fd, id) and are
 // dropped if either no longer matches.
+//
+// Replies leave in request order (frames carry no request id, so a
+// pipelining client pairs them by position).  Ingest and error replies are
+// written inline, but queries, pulls and stats are served off the
+// connection's loop; while one is (`awaiting_reply`), the loop extracts no
+// further frame from the parser and reads nothing from the socket — its
+// first readable event switches read interest off, while error and hang-up
+// events still close it.  The reply's delivery writes it, serves the frames
+// already buffered, in order, and turns read interest back on.
 struct ShardedIngestServer::Connection {
   Connection(int fd_in, uint64_t id_in, uint64_t max_payload)
       : fd(fd_in), id(id_in), parser(max_payload) {}
@@ -57,6 +66,7 @@ struct ShardedIngestServer::Connection {
   std::vector<uint8_t> out;  // unwritten reply bytes
   size_t out_pos = 0;
   bool dropping = false;  // error replied; close once `out` drains
+  bool awaiting_reply = false;  // a request is being served off this loop
 };
 
 // One worker = one event loop = one key-hash partition.  Everything above
@@ -398,7 +408,14 @@ void ShardedIngestServer::OnConnectionIo(Worker& w, int fd,
   if (event.writable) {
     if (!PumpWrites(w, conn)) return;
   }
-  if (event.readable) OnConnectionReadable(w, conn);
+  if (!event.readable) return;
+  if (conn.awaiting_reply) {
+    // Pipelined input waits behind the reply in flight; stop watching for
+    // it until ResumeAfterReply.
+    UpdateInterest(w, conn);
+    return;
+  }
+  OnConnectionReadable(w, conn);
 }
 
 void ShardedIngestServer::OnConnectionReadable(Worker& w, Connection& conn) {
@@ -418,21 +435,31 @@ void ShardedIngestServer::OnConnectionReadable(Worker& w, Connection& conn) {
       return;
     }
     conn.parser.Consume(Span<const uint8_t>(buffer, static_cast<size_t>(n)));
-    Frame frame;
-    for (;;) {
-      const FrameParser::Result result = conn.parser.Next(&frame);
-      if (result == FrameParser::Result::kNeedMore) break;
-      if (result == FrameParser::Result::kMalformed) {
-        DropConnection(w, conn, ErrorCode::kMalformed,
-                       "malformed frame header");
-        return;
-      }
-      HandleFrame(w, conn, frame);
-      auto it = w.connections.find(fd);
-      if (it == w.connections.end() || it->second->dropping) return;
-    }
+    if (!HandleBufferedFrames(w, conn)) return;
     if (static_cast<size_t>(n) < sizeof(buffer)) break;
   }
+}
+
+bool ShardedIngestServer::HandleBufferedFrames(Worker& w, Connection& conn) {
+  const int fd = conn.fd;
+  Frame frame;
+  while (!conn.awaiting_reply) {
+    const FrameParser::Result result = conn.parser.Next(&frame);
+    if (result == FrameParser::Result::kNeedMore) return true;
+    if (result == FrameParser::Result::kMalformed) {
+      DropConnection(w, conn, ErrorCode::kMalformed, "malformed frame header");
+      return false;
+    }
+    HandleFrame(w, conn, frame);
+    auto it = w.connections.find(fd);
+    if (it == w.connections.end() || it->second->dropping) return false;
+  }
+  return false;
+}
+
+void ShardedIngestServer::ResumeAfterReply(Worker& w, Connection& conn) {
+  if (!HandleBufferedFrames(w, conn)) return;
+  UpdateInterest(w, conn);
 }
 
 void ShardedIngestServer::HandleFrame(Worker& w, Connection& conn,
@@ -567,6 +594,7 @@ void ShardedIngestServer::HandleSnapshotPull(Worker& w, Connection& conn,
   Worker* self = &w;
   const int fd = conn.fd;
   const uint64_t conn_id = conn.id;
+  conn.awaiting_reply = true;
   // Hop to the key's owner loop: drain + flush for freshness (everything
   // ACKed before this pull is in the rings by the push-before-ACK order),
   // serve from the single-writer partition store, hop back to write.
@@ -609,6 +637,7 @@ void ShardedIngestServer::HandleQuantileQuery(Worker& w, Connection& conn,
   Worker* self = &w;
   const int fd = conn.fd;
   const uint64_t conn_id = conn.id;
+  conn.awaiting_reply = true;
   owner->loop->Post([this, owner, self, fd, conn_id, q, start_ns] {
     DrainRings(*owner);
     FlushPending(*owner);
@@ -647,6 +676,7 @@ void ShardedIngestServer::HandleStats(Worker& w, Connection& conn) {
   gather->requester = &w;
   gather->fd = conn.fd;
   gather->conn_id = conn.id;
+  conn.awaiting_reply = true;
   for (auto& worker : workers_) {
     Worker* ow = worker.get();
     ow->loop->Post([this, gather, ow] {
@@ -668,8 +698,11 @@ void ShardedIngestServer::DeliverReply(Worker& w, int fd, uint64_t conn_id,
       it->second->dropping) {
     return;  // the connection died (or the fd was reused) mid round-trip
   }
-  (void)SendFrame(w, *it->second, type, payload);
+  Connection& conn = *it->second;
+  conn.awaiting_reply = false;
+  const bool alive = SendFrame(w, conn, type, payload);
   if (is_query) w.query_latency->Record(MonotonicNanos() - start_ns);
+  if (alive) ResumeAfterReply(w, conn);
 }
 
 // --- Owner-side partition work ---------------------------------------------
@@ -818,14 +851,9 @@ ServerStats ShardedIngestServer::AggregateStats(
 
 void ShardedIngestServer::FinalizeStats(
     Worker& requester, const std::shared_ptr<StatsGather>& gather) {
-  const std::vector<uint8_t> payload =
-      EncodeServerStats(AggregateStats(*gather));
-  auto it = requester.connections.find(gather->fd);
-  if (it == requester.connections.end() ||
-      it->second->id != gather->conn_id || it->second->dropping) {
-    return;
-  }
-  (void)SendFrame(requester, *it->second, FrameType::kStatsReply, payload);
+  DeliverReply(requester, gather->fd, gather->conn_id, FrameType::kStatsReply,
+               EncodeServerStats(AggregateStats(*gather)), /*start_ns=*/0,
+               /*is_query=*/false);
 }
 
 ServerStats ShardedIngestServer::stats() const {
@@ -876,8 +904,7 @@ bool ShardedIngestServer::PumpWrites(Worker& w, Connection& conn) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      (void)w.loop->SetInterest(fd, /*want_read=*/!conn.dropping,
-                                /*want_write=*/true);
+      UpdateInterest(w, conn);
       return true;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -890,8 +917,14 @@ bool ShardedIngestServer::PumpWrites(Worker& w, Connection& conn) {
     CloseConnection(w, fd);
     return false;
   }
-  (void)w.loop->SetInterest(fd, /*want_read=*/true, /*want_write=*/false);
+  UpdateInterest(w, conn);
   return true;
+}
+
+void ShardedIngestServer::UpdateInterest(Worker& w, const Connection& conn) {
+  (void)w.loop->SetInterest(
+      conn.fd, /*want_read=*/!conn.dropping && !conn.awaiting_reply,
+      /*want_write=*/conn.out_pos < conn.out.size());
 }
 
 void ShardedIngestServer::DropConnection(Worker& w, Connection& conn,

@@ -83,7 +83,9 @@ struct ShardedIngestServerOptions {
 //
 // Queries and snapshot pulls route to the key's owner loop (drain rings,
 // flush pending, serve from the single-writer partition store), and the
-// reply hops back to the connection's own loop to be written.  kStats
+// reply hops back to the connection's own loop to be written.  While such a
+// request is in flight, the connection's later requests wait unread, so a
+// pipelining client gets its replies in request order.  kStats
 // scatter-gathers every loop's counters and latency-recorder state, folds
 // the recorders through ReduceSummaries (the service measuring itself with
 // its own mergeability), and reports per-partition depths and shed
@@ -144,6 +146,13 @@ class ShardedIngestServer {
   // --- Per-connection io (the owning worker's loop) ---
   void OnConnectionIo(Worker& w, int fd, EventLoop::IoEvent event);
   void OnConnectionReadable(Worker& w, Connection& conn);
+  // Serves the frames the connection's parser holds, in order, until it
+  // needs more bytes (returns true) or the connection is gone, dropping, or
+  // awaiting an off-loop reply (returns false).
+  bool HandleBufferedFrames(Worker& w, Connection& conn);
+  // After an off-loop reply is written: serve what was pipelined behind
+  // it, then watch the socket for input again.
+  void ResumeAfterReply(Worker& w, Connection& conn);
   void HandleFrame(Worker& w, Connection& conn, const Frame& frame);
   void HandleIngest(Worker& w, Connection& conn, const Frame& frame,
                     uint64_t start_ns);
@@ -153,7 +162,9 @@ class ShardedIngestServer {
                            uint64_t start_ns);
   void HandleStats(Worker& w, Connection& conn);
   // Runs on the connection's loop: deliver a reply built elsewhere, if the
-  // connection is still the same one (fd reuse is id-checked).
+  // connection is still the same one (fd reuse is id-checked), then resume
+  // the connection's input.  Query and pull round trips (`is_query`) are
+  // recorded in the query latency recorder; stats replies are not.
   void DeliverReply(Worker& w, int fd, uint64_t conn_id, FrameType type,
                     std::vector<uint8_t> payload, uint64_t start_ns,
                     bool is_query);
@@ -177,6 +188,9 @@ class ShardedIngestServer {
   bool SendError(Worker& w, Connection& conn, ErrorCode code,
                  const std::string& message);
   bool PumpWrites(Worker& w, Connection& conn);
+  // Read interest unless dropping or awaiting a reply; write interest
+  // while reply bytes are unwritten.
+  void UpdateInterest(Worker& w, const Connection& conn);
   void DropConnection(Worker& w, Connection& conn, ErrorCode code,
                       const std::string& message);
   void CloseConnection(Worker& w, int fd);

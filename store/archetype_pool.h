@@ -1,6 +1,7 @@
 #ifndef FASTHIST_STORE_ARCHETYPE_POOL_H_
 #define FASTHIST_STORE_ARCHETYPE_POOL_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -10,6 +11,7 @@
 
 #include "core/merging.h"
 #include "dist/histogram.h"
+#include "store/prefetch.h"
 #include "util/span.h"
 #include "util/status.h"
 
@@ -102,6 +104,26 @@ class ArchetypePool {
   // window, condensing into its ladder one full window at a time.  Same
   // semantics as StreamingHistogramBuilder::AddMany, per slot.
   Status Append(uint64_t ref, Span<const KeyedSample> run);
+
+  // Read-ahead hints for a pipelined ingest (SummaryStore::AddBatch): they
+  // request cache lines and write nothing, so a stale hint costs a wasted
+  // line, never a wrong result.  `ref` must name a slot of this pool.
+  // PrefetchSlot requests the lines Append checks first (liveness and window
+  // length); PrefetchWindow reads the window length and requests, for
+  // write, the window line the slot's next sample lands on.
+  void PrefetchSlot(uint64_t ref) const {
+    const Chunk& chunk = *chunks_[ChunkOf(ref)];
+    PrefetchForRead(&chunk.live[SlotOf(ref)]);
+    PrefetchForRead(&chunk.window_len[SlotOf(ref)]);
+  }
+  void PrefetchWindow(uint64_t ref) const {
+    const Chunk& chunk = *chunks_[ChunkOf(ref)];
+    const size_t slot = SlotOf(ref);
+    // A window whose flush failed sits at capacity; clamp to its last line.
+    const size_t len = std::min(static_cast<size_t>(chunk.window_len[slot]),
+                                config_.window_capacity - 1);
+    PrefetchForWrite(&chunk.window[slot * config_.window_capacity + len]);
+  }
 
   // The slot's current summary — the same read-side fold as
   // StreamingHistogramBuilder::Peek (uniform when empty).

@@ -6,15 +6,6 @@ namespace fasthist {
 
 KeyIndex::KeyIndex() : stripes_(kNumStripes) {}
 
-// splitmix64 finalizer: full-avalanche, so sequential tenant ids (the
-// common key shape) spread over stripes and probe positions alike.
-uint64_t KeyIndex::Mix(uint64_t key) {
-  uint64_t x = key + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 size_t KeyIndex::Probe(const Stripe& stripe, uint64_t key, uint64_t hash,
                        bool* found) {
   const size_t mask = stripe.entries.size() - 1;
@@ -48,7 +39,7 @@ void KeyIndex::Grow(Stripe* stripe, size_t min_live_capacity) {
   const size_t mask = capacity - 1;
   for (const Entry& entry : old) {
     if (entry.tagged < kPresentBit) continue;
-    size_t index = static_cast<size_t>(Mix(entry.key)) & mask;
+    size_t index = static_cast<size_t>(Hash(entry.key)) & mask;
     while (stripe->entries[index].tagged != kEmptyTag) {
       index = (index + 1) & mask;
     }
@@ -56,8 +47,7 @@ void KeyIndex::Grow(Stripe* stripe, size_t min_live_capacity) {
   }
 }
 
-uint64_t KeyIndex::Find(uint64_t key) const {
-  const uint64_t hash = Mix(key);
+uint64_t KeyIndex::FindHashed(uint64_t key, uint64_t hash) const {
   const Stripe& stripe = StripeOf(hash);
   if (stripe.entries.empty()) return kNotFound;
   bool found = false;
@@ -67,7 +57,7 @@ uint64_t KeyIndex::Find(uint64_t key) const {
 }
 
 bool KeyIndex::Insert(uint64_t key, uint64_t value) {
-  const uint64_t hash = Mix(key);
+  const uint64_t hash = Hash(key);
   Stripe& stripe = StripeOf(hash);
   // Grow at 3/4 *used* (live + tombstones): the probe loop's termination
   // and speed both depend on empty slots existing.
@@ -86,7 +76,7 @@ bool KeyIndex::Insert(uint64_t key, uint64_t value) {
 }
 
 bool KeyIndex::Assign(uint64_t key, uint64_t value) {
-  const uint64_t hash = Mix(key);
+  const uint64_t hash = Hash(key);
   Stripe& stripe = StripeOf(hash);
   if (stripe.entries.empty()) return false;
   bool found = false;
@@ -97,7 +87,7 @@ bool KeyIndex::Assign(uint64_t key, uint64_t value) {
 }
 
 bool KeyIndex::Erase(uint64_t key) {
-  const uint64_t hash = Mix(key);
+  const uint64_t hash = Hash(key);
   Stripe& stripe = StripeOf(hash);
   if (stripe.entries.empty()) return false;
   bool found = false;

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "store/prefetch.h"
+
 namespace fasthist {
 
 // Two-level open-addressing map from a 64-bit key to a 63-bit slot
@@ -30,8 +32,30 @@ class KeyIndex {
 
   KeyIndex();
 
+  // The splitmix64 finalizer every lookup starts from: full-avalanche, so
+  // sequential tenant ids (the common key shape) spread over stripes and
+  // probe positions alike.
+  static uint64_t Hash(uint64_t key) {
+    uint64_t x = key + 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+
   // The stored value for `key`, or kNotFound.
-  uint64_t Find(uint64_t key) const;
+  uint64_t Find(uint64_t key) const { return FindHashed(key, Hash(key)); }
+  // Find with the hash already computed; `hash` must be Hash(key).
+  uint64_t FindHashed(uint64_t key, uint64_t hash) const;
+
+  // Requests the first index line a lookup of `hash` probes, so a later
+  // FindHashed finds it in cache.  A hint only; an empty stripe has no table
+  // to point into, so it requests nothing.
+  void Prefetch(uint64_t hash) const {
+    const Stripe& stripe = StripeOf(hash);
+    if (stripe.entries.empty()) return;
+    PrefetchForRead(&stripe.entries[static_cast<size_t>(hash) &
+                                    (stripe.entries.size() - 1)]);
+  }
 
   // Inserts key -> value.  Returns false (and stores nothing) if the key is
   // already present; `value` must be < 2^63.
@@ -85,7 +109,6 @@ class KeyIndex {
   static constexpr size_t kNumStripes = size_t{1} << kStripeBits;
   static constexpr size_t kMinStripeCapacity = 16;
 
-  static uint64_t Mix(uint64_t key);
   Stripe& StripeOf(uint64_t hash) {
     return stripes_[hash >> (64 - kStripeBits)];
   }

@@ -38,11 +38,16 @@ StatusOr<uint64_t> SummaryStore::FindValue(uint64_t key) const {
   return value;
 }
 
-StatusOr<uint64_t> SummaryStore::FindOrCreateValue(uint64_t key,
-                                                   int archetype) {
+Status SummaryStore::CheckArchetype(int archetype) const {
   if (archetype < 0 || static_cast<size_t>(archetype) >= pools_.size()) {
     return Status::Invalid("SummaryStore: unknown archetype");
   }
+  return Status::Ok();
+}
+
+StatusOr<uint64_t> SummaryStore::FindOrCreateValue(uint64_t key,
+                                                   int archetype) {
+  if (Status s = CheckArchetype(archetype); !s.ok()) return s;
   const uint64_t existing = index_.Find(key);
   if (existing != KeyIndex::kNotFound) {
     if (ArchetypeOf(existing) != archetype) {
@@ -58,21 +63,91 @@ StatusOr<uint64_t> SummaryStore::FindOrCreateValue(uint64_t key,
   return value;
 }
 
+namespace {
+
+// AddBatch's look-ahead, in samples (a power of two, >= 4).  While sample i
+// is appended, sample i + kAhead is hashed and its first index line
+// requested, sample i + kAhead / 2 is probed and its slot's bookkeeping
+// lines requested, and sample i + kAhead / 4's window line is requested.
+constexpr size_t kAhead = 16;
+
+}  // namespace
+
 Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
-  size_t run_begin = 0;
-  while (run_begin < samples.size()) {
-    const uint64_t key = samples[run_begin].key;
-    size_t run_end = run_begin + 1;
-    while (run_end < samples.size() && samples[run_end].key == key) ++run_end;
-    auto value = FindOrCreateValue(key, archetype);
-    if (!value.ok()) return value.status();
-    if (Status s = pools_[static_cast<size_t>(ArchetypeOf(*value))].Append(
-            PoolRefOf(*value),
-            samples.subspan(run_begin, run_end - run_begin));
+  const size_t n = samples.size();
+  if (n == 0) return Status::Ok();
+  if (Status s = CheckArchetype(archetype); !s.ok()) return s;
+  ArchetypePool& pool = pools_[static_cast<size_t>(archetype)];
+
+  // A rolling software pipeline over the span: each sample's dependent
+  // misses (index line -> slot bookkeeping -> window line) are requested
+  // stage by stage ahead of its append, so they overlap its neighbours'.
+  // The stages only read and prefetch; the append stage below does exactly
+  // what a per-sample Add loop would, in span order.  ring[j % kAhead]
+  // describes sample j from its hash stage to its append.
+  struct InFlight {
+    uint64_t hash = 0;
+    // Index value seen at the probe stage (kNotFound: absent then).  A
+    // present key's value cannot change before its append, because AddBatch
+    // never erases.
+    uint64_t value = KeyIndex::kNotFound;
+    // Same key as the sample before: it rides that sample's run, so it is
+    // neither hashed nor probed.
+    bool repeat = false;
+  };
+  InFlight ring[kAhead];
+  const auto hash_stage = [&](size_t j) {
+    InFlight& entry = ring[j % kAhead];
+    entry.repeat = j > 0 && samples[j].key == samples[j - 1].key;
+    if (entry.repeat) return;
+    entry.hash = KeyIndex::Hash(samples[j].key);
+    index_.Prefetch(entry.hash);
+  };
+  // Hints go only to keys present (under the batch's archetype) when
+  // probed; everything else is resolved at its append, as before.
+  const auto hinted = [&](const InFlight& entry) {
+    return !entry.repeat && entry.value != KeyIndex::kNotFound &&
+           ArchetypeOf(entry.value) == archetype;
+  };
+  const auto probe_stage = [&](size_t j) {
+    InFlight& entry = ring[j % kAhead];
+    if (entry.repeat) return;
+    entry.value = index_.FindHashed(samples[j].key, entry.hash);
+    if (hinted(entry)) pool.PrefetchSlot(PoolRefOf(entry.value));
+  };
+  const auto window_stage = [&](size_t j) {
+    const InFlight& entry = ring[j % kAhead];
+    if (hinted(entry)) pool.PrefetchWindow(PoolRefOf(entry.value));
+  };
+
+  for (size_t j = 0; j < std::min(n, kAhead); ++j) hash_stage(j);
+  for (size_t j = 0; j < std::min(n, kAhead / 2); ++j) probe_stage(j);
+  for (size_t j = 0; j < std::min(n, kAhead / 4); ++j) window_stage(j);
+  size_t run_end = 0;
+  for (size_t i = 0; i < n; ++i) {
+    // Read before the hash stage below reuses this sample's ring entry.
+    const InFlight current = ring[i % kAhead];
+    if (i + kAhead < n) hash_stage(i + kAhead);
+    if (i + kAhead / 2 < n) probe_stage(i + kAhead / 2);
+    if (i + kAhead / 4 < n) window_stage(i + kAhead / 4);
+    if (i < run_end) continue;  // appended with its run's first sample
+
+    const uint64_t key = samples[i].key;
+    run_end = i + 1;
+    while (run_end < n && samples[run_end].key == key) ++run_end;
+    uint64_t value = current.value;
+    if (!hinted(current)) {
+      // Absent when probed (maybe created by an earlier sample since), or
+      // under another archetype: the per-sample path creates or fails.
+      auto resolved = FindOrCreateValue(key, archetype);
+      if (!resolved.ok()) return resolved.status();
+      value = *resolved;
+    }
+    if (Status s =
+            pool.Append(PoolRefOf(value), samples.subspan(i, run_end - i));
         !s.ok()) {
       return s;
     }
-    run_begin = run_end;
   }
   return Status::Ok();
 }

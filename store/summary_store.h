@@ -54,7 +54,18 @@ struct StoreMemoryStats {
 // threaded).
 //
 // Ingest is batched: AddBatch walks a span of (key, value) pairs once, one
-// index probe and one slab append per run of consecutive equal keys.  Bulk
+// slab append per run of consecutive equal keys, as a rolling software
+// pipeline.  A sample's work is a chain of dependent cache misses — its
+// index line, then its slot's bookkeeping, then its window line — which at
+// many keys outsizes everything else.  So while sample i is appended,
+// sample i + 16 is hashed and its first index line requested, sample i + 8
+// is probed and its slot's lines requested, and sample i + 4's window line
+// is requested for write; a present key is not probed again at its append.
+// The stages only read and prefetch: creation, validation and the append
+// itself happen at the append stage in span order, so the effect is the
+// per-sample Add loop's, failures included, and a batch reads ahead only
+// its own keys' slots.  The distance (16) was picked from a
+// BM_StoreAddBatch sweep over 8, 16 and 32 in bench_micro.  Bulk
 // read-side ops — merge all keys matching a predicate, group-by rollups,
 // top-k — sweep the slabs chunk-major and reduce through the deterministic
 // merge tree, so their outputs are bit-identical regardless of insertion
@@ -86,9 +97,9 @@ class SummaryStore {
   // `archetype`'s pool in first-seen order, and a failing sample (its key
   // exists under a different archetype, or its value is out of domain)
   // stops the batch with every sample before it ingested and none after.
-  // The span is walked once; each run of consecutive equal keys costs one
-  // index probe and one slab append, so batches that arrive grouped by key
-  // pay per key, not per sample.
+  // The span is walked once, pipelined (see the class comment); each run of
+  // consecutive equal keys costs one index probe and one slab append, so
+  // batches that arrive grouped by key pay per key, not per sample.
   Status AddBatch(Span<const KeyedSample> samples, int archetype = 0);
 
   // Single-sample convenience (same semantics as a one-element batch).
@@ -169,6 +180,8 @@ class SummaryStore {
     return value & ((uint64_t{1} << 48) - 1);
   }
 
+  // Invalid unless `archetype` is registered.
+  Status CheckArchetype(int archetype) const;
   // (archetype, ref) of an existing key, or Invalid.
   StatusOr<uint64_t> FindValue(uint64_t key) const;
   // Finds or creates the key in `archetype`'s pool.

@@ -341,7 +341,9 @@ TEST(NetEventLoopRunsTimersAndPostedTasks) {
 // is only sound because readiness is level-triggered.  On both backends,
 // over a socketpair: an unread byte keeps reporting readability while the
 // callback re-requests the same interest, switching to write interest
-// reports writability, and switching back stops it.
+// reports writability, and switching back stops it.  A hang-up is reported
+// as an error even while the interest set is empty (a server connection
+// whose input waits behind an off-loop reply has none).
 TEST(NetEventLoopSetInterestStaysLevelTriggered) {
   std::vector<EventLoopBackend> backends = {EventLoopBackend::kPoll};
   if (EventLoop::EpollSupported()) backends.push_back(EventLoopBackend::kEpoll);
@@ -397,6 +399,32 @@ TEST(NetEventLoopSetInterestStaysLevelTriggered) {
     CHECK(readable == 3);
     CHECK(writable == 3);
     CHECK(writable_after_switch_back == 0);
+
+    // A fresh loop: the one above still watches the closed fd number.
+    auto hangup_loop_or = EventLoop::Create(backend);
+    CHECK_OK(hangup_loop_or);
+    EventLoop& hangup_loop = **hangup_loop_or;
+    CHECK(socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
+    std::promise<bool> hung_up;
+    std::thread hangup_runner([&hangup_loop] { hangup_loop.Run(); });
+    hangup_loop.Post([&] {
+      calls_ok &= hangup_loop
+                      .Watch(fds[0], /*want_read=*/false, /*want_write=*/false,
+                             [&](EventLoop::IoEvent event) {
+                               hangup_loop.Unwatch(fds[0]);
+                               hung_up.set_value(event.error);
+                             })
+                      .ok();
+      close(fds[1]);
+    });
+    auto reported = hung_up.get_future();
+    const bool hangup_seen =
+        reported.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+    hangup_loop.Quit();
+    hangup_runner.join();
+    close(fds[0]);
+    CHECK(hangup_seen && reported.get());
+    CHECK(calls_ok);
   }
 }
 

@@ -6,10 +6,16 @@
 // reply, and the graceful-shutdown drain.  The multi-loop stress cases are
 // the TSan CI job's main target for this layer.
 
+#include <arpa/inet.h>
+#include <errno.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -703,6 +709,179 @@ TEST(ShardedStatsReportPerPartitionCountersAndMergedLatency) {
   for (uint32_t p = 0; p < 4; ++p) {
     CHECK(drained.partitions[p].samples_accepted == expected_accepted[p]);
     CHECK(drained.partitions[p].queue_depth == 0);  // everything flushed
+  }
+}
+
+// --- Pipelined requests -----------------------------------------------------
+
+// A blocking loopback socket, for a client that writes a whole pipeline of
+// requests before it reads any reply (IngestClient waits for each reply).
+int ConnectRaw(uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  CHECK(fd >= 0);
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  CHECK(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) == 1);
+  CHECK(connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) == 0);
+  return fd;
+}
+
+void WriteAll(int fd, const std::vector<uint8_t>& bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = write(fd, bytes.data() + sent, bytes.size() - sent);
+    if (n < 0 && errno == EINTR) continue;
+    CHECK(n > 0);
+    sent += static_cast<size_t>(n);
+  }
+}
+
+// The next frame off `fd`, failing after 10 s without one.
+Frame ReadFrame(int fd, FrameParser* parser) {
+  const uint64_t deadline = MonotonicNanos() + uint64_t{10} * 1000 * 1000 * 1000;
+  Frame frame;
+  for (;;) {
+    const FrameParser::Result result = parser->Next(&frame);
+    CHECK(result != FrameParser::Result::kMalformed);
+    if (result == FrameParser::Result::kFrame) return frame;
+    const uint64_t now = MonotonicNanos();
+    CHECK(now < deadline);
+    struct pollfd pfd = {fd, POLLIN, 0};
+    if (poll(&pfd, 1, static_cast<int>((deadline - now) / 1000000) + 1) <= 0) {
+      continue;  // re-checks the deadline
+    }
+    uint8_t buffer[4096];
+    const ssize_t n = read(fd, buffer, sizeof(buffer));
+    if (n < 0 && errno == EINTR) continue;
+    CHECK(n > 0);
+    parser->Consume(Span<const uint8_t>(buffer, static_cast<size_t>(n)));
+  }
+}
+
+// Frames carry no request id, so a client that pipelines requests pairs the
+// replies by position.  Queries, pulls and stats are served on other loops
+// while ingests are acknowledged inline, yet every connection must get its
+// replies in request order, and a read must see exactly the ingests sent
+// before it on its connection: a query after an ingest counts that ingest's
+// samples, one before it does not.  Each pipeline mixes ingests, a query on
+// a key of every partition, pulls and stats, and is written whole before
+// any reply is read; it runs at 1, 2 and 4 loops on both backends.
+TEST(ShardedPipelinedRepliesKeepRequestOrder) {
+  std::vector<EventLoopBackend> backends = {EventLoopBackend::kPoll};
+  if (EventLoop::EpollSupported()) backends.push_back(EventLoopBackend::kEpoll);
+  for (const EventLoopBackend backend : backends) {
+    for (const uint32_t num_loops : {1u, 2u, 4u}) {
+      ShardedIngestServerOptions options;
+      options.num_loops = static_cast<int>(num_loops);
+      options.backend = backend;
+      auto server = StartSharded(options);
+      const int64_t domain = options.base.archetype.domain_size;
+      std::vector<uint64_t> keys;  // keys[p] lives in partition p
+      for (uint32_t p = 0; p < num_loops; ++p) {
+        uint64_t key = 5000;
+        while (PartitionOfKey(key, num_loops) != p) ++key;
+        keys.push_back(key);
+      }
+
+      // What each reply must say, in request order.
+      struct Expected {
+        FrameType type;
+        size_t key_index = 0;  // queries and pulls
+        int64_t count = 0;     // the key's samples (query, pull) or the
+                               // batch's (ACK) or all samples (stats)
+      };
+      std::vector<int64_t> counts(keys.size(), 0);
+      int64_t total = 0;
+      Rng rng(0x0dde + num_loops);
+      const int fd = ConnectRaw(server->port());
+      FrameParser parser;
+      for (int pipeline = 0; pipeline < 4; ++pipeline) {
+        std::vector<uint8_t> bytes;
+        std::vector<Expected> expected;
+        const auto append = [&bytes](FrameType type,
+                                     const std::vector<uint8_t>& payload) {
+          const std::vector<uint8_t> frame = EncodeFrame(type, payload);
+          bytes.insert(bytes.end(), frame.begin(), frame.end());
+        };
+        for (int op = 0; op < 24; ++op) {
+          // The first request ingests into every key, so reads never meet
+          // an empty key.
+          const int64_t kind =
+              pipeline == 0 && op == 0 ? 0 : rng.UniformInt(4);
+          if (kind == 0) {
+            std::vector<KeyedSample> batch;
+            for (size_t i = 0; i < keys.size(); ++i) {
+              const int64_t m = rng.UniformInt(3) + (total == 0 ? 1 : 0);
+              for (int64_t j = 0; j < m; ++j) {
+                batch.push_back({keys[i], rng.UniformInt(domain)});
+              }
+              counts[i] += m;
+            }
+            if (batch.empty()) {
+              batch.push_back({keys[0], rng.UniformInt(domain)});
+              ++counts[0];
+            }
+            total += static_cast<int64_t>(batch.size());
+            append(FrameType::kIngest, EncodeIngestPayload(batch));
+            expected.push_back({FrameType::kIngestAck, 0,
+                                static_cast<int64_t>(batch.size())});
+          } else if (kind == 1) {
+            for (size_t i = 0; i < keys.size(); ++i) {
+              append(FrameType::kQuantileQuery,
+                     EncodeQuantileQuery(QuantileQuery{keys[i], 0.5}));
+              expected.push_back({FrameType::kQuantileReply, i, counts[i]});
+            }
+          } else if (kind == 2) {
+            const auto i = static_cast<size_t>(
+                rng.UniformInt(static_cast<int64_t>(keys.size())));
+            append(FrameType::kSnapshotPull, EncodeKeyPayload(keys[i]));
+            expected.push_back({FrameType::kSnapshotPush, i, counts[i]});
+          } else {
+            append(FrameType::kStats, {});
+            expected.push_back({FrameType::kStatsReply, 0, total});
+          }
+        }
+        WriteAll(fd, bytes);
+
+        for (const Expected& want : expected) {
+          const Frame reply = ReadFrame(fd, &parser);
+          CHECK(reply.type == want.type);
+          switch (want.type) {
+            case FrameType::kIngestAck: {
+              auto ack = DecodeIngestAck(reply.payload);
+              CHECK_OK(ack);
+              CHECK(static_cast<int64_t>(ack->accepted) == want.count);
+              break;
+            }
+            case FrameType::kQuantileReply: {
+              auto answer = DecodeQuantileReply(reply.payload);
+              CHECK_OK(answer);
+              CHECK(answer->num_samples == want.count);
+              break;
+            }
+            case FrameType::kSnapshotPush: {
+              auto snapshot = DecodeShardSnapshot(reply.payload);
+              CHECK_OK(snapshot);
+              CHECK(snapshot->key_id == keys[want.key_index]);
+              CHECK(snapshot->num_samples == want.count);
+              break;
+            }
+            default: {
+              auto stats = DecodeServerStats(reply.payload);
+              CHECK_OK(stats);
+              CHECK(static_cast<int64_t>(stats->samples_accepted) ==
+                    want.count);
+              break;
+            }
+          }
+        }
+      }
+      close(fd);
+      CHECK(server->Shutdown().ok());
+    }
   }
 }
 

@@ -5,7 +5,9 @@
 // against hand-built merge trees.
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/streaming.h"
@@ -139,12 +141,19 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
   }
 }
 
-// AddBatch's contract is the per-sample Add loop, failures included: a
-// batch that hits an out-of-domain value or a key of another archetype
-// stops there, with every earlier sample ingested (keys created on first
-// sight) and nothing after.  Batches mix runs of one key with interleaved
-// keys, so both the run walk and its boundaries are exercised.
-TEST(StoreAddBatchMatchesPerSampleAddLoop) {
+// Feeds `rounds` batches from `make_batch` to one store through AddBatch
+// and to another through a per-sample Add loop (stopping at the first
+// failure), and checks they agree after every batch: the same success, the
+// same key count, and for every id in `keys` the same presence, sample
+// count, error levels and summary bits.  Summaries are compared for every
+// key every `full_check_every` rounds and after the last, and for the keys
+// the batch touched in between (counts are compared for all keys every
+// round).  Keys 100-103 live under archetype 1; batches target archetype
+// 0, so a batch carrying one of them fails there.  Returns the number of
+// failed batches.
+int CheckAddBatchMatchesAddLoop(
+    int rounds, const std::vector<uint64_t>& keys, int full_check_every,
+    const std::function<void(int, std::vector<KeyedSample>*)>& make_batch) {
   ArchetypeConfig config;
   config.domain_size = 64;
   config.k = 4;
@@ -158,34 +167,25 @@ TEST(StoreAddBatchMatchesPerSampleAddLoop) {
   CHECK_OK(looped);
   CHECK(batched->RegisterArchetype(other).value() == 1);
   CHECK(looped->RegisterArchetype(other).value() == 1);
-  // Keys 100-103 live under archetype 1; batches target archetype 0.
   const std::vector<uint64_t> foreign = {100, 101, 102, 103};
   CHECK(batched->EnsureKeys(foreign, 1).ok());
   CHECK(looped->EnsureKeys(foreign, 1).ok());
 
-  Rng rng(0xadd);
+  const auto check_key = [&](uint64_t key, bool summaries) {
+    CHECK(batched->Contains(key) == looped->Contains(key));
+    if (!looped->Contains(key)) return;
+    CHECK(batched->NumSamples(key).value() == looped->NumSamples(key).value());
+    if (!summaries) return;
+    CHECK(batched->ErrorLevels(key).value() ==
+          looped->ErrorLevels(key).value());
+    CHECK(BitIdentical(batched->Query(key).value(),
+                       looped->Query(key).value()));
+  };
   std::vector<KeyedSample> batch;
   int failures = 0;
-  for (int round = 0; round < 300; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     batch.clear();
-    const size_t size = static_cast<size_t>(rng.UniformInt(60)) + 1;
-    while (batch.size() < size) {
-      const auto key = static_cast<uint64_t>(rng.UniformInt(40));
-      const size_t run = static_cast<size_t>(rng.UniformInt(6)) + 1;
-      for (size_t r = 0; r < run && batch.size() < size; ++r) {
-        batch.push_back({key, rng.UniformInt(config.domain_size)});
-      }
-    }
-    // One batch in five carries a failing sample somewhere.
-    if (rng.UniformInt(5) == 0) {
-      KeyedSample& bad = batch[static_cast<size_t>(
-          rng.UniformInt(static_cast<int64_t>(batch.size())))];
-      if (rng.UniformInt(2) == 0) {
-        bad.value = rng.UniformInt(2) == 0 ? -1 : config.domain_size;
-      } else {
-        bad.key = foreign[static_cast<size_t>(rng.UniformInt(4))];
-      }
-    }
+    make_batch(round, &batch);
     const bool batch_ok = batched->AddBatch(batch).ok();
     bool loop_ok = true;
     for (const KeyedSample& sample : batch) {
@@ -198,17 +198,128 @@ TEST(StoreAddBatchMatchesPerSampleAddLoop) {
     failures += batch_ok ? 0 : 1;
 
     CHECK(batched->num_keys() == looped->num_keys());
-    for (uint64_t key = 0; key < 40; ++key) {
-      CHECK(batched->Contains(key) == looped->Contains(key));
-      if (!looped->Contains(key)) continue;
-      CHECK(batched->NumSamples(key).value() == looped->NumSamples(key).value());
-      CHECK(batched->ErrorLevels(key).value() ==
-            looped->ErrorLevels(key).value());
-      CHECK(BitIdentical(batched->Query(key).value(),
-                         looped->Query(key).value()));
+    const bool full =
+        (round + 1) % full_check_every == 0 || round + 1 == rounds;
+    for (const uint64_t key : keys) check_key(key, full);
+    if (!full) {
+      for (const KeyedSample& sample : batch) check_key(sample.key, true);
     }
   }
-  CHECK(failures > 20);  // the failure paths really ran
+  return failures;
+}
+
+// AddBatch's contract is the per-sample Add loop, failures included: a
+// batch that hits an out-of-domain value or a key of another archetype
+// stops there, with every earlier sample ingested (keys created on first
+// sight) and nothing after.
+//
+// The first set mixes runs of one key with interleaved keys over 40 keys,
+// so both the run walk and its boundaries are exercised.  The second is
+// shaped on AddBatch's pipeline, which works up to 16 samples ahead of
+// the append (see summary_store.cc): batch sizes from 1 to 700, around and
+// far beyond the look-ahead; 5000 keys over about 20 slab chunks; keys
+// first seen mid-batch and seen again a few samples later, before the
+// first sighting is appended; and one failing sample in every other batch,
+// at each offset 0..39 from the batch's start or end in turn.
+TEST(StoreAddBatchMatchesPerSampleAddLoop) {
+  {
+    Rng rng(0xadd);
+    std::vector<uint64_t> keys;
+    for (uint64_t key = 0; key < 40; ++key) keys.push_back(key);
+    const int failures = CheckAddBatchMatchesAddLoop(
+        300, keys, 1, [&rng](int, std::vector<KeyedSample>* batch) {
+          const int64_t domain = 64;
+          const size_t size = static_cast<size_t>(rng.UniformInt(60)) + 1;
+          while (batch->size() < size) {
+            const auto key = static_cast<uint64_t>(rng.UniformInt(40));
+            const size_t run = static_cast<size_t>(rng.UniformInt(6)) + 1;
+            for (size_t r = 0; r < run && batch->size() < size; ++r) {
+              batch->push_back({key, rng.UniformInt(domain)});
+            }
+          }
+          // One batch in five carries a failing sample somewhere.
+          if (rng.UniformInt(5) == 0) {
+            KeyedSample& bad = (*batch)[static_cast<size_t>(
+                rng.UniformInt(static_cast<int64_t>(batch->size())))];
+            if (rng.UniformInt(2) == 0) {
+              bad.value = rng.UniformInt(2) == 0 ? -1 : domain;
+            } else {
+              bad.key = 100 + static_cast<uint64_t>(rng.UniformInt(4));
+            }
+          }
+        });
+    CHECK(failures > 20);  // the failure paths really ran
+  }
+  {
+    constexpr uint64_t kBase = uint64_t{1} << 20;
+    constexpr uint64_t kNumKeys = 5000;
+    constexpr size_t kReach = 40;  // failure offsets and repeat distances
+    constexpr int kRounds = 200;
+    const size_t edge_sizes[] = {1,  2,  3,  4,  5,  7,  8,  9,  15,
+                                 16, 17, 31, 32, 33, 63, 64, 65};
+    const size_t num_edge_sizes = sizeof(edge_sizes) / sizeof(edge_sizes[0]);
+    std::vector<uint64_t> keys;
+    for (uint64_t id = 0; id < kNumKeys; ++id) keys.push_back(kBase + id);
+    Rng rng(0x919e);
+    uint64_t next_fresh = 0;  // ids below it have been put in some batch
+    size_t next_edge = 0;
+    const int failures = CheckAddBatchMatchesAddLoop(
+        kRounds, keys, 25,
+        [&](int round, std::vector<KeyedSample>* batch) {
+          const int64_t domain = 64;
+          // Rounds alternate in pairs between the edge sizes and random
+          // sizes, so failing (odd) rounds get both.
+          const size_t size =
+              round % 4 < 2 ? edge_sizes[next_edge++ % num_edge_sizes]
+                            : static_cast<size_t>(rng.UniformInt(700)) + 1;
+          std::vector<std::pair<size_t, uint64_t>> repeats;
+          while (batch->size() < size) {
+            uint64_t id;
+            if (next_fresh < kNumKeys &&
+                (next_fresh == 0 || rng.UniformInt(8) == 0)) {
+              id = next_fresh++;
+              // Seen again 1..kReach samples later, inside the look-ahead.
+              if (rng.UniformInt(2) == 0) {
+                repeats.push_back(
+                    {batch->size() + 1 +
+                         static_cast<size_t>(rng.UniformInt(kReach)),
+                     kBase + id});
+              }
+            } else {
+              id = static_cast<uint64_t>(
+                  rng.UniformInt(static_cast<int64_t>(next_fresh)));
+            }
+            const size_t run = static_cast<size_t>(rng.UniformInt(3)) + 1;
+            for (size_t r = 0; r < run && batch->size() < size; ++r) {
+              batch->push_back({kBase + id, rng.UniformInt(domain)});
+            }
+          }
+          for (const auto& [position, key] : repeats) {
+            if (position < size) (*batch)[position].key = key;
+          }
+          // Every odd round fails once, at offset 0, 1, ... from the start,
+          // then from the end, cycling through the three failure kinds.
+          if (round % 2 == 1) {
+            const auto cycle = static_cast<size_t>(round / 2);
+            const size_t offset = std::min(cycle % kReach, size - 1);
+            const size_t position =
+                (cycle / kReach) % 2 == 0 ? offset : size - 1 - offset;
+            KeyedSample& bad = (*batch)[position];
+            switch (cycle % 3) {
+              case 0:
+                bad.value = -1;
+                break;
+              case 1:
+                bad.value = domain;
+                break;
+              default:
+                bad.key = 100 + cycle % 4;
+                break;
+            }
+          }
+        });
+    CHECK(failures == kRounds / 2);
+  }
 }
 
 // Key churn must recycle slab slots, not grow the slabs: erase half the
