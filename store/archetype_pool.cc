@@ -1,6 +1,9 @@
 #include "store/archetype_pool.h"
 
 #include <algorithm>
+#include <limits>
+#include <new>
+#include <type_traits>
 #include <utility>
 
 #include "core/internal/merge_engine.h"
@@ -14,6 +17,24 @@ bool SameArchetype(const ArchetypeConfig& a, const ArchetypeConfig& b) {
          a.window_capacity == b.window_capacity &&
          a.options.delta == b.options.delta && a.options.gamma == b.options.gamma;
 }
+
+namespace {
+
+// Frees a window plane allocated as `new T[n]` (ArchetypePool::WindowPlane).
+template <typename T>
+void DeleteWindowPlane(void* plane) {
+  delete[] static_cast<T*>(plane);
+}
+
+// Where WindowValues widens narrow windows: one per thread, grown to the
+// largest window it has held and never shrunk, so a warm thread's condense
+// allocates nothing for it.
+std::vector<int64_t>& WidenScratch() {
+  thread_local std::vector<int64_t> scratch;
+  return scratch;
+}
+
+}  // namespace
 
 // The streaming_ladder Storage adapter over one slot's plane slices.  All
 // slot state lives at fixed offsets inside the chunk's planes; the adapter
@@ -115,6 +136,15 @@ StatusOr<ArchetypePool> ArchetypePool::Create(const ArchetypeConfig& config) {
   if (config.window_capacity == 0) {
     return Status::Invalid("ArchetypePool: window must be >= 1");
   }
+  // Window lengths are int32_t, and a chunk's window plane is one
+  // allocation of kSlotsPerChunk * window_capacity values.
+  if (config.window_capacity >
+          static_cast<size_t>(std::numeric_limits<int32_t>::max()) ||
+      config.window_capacity > std::numeric_limits<size_t>::max() /
+                                   kSlotsPerChunk /
+                                   WindowValueBytes(config.domain_size)) {
+    return Status::Invalid("ArchetypePool: window capacity too large");
+  }
   if (config.degree != 0) {
     return Status::Invalid(
         "ArchetypePool: only degree-0 (histogram) archetypes are implemented");
@@ -122,15 +152,35 @@ StatusOr<ArchetypePool> ArchetypePool::Create(const ArchetypeConfig& config) {
   return ArchetypePool(config);
 }
 
+size_t ArchetypePool::WindowValueBytes(int64_t domain_size) {
+  // Unsigned, so a non-positive domain (rejected by Create) maps to 8.
+  const uint64_t largest = static_cast<uint64_t>(domain_size) - 1;
+  if (largest <= std::numeric_limits<uint16_t>::max()) return sizeof(uint16_t);
+  return sizeof(int64_t);
+}
+
 ArchetypePool::ArchetypePool(const ArchetypeConfig& config)
     : config_(config),
       piece_capacity_(std::min(
           internal::MaxSurvivingPieces(config.k, config.options),
-          config.domain_size)) {}
+          config.domain_size)),
+      window_bytes_(WindowValueBytes(config.domain_size)) {}
 
 Status ArchetypePool::AddChunk() {
   auto chunk = std::make_unique<Chunk>();
-  chunk->window.assign(kSlotsPerChunk * config_.window_capacity, 0);
+  const size_t window_values = kSlotsPerChunk * config_.window_capacity;
+  // Create bounds the plane's size, not the heap: a plane the heap cannot
+  // supply comes back as a status, not as std::bad_alloc.  A plain new[],
+  // not the nothrow form, so a program that replaces operator new (an
+  // allocation counter) also gets the delete[] that matches it.
+  try {
+    chunk->window = WithWindowType([&](auto zero) {
+      using T = decltype(zero);
+      return WindowPlane(new T[window_values](), &DeleteWindowPlane<T>);
+    });
+  } catch (const std::bad_alloc&) {
+    return Status::Invalid("ArchetypePool: window plane allocation failed");
+  }
   chunk->window_len.assign(kSlotsPerChunk, 0);
   chunk->summarized.assign(kSlotsPerChunk, 0);
   chunk->key.assign(kSlotsPerChunk, 0);
@@ -187,14 +237,30 @@ Status ArchetypePool::ReleaseSlot(uint64_t ref) {
   return Status::Ok();
 }
 
+Span<const int64_t> ArchetypePool::WindowValues(const Chunk& chunk,
+                                                size_t slot,
+                                                size_t len) const {
+  return WithWindowType([&](auto zero) {
+    using T = decltype(zero);
+    const T* window = WindowOf<T>(chunk, slot);
+    if constexpr (std::is_same_v<T, int64_t>) {
+      return Span<const int64_t>(window, len);
+    } else {
+      std::vector<int64_t>& widened = WidenScratch();
+      if (widened.size() < len) widened.resize(len);
+      std::copy(window, window + len, widened.begin());
+      return Span<const int64_t>(widened.data(), len);
+    }
+  });
+}
+
 Status ArchetypePool::FlushWindow(Chunk& chunk, size_t slot) {
   const auto len = static_cast<size_t>(chunk.window_len[slot]);
   if (len == 0) return Status::Ok();
-  const int64_t* window = chunk.window.data() + slot * config_.window_capacity;
   // Condense the window to a level-0 summary, then dyadic-carry it — the
   // exact Flush path of StreamingHistogramBuilder, over plane storage.
   auto condensed = StreamingHistogramBuilder::FoldBufferIntoSummary(
-      nullptr, 0, Span<const int64_t>(window, len), config_.domain_size,
+      nullptr, 0, WindowValues(chunk, slot, len), config_.domain_size,
       config_.k, config_.options);
   if (!condensed.ok()) return condensed.status();
   SlotLadder ladder{&chunk, slot, config_.domain_size, piece_capacity_};
@@ -215,31 +281,41 @@ Status ArchetypePool::Append(uint64_t ref, Span<const KeyedSample> run) {
   }
   Chunk& chunk = *chunks_[ChunkOf(ref)];
   const size_t slot = SlotOf(ref);
-  int64_t* window = chunk.window.data() + slot * config_.window_capacity;
-  size_t i = 0;
-  while (i < run.size()) {
-    auto len = static_cast<size_t>(chunk.window_len[slot]);
-    const size_t space = config_.window_capacity - len;
-    const size_t take = std::min(space, run.size() - i);
-    // AddMany's valid-prefix contract: on an out-of-domain sample the valid
-    // prefix is still appended, so slot state matches a per-sample loop.
-    size_t valid = 0;
-    while (valid < take) {
-      const int64_t sample = run[i + valid].value;
-      if (sample < 0 || sample >= config_.domain_size) break;
-      window[len + valid] = sample;
-      ++valid;
+  // The loop lives in the dispatch lambda, not in a member template, so it
+  // inlines into Append: called out of line, it made AddBatch ~15 % slower
+  // per sample on a 131072-key partition.
+  return WithWindowType([&](auto zero) {
+    using T = decltype(zero);
+    T* window = WindowOf<T>(chunk, slot);
+    size_t i = 0;
+    while (i < run.size()) {
+      auto len = static_cast<size_t>(chunk.window_len[slot]);
+      const size_t space = config_.window_capacity - len;
+      const size_t take = std::min(space, run.size() - i);
+      // AddMany's valid-prefix contract: on an out-of-domain sample the
+      // valid prefix is still appended, so slot state matches a per-sample
+      // loop.
+      size_t valid = 0;
+      while (valid < take) {
+        const int64_t sample = run[i + valid].value;
+        // Checked at full width, before the narrowing store: a value that
+        // would wrap into the domain (65536 + 5 in 16 bits) is rejected.
+        if (sample < 0 || sample >= config_.domain_size) break;
+        window[len + valid] = static_cast<T>(sample);
+        ++valid;
+      }
+      chunk.window_len[slot] = static_cast<int32_t>(len + valid);
+      if (valid < take) {
+        return Status::Invalid("ArchetypePool: sample out of domain");
+      }
+      i += take;
+      if (static_cast<size_t>(chunk.window_len[slot]) >=
+          config_.window_capacity) {
+        if (Status s = FlushWindow(chunk, slot); !s.ok()) return s;
+      }
     }
-    chunk.window_len[slot] = static_cast<int32_t>(len + valid);
-    if (valid < take) {
-      return Status::Invalid("ArchetypePool: sample out of domain");
-    }
-    i += take;
-    if (static_cast<size_t>(chunk.window_len[slot]) >= config_.window_capacity) {
-      if (Status s = FlushWindow(chunk, slot); !s.ok()) return s;
-    }
-  }
-  return Status::Ok();
+    return Status::Ok();
+  });
 }
 
 StatusOr<Histogram> ArchetypePool::Query(uint64_t ref) const {
@@ -252,8 +328,6 @@ StatusOr<Histogram> ArchetypePool::Query(uint64_t ref) const {
   const size_t slot = SlotOf(ref);
   const auto len = static_cast<size_t>(chunk.window_len[slot]);
   const int64_t summarized = chunk.summarized[slot];
-  const Span<const int64_t> window(
-      chunk.window.data() + slot * config_.window_capacity, len);
   if (summarized == 0 && len == 0) {
     return Histogram::Create(config_.domain_size,
                              {{{0, config_.domain_size},
@@ -261,15 +335,16 @@ StatusOr<Histogram> ArchetypePool::Query(uint64_t ref) const {
   }
   if (summarized == 0) {
     return StreamingHistogramBuilder::FoldBufferIntoSummary(
-        nullptr, 0, window, config_.domain_size, config_.k, config_.options);
+        nullptr, 0, WindowValues(chunk, slot, len), config_.domain_size,
+        config_.k, config_.options);
   }
   SlotLadder ladder{&chunk, slot, config_.domain_size, piece_capacity_};
   auto committed = streaming_ladder::Fold(ladder, config_.k, config_.options);
   if (!committed.ok()) return committed.status();
   if (len == 0) return committed;
   return StreamingHistogramBuilder::FoldBufferIntoSummary(
-      &*committed, summarized, window, config_.domain_size, config_.k,
-      config_.options);
+      &*committed, summarized, WindowValues(chunk, slot, len),
+      config_.domain_size, config_.k, config_.options);
 }
 
 int64_t ArchetypePool::NumSamples(uint64_t ref) const {
@@ -309,10 +384,10 @@ ArchetypePool::MemoryStats ArchetypePool::memory() const {
                        free_slots_.capacity() * sizeof(uint64_t);
   const size_t bytes_per_slice =
       static_cast<size_t>(piece_capacity_) * (sizeof(int64_t) + sizeof(double));
+  const size_t bytes_per_window = config_.window_capacity * window_bytes_;
   for (const auto& chunk_ptr : chunks_) {
     const Chunk& chunk = *chunk_ptr;
-    stats.total_bytes += sizeof(Chunk) +
-                         chunk.window.capacity() * sizeof(int64_t) +
+    stats.total_bytes += sizeof(Chunk) + kSlotsPerChunk * bytes_per_window +
                          chunk.window_len.capacity() * sizeof(int32_t) +
                          chunk.summarized.capacity() * sizeof(int64_t) +
                          chunk.key.capacity() * sizeof(uint64_t) +
@@ -336,7 +411,7 @@ ArchetypePool::MemoryStats ArchetypePool::memory() const {
     // <= 150 bytes/key budget measures.
     for (size_t slot = 0; slot < kSlotsPerChunk; ++slot) {
       if (!chunk.live[slot]) continue;
-      stats.payload_bytes += config_.window_capacity * sizeof(int64_t);
+      stats.payload_bytes += bytes_per_window;
       for (int level = 0; level < levels; ++level) {
         if (chunk.levels[static_cast<size_t>(level)]
                 .load(std::memory_order_relaxed)

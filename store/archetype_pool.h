@@ -59,6 +59,17 @@ bool SameArchetype(const ArchetypeConfig& a, const ArchetypeConfig& b);
 // the payload planes is one index entry plus this pool's amortized chunk
 // bookkeeping.
 //
+// A window stores each value in 2 bytes when domain_size - 1 fits 16 bits,
+// else as an int64_t (WindowValueBytes).  The width is fixed per archetype
+// by its domain, with no option: over the served domain 1024, a 64-sample
+// window takes 128 bytes.  There is no 32-bit width: each width is its own
+// code path, and no caller builds a domain in (2^16, 2^32].
+// Append checks each value against the domain as an int64_t before the
+// narrowing store, so an out-of-domain value is rejected, never wrapped
+// into range; the condense and Query read the window widened back to
+// int64_t (WindowValues), so the engine sees the same values, and every
+// output bit is the same, at every width.
+//
 // Every slot runs the *same* ladder computation as a standalone
 // StreamingHistogramBuilder — Append mirrors AddMany (valid-prefix
 // semantics included), the commit/fold steps are the shared
@@ -79,7 +90,16 @@ class ArchetypePool {
   // not a memory cost — vacant levels are null.
   static constexpr int kMaxLadderLevels = 40;
 
+  // Invalid unless domain_size >= 1, k >= 1, degree == 0 and
+  // 1 <= window_capacity <= INT32_MAX (window lengths are int32_t) with a
+  // chunk's window plane (kSlotsPerChunk * window_capacity values) sized
+  // within size_t.  A plane the heap cannot supply fails later, as an
+  // Invalid status from AllocateSlot or ReserveSlots.
   static StatusOr<ArchetypePool> Create(const ArchetypeConfig& config);
+
+  // Bytes one window value takes in a pool over `domain_size`: 2 when
+  // domain_size - 1 fits 16 bits, else 8.
+  static size_t WindowValueBytes(int64_t domain_size);
 
   ArchetypePool(ArchetypePool&&) = default;
   ArchetypePool& operator=(ArchetypePool&&) = default;
@@ -122,7 +142,9 @@ class ArchetypePool {
     // A window whose flush failed sits at capacity; clamp to its last line.
     const size_t len = std::min(static_cast<size_t>(chunk.window_len[slot]),
                                 config_.window_capacity - 1);
-    PrefetchForWrite(&chunk.window[slot * config_.window_capacity + len]);
+    WithWindowType([&](auto zero) {
+      PrefetchForWrite(WindowOf<decltype(zero)>(chunk, slot) + len);
+    });
   }
 
   // The slot's current summary — the same read-side fold as
@@ -140,6 +162,9 @@ class ArchetypePool {
   // Pre-allocates chunks for `num_slots` total slots.
   Status ReserveSlots(size_t num_slots);
 
+  // Heap bytes, counted from the planes' sizes: a window counts
+  // window_capacity * WindowValueBytes(domain_size), a ladder slice
+  // piece_capacity ends and values.
   struct MemoryStats {
     size_t total_bytes = 0;    // all plane + bookkeeping heap bytes
     size_t payload_bytes = 0;  // live slots' window + occupied ladder slices
@@ -176,8 +201,13 @@ class ArchetypePool {
     std::vector<int64_t> count;
   };
 
+  // A chunk's window plane: one allocation of kSlotsPerChunk *
+  // window_capacity values of the pool's window type (uint16_t or int64_t),
+  // freed as that type.  WindowOf<T> is the typed view.
+  using WindowPlane = std::unique_ptr<void, void (*)(void*)>;
+
   struct Chunk {
-    std::vector<int64_t> window;      // kSlotsPerChunk * window_capacity
+    WindowPlane window{nullptr, nullptr};
     std::vector<int32_t> window_len;  // per slot
     std::vector<int64_t> summarized;  // per slot
     std::vector<uint64_t> key;        // per slot
@@ -205,11 +235,33 @@ class ArchetypePool {
     return static_cast<size_t>(ref & 0xffff);
   }
 
+  // Calls fn(T{}) with T the pool's window value type: uint16_t when
+  // window_bytes_ is 2, else int64_t.  Every window access goes through
+  // here once per call, so the per-sample loops inside fn are typed and
+  // branch on no width.
+  template <typename Fn>
+  auto WithWindowType(Fn&& fn) const -> decltype(fn(int64_t{0})) {
+    if (window_bytes_ == sizeof(uint16_t)) return fn(uint16_t{0});
+    return fn(int64_t{0});
+  }
+  // The slot's window in a plane of T values.
+  template <typename T>
+  T* WindowOf(const Chunk& chunk, size_t slot) const {
+    return static_cast<T*>(chunk.window.get()) +
+           slot * config_.window_capacity;
+  }
+  // The slot's first `len` window values as int64_t, the span
+  // FoldBufferIntoSummary takes.  Valid until the calling thread's next
+  // WindowValues call.
+  Span<const int64_t> WindowValues(const Chunk& chunk, size_t slot,
+                                   size_t len) const;
+
   Status AddChunk();
   Status FlushWindow(Chunk& chunk, size_t slot);
 
   ArchetypeConfig config_;
   int64_t piece_capacity_ = 0;
+  size_t window_bytes_ = sizeof(int64_t);  // WindowValueBytes(domain_size)
   // unique_ptr per chunk: plane addresses must survive chunks_ growing
   // (concurrent Appends to older chunks hold slices into them).
   std::vector<std::unique_ptr<Chunk>> chunks_;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -141,6 +142,81 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
   }
 }
 
+// A window stores values in 16 bits when domain - 1 fits them, else in
+// 64 (ArchetypePool::WindowValueBytes): 2^16 is the last 16-bit domain and
+// 2^16 + 1 the first 64-bit one.  At each, every key's stream holds 0 and
+// domain - 1 (the value a window one domain too eager to narrow would wrap
+// to 0) among values near both ends, and every key's summary, sample count
+// and error levels must be a standalone builder's.  They are compared after each quarter of the
+// interleaved stream, so keys are caught with partial windows, with
+// windows just flushed and with ladders several levels deep.
+TEST(StoreBitIdenticalAtWindowWidthBoundary) {
+  const int64_t two16 = int64_t{1} << 16;
+  for (const int64_t domain : {two16, two16 + 1}) {
+    ArchetypeConfig config;
+    config.domain_size = domain;
+    config.k = 6;
+    config.window_capacity = 16;
+    auto store = SummaryStore::Create(config);
+    CHECK_OK(store);
+
+    // Per-key sample counts around and across the 16-sample window.
+    const size_t counts[] = {2, 3, 15, 16, 17, 32, 33, 48, 64, 100, 129, 250};
+    const size_t num_keys = sizeof(counts) / sizeof(counts[0]);
+    Rng rng(static_cast<uint64_t>(domain));
+    const auto value_at = [&](size_t position, size_t count) -> int64_t {
+      if (position == 0 || position + 2 == count) return 0;
+      if (position == 1 || position + 1 == count) return domain - 1;
+      switch (rng.UniformInt(3)) {
+        case 0:
+          return rng.UniformInt(domain);
+        case 1:
+          return domain - 1 - rng.UniformInt(8);
+        default:
+          return rng.UniformInt(8);
+      }
+    };
+    // Round-robin over the keys until each has its count.
+    std::vector<KeyedSample> stream;
+    for (size_t position = 0; position < counts[num_keys - 1]; ++position) {
+      for (size_t i = 0; i < num_keys; ++i) {
+        if (position >= counts[i]) continue;
+        stream.push_back({i * 2654435761u + 7, value_at(position, counts[i])});
+      }
+    }
+
+    std::unordered_map<uint64_t, StreamingHistogramBuilder> builders;
+    const size_t quarter = stream.size() / 4 + 1;
+    for (size_t begin = 0; begin < stream.size(); begin += quarter) {
+      const size_t len = std::min(quarter, stream.size() - begin);
+      const Span<const KeyedSample> part(stream.data() + begin, len);
+      CHECK(store->AddBatch(part).ok());
+      for (const KeyedSample& sample : part) {
+        auto it = builders.find(sample.key);
+        if (it == builders.end()) {
+          auto builder = StreamingHistogramBuilder::Create(
+              config.domain_size, config.k, config.window_capacity,
+              config.options);
+          CHECK_OK(builder);
+          it = builders.emplace(sample.key, std::move(builder).value()).first;
+        }
+        CHECK(it->second.Add(sample.value).ok());
+      }
+      CHECK(store->num_keys() == builders.size());
+      for (auto& [key, builder] : builders) {
+        auto stored = store->Query(key);
+        CHECK_OK(stored);
+        auto reference = builder.Peek();
+        CHECK_OK(reference);
+        CHECK(BitIdentical(*stored, *reference));
+        CHECK(store->NumSamples(key).value() == builder.num_samples());
+        CHECK(store->ErrorLevels(key).value() == builder.error_levels());
+      }
+    }
+    CHECK(builders.size() == num_keys);
+  }
+}
+
 // Feeds `rounds` batches from `make_batch` to one store through AddBatch
 // and to another through a per-sample Add loop (stopping at the first
 // failure), and checks they agree after every batch: the same success, the
@@ -148,14 +224,15 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
 // count, error levels and summary bits.  Summaries are compared for every
 // key every `full_check_every` rounds and after the last, and for the keys
 // the batch touched in between (counts are compared for all keys every
-// round).  Keys 100-103 live under archetype 1; batches target archetype
-// 0, so a batch carrying one of them fails there.  Returns the number of
-// failed batches.
+// round).  Both stores' archetypes are over `domain`.  Keys 100-103 live
+// under archetype 1; batches target archetype 0, so a batch carrying one of
+// them fails there.  Returns the number of failed batches.
 int CheckAddBatchMatchesAddLoop(
-    int rounds, const std::vector<uint64_t>& keys, int full_check_every,
+    int64_t domain, int rounds, const std::vector<uint64_t>& keys,
+    int full_check_every,
     const std::function<void(int, std::vector<KeyedSample>*)>& make_batch) {
   ArchetypeConfig config;
-  config.domain_size = 64;
+  config.domain_size = domain;
   config.k = 4;
   config.window_capacity = 8;
   ArchetypeConfig other = config;
@@ -208,6 +285,80 @@ int CheckAddBatchMatchesAddLoop(
   return failures;
 }
 
+// A batch stream shaped on AddBatch's pipeline, which works up to 16
+// samples ahead of the append (see summary_store.cc), run through
+// CheckAddBatchMatchesAddLoop over `domain`: batch sizes from 1 to 700,
+// around and far beyond the look-ahead; 5000 keys over about 20 slab
+// chunks; keys first seen mid-batch and seen again a few samples later,
+// before the first sighting is appended; and one failing sample in every
+// other batch, at each offset 0..39 from the batch's start or end in turn.
+// The failing sample cycles through `bad_values`, then a key of the other
+// archetype.  Returns the number of failed batches.
+int CheckPipelineShapedBatches(int64_t domain,
+                               const std::vector<int64_t>& bad_values) {
+  constexpr uint64_t kBase = uint64_t{1} << 20;
+  constexpr uint64_t kNumKeys = 5000;
+  constexpr size_t kReach = 40;  // failure offsets and repeat distances
+  constexpr int kRounds = 200;
+  const size_t edge_sizes[] = {1,  2,  3,  4,  5,  7,  8,  9,  15,
+                               16, 17, 31, 32, 33, 63, 64, 65};
+  const size_t num_edge_sizes = sizeof(edge_sizes) / sizeof(edge_sizes[0]);
+  std::vector<uint64_t> keys;
+  for (uint64_t id = 0; id < kNumKeys; ++id) keys.push_back(kBase + id);
+  Rng rng(0x919e);
+  uint64_t next_fresh = 0;  // ids below it have been put in some batch
+  size_t next_edge = 0;
+  return CheckAddBatchMatchesAddLoop(
+      domain, kRounds, keys, 25,
+      [&](int round, std::vector<KeyedSample>* batch) {
+        // Rounds alternate in pairs between the edge sizes and random
+        // sizes, so failing (odd) rounds get both.
+        const size_t size =
+            round % 4 < 2 ? edge_sizes[next_edge++ % num_edge_sizes]
+                          : static_cast<size_t>(rng.UniformInt(700)) + 1;
+        std::vector<std::pair<size_t, uint64_t>> repeats;
+        while (batch->size() < size) {
+          uint64_t id;
+          if (next_fresh < kNumKeys &&
+              (next_fresh == 0 || rng.UniformInt(8) == 0)) {
+            id = next_fresh++;
+            // Seen again 1..kReach samples later, inside the look-ahead.
+            if (rng.UniformInt(2) == 0) {
+              repeats.push_back(
+                  {batch->size() + 1 +
+                       static_cast<size_t>(rng.UniformInt(kReach)),
+                   kBase + id});
+            }
+          } else {
+            id = static_cast<uint64_t>(
+                rng.UniformInt(static_cast<int64_t>(next_fresh)));
+          }
+          const size_t run = static_cast<size_t>(rng.UniformInt(3)) + 1;
+          for (size_t r = 0; r < run && batch->size() < size; ++r) {
+            batch->push_back({kBase + id, rng.UniformInt(domain)});
+          }
+        }
+        for (const auto& [position, key] : repeats) {
+          if (position < size) (*batch)[position].key = key;
+        }
+        // Every odd round fails once, at offset 0, 1, ... from the start,
+        // then from the end, cycling through the failure kinds.
+        if (round % 2 == 1) {
+          const auto cycle = static_cast<size_t>(round / 2);
+          const size_t offset = std::min(cycle % kReach, size - 1);
+          const size_t position =
+              (cycle / kReach) % 2 == 0 ? offset : size - 1 - offset;
+          KeyedSample& bad = (*batch)[position];
+          const size_t kind = cycle % (bad_values.size() + 1);
+          if (kind < bad_values.size()) {
+            bad.value = bad_values[kind];
+          } else {
+            bad.key = 100 + cycle % 4;
+          }
+        }
+      });
+}
+
 // AddBatch's contract is the per-sample Add loop, failures included: a
 // batch that hits an out-of-domain value or a key of another archetype
 // stops there, with every earlier sample ingested (keys created on first
@@ -215,19 +366,18 @@ int CheckAddBatchMatchesAddLoop(
 //
 // The first set mixes runs of one key with interleaved keys over 40 keys,
 // so both the run walk and its boundaries are exercised.  The second is
-// shaped on AddBatch's pipeline, which works up to 16 samples ahead of
-// the append (see summary_store.cc): batch sizes from 1 to 700, around and
-// far beyond the look-ahead; 5000 keys over about 20 slab chunks; keys
-// first seen mid-batch and seen again a few samples later, before the
-// first sighting is appended; and one failing sample in every other batch,
-// at each offset 0..39 from the batch's start or end in turn.
+// CheckPipelineShapedBatches over domain 64, failing on -1 and the domain
+// itself.  The third runs the same shape over domain 1024, whose windows
+// store 16-bit values, failing on values a narrowing store would wrap into
+// the domain: 65536 + 5 and 2^32 + 5 (both 5 in 16 bits) and -65536 (0).
+// Each is rejected, so exactly every other batch fails.
 TEST(StoreAddBatchMatchesPerSampleAddLoop) {
   {
     Rng rng(0xadd);
     std::vector<uint64_t> keys;
     for (uint64_t key = 0; key < 40; ++key) keys.push_back(key);
     const int failures = CheckAddBatchMatchesAddLoop(
-        300, keys, 1, [&rng](int, std::vector<KeyedSample>* batch) {
+        64, 300, keys, 1, [&rng](int, std::vector<KeyedSample>* batch) {
           const int64_t domain = 64;
           const size_t size = static_cast<size_t>(rng.UniformInt(60)) + 1;
           while (batch->size() < size) {
@@ -250,75 +400,66 @@ TEST(StoreAddBatchMatchesPerSampleAddLoop) {
         });
     CHECK(failures > 20);  // the failure paths really ran
   }
-  {
-    constexpr uint64_t kBase = uint64_t{1} << 20;
-    constexpr uint64_t kNumKeys = 5000;
-    constexpr size_t kReach = 40;  // failure offsets and repeat distances
-    constexpr int kRounds = 200;
-    const size_t edge_sizes[] = {1,  2,  3,  4,  5,  7,  8,  9,  15,
-                                 16, 17, 31, 32, 33, 63, 64, 65};
-    const size_t num_edge_sizes = sizeof(edge_sizes) / sizeof(edge_sizes[0]);
-    std::vector<uint64_t> keys;
-    for (uint64_t id = 0; id < kNumKeys; ++id) keys.push_back(kBase + id);
-    Rng rng(0x919e);
-    uint64_t next_fresh = 0;  // ids below it have been put in some batch
-    size_t next_edge = 0;
-    const int failures = CheckAddBatchMatchesAddLoop(
-        kRounds, keys, 25,
-        [&](int round, std::vector<KeyedSample>* batch) {
-          const int64_t domain = 64;
-          // Rounds alternate in pairs between the edge sizes and random
-          // sizes, so failing (odd) rounds get both.
-          const size_t size =
-              round % 4 < 2 ? edge_sizes[next_edge++ % num_edge_sizes]
-                            : static_cast<size_t>(rng.UniformInt(700)) + 1;
-          std::vector<std::pair<size_t, uint64_t>> repeats;
-          while (batch->size() < size) {
-            uint64_t id;
-            if (next_fresh < kNumKeys &&
-                (next_fresh == 0 || rng.UniformInt(8) == 0)) {
-              id = next_fresh++;
-              // Seen again 1..kReach samples later, inside the look-ahead.
-              if (rng.UniformInt(2) == 0) {
-                repeats.push_back(
-                    {batch->size() + 1 +
-                         static_cast<size_t>(rng.UniformInt(kReach)),
-                     kBase + id});
-              }
-            } else {
-              id = static_cast<uint64_t>(
-                  rng.UniformInt(static_cast<int64_t>(next_fresh)));
-            }
-            const size_t run = static_cast<size_t>(rng.UniformInt(3)) + 1;
-            for (size_t r = 0; r < run && batch->size() < size; ++r) {
-              batch->push_back({kBase + id, rng.UniformInt(domain)});
-            }
-          }
-          for (const auto& [position, key] : repeats) {
-            if (position < size) (*batch)[position].key = key;
-          }
-          // Every odd round fails once, at offset 0, 1, ... from the start,
-          // then from the end, cycling through the three failure kinds.
-          if (round % 2 == 1) {
-            const auto cycle = static_cast<size_t>(round / 2);
-            const size_t offset = std::min(cycle % kReach, size - 1);
-            const size_t position =
-                (cycle / kReach) % 2 == 0 ? offset : size - 1 - offset;
-            KeyedSample& bad = (*batch)[position];
-            switch (cycle % 3) {
-              case 0:
-                bad.value = -1;
-                break;
-              case 1:
-                bad.value = domain;
-                break;
-              default:
-                bad.key = 100 + cycle % 4;
-                break;
-            }
-          }
-        });
-    CHECK(failures == kRounds / 2);
+  CHECK(CheckPipelineShapedBatches(64, {-1, 64}) == 100);
+  CHECK(CheckPipelineShapedBatches(
+            1024, {65536 + 5, (int64_t{1} << 32) + 5, -65536}) == 100);
+}
+
+// Window lengths are int32_t, so a window capacity past INT32_MAX is one
+// the pool cannot hold: Create rejects it, before any chunk is allocated.
+// Create allocates nothing, so INT32_MAX itself is accepted here; a plane
+// that size the heap cannot supply fails AllocateSlot with a status.
+TEST(StoreRejectsWindowCapacityBeyondInt32) {
+  ArchetypeConfig config;
+  config.window_capacity = size_t{1} << 31;
+  CHECK(!ArchetypePool::Create(config).ok());
+  CHECK(!SummaryStore::Create(config).ok());
+  config.window_capacity = std::numeric_limits<size_t>::max();
+  CHECK(!ArchetypePool::Create(config).ok());
+  config.window_capacity = std::numeric_limits<int32_t>::max();
+  CHECK(ArchetypePool::Create(config).ok());
+}
+
+// memory() counts a window at the domain's width: a key holding a partial
+// window and no ladder costs exactly window_capacity * width payload bytes
+// (2 and 8 per value at domains 1024 and 2^20), and pools that differ only
+// in width differ in total bytes by exactly their chunk's window plane.
+TEST(StoreMemoryCountsWindowsAtDomainWidth) {
+  CHECK(ArchetypePool::WindowValueBytes(1) == 2);
+  CHECK(ArchetypePool::WindowValueBytes(int64_t{1} << 16) == 2);
+  CHECK(ArchetypePool::WindowValueBytes((int64_t{1} << 16) + 1) == 8);
+  CHECK(ArchetypePool::WindowValueBytes(
+            std::numeric_limits<int64_t>::max()) == 8);
+
+  struct Width {
+    int64_t domain;
+    size_t bytes;
+  };
+  const Width widths[] = {{1024, 2}, {int64_t{1} << 20, 8}};
+  constexpr size_t kWindow = 48;
+  size_t previous_total = 0;
+  size_t previous_bytes = 0;
+  for (const Width& width : widths) {
+    ArchetypeConfig config;
+    config.domain_size = width.domain;
+    config.window_capacity = kWindow;
+    auto pool = ArchetypePool::Create(config);
+    CHECK_OK(pool);
+    auto ref = pool->AllocateSlot(7);
+    CHECK_OK(ref);
+    const KeyedSample run[] = {{7, 0}, {7, width.domain - 1}, {7, 5}};
+    CHECK(pool->Append(*ref, run).ok());
+    CHECK(pool->NumSamples(*ref) == 3);
+    const ArchetypePool::MemoryStats stats = pool->memory();
+    CHECK(stats.payload_bytes == kWindow * width.bytes);
+    CHECK(stats.slack_bytes == 0);
+    if (previous_bytes > 0) {
+      CHECK(stats.total_bytes - previous_total ==
+            ArchetypePool::kSlotsPerChunk * kWindow *
+                (width.bytes - previous_bytes));
+    }
+    previous_total = stats.total_bytes;
+    previous_bytes = width.bytes;
   }
 }
 
