@@ -279,8 +279,12 @@ Status ArchetypePool::Append(uint64_t ref, Span<const KeyedSample> run) {
   if (ChunkOf(ref) >= chunks_.size() || !chunks_[ChunkOf(ref)]->live[SlotOf(ref)]) {
     return Status::Invalid("ArchetypePool: append to a slot not live");
   }
-  Chunk& chunk = *chunks_[ChunkOf(ref)];
-  const size_t slot = SlotOf(ref);
+  return Append(Resolve(ref), run);
+}
+
+Status ArchetypePool::Append(SlotHandle handle, Span<const KeyedSample> run) {
+  Chunk& chunk = *handle.chunk_;
+  const size_t slot = handle.slot_;
   // The loop lives in the dispatch lambda, not in a member template, so it
   // inlines into Append: called out of line, it made AddBatch ~15 % slower
   // per sample on a 131072-key partition.

@@ -83,6 +83,8 @@ bool SameArchetype(const ArchetypeConfig& a, const ArchetypeConfig& b);
 // growing a chunk's lazy ladder by one level plane, is published by
 // compare-and-swap so concurrent deepeners agree on one plane.
 class ArchetypePool {
+  struct Chunk;  // kSlotsPerChunk slots' planes, defined below
+
  public:
   static constexpr size_t kSlotsPerChunk = 256;
   // A level ladder this deep summarizes 2^40 windows; the fixed array is an
@@ -120,30 +122,52 @@ class ArchetypePool {
   // instead of growing them (stress-tested).
   Status ReleaseSlot(uint64_t ref);
 
+  // A live slot resolved to its chunk: a chunk pointer and a slot index.
+  // AddBatch resolves each present key's ref once, at its probe stage, and
+  // hands the handle to PrefetchSlot, PrefetchWindow and Append, so its
+  // window stage does no chunk lookup and its append unpacks no ref.
+  // Opaque outside the pool.  Chunks never move and are never freed while
+  // the pool lives, so a handle stays valid until its slot is released.
+  class SlotHandle {
+   public:
+    SlotHandle() = default;
+
+   private:
+    friend class ArchetypePool;
+    SlotHandle(Chunk* chunk, size_t slot) : chunk_(chunk), slot_(slot) {}
+    Chunk* chunk_ = nullptr;
+    size_t slot_ = 0;
+  };
+  // `ref` must name a live slot of this pool.
+  SlotHandle Resolve(uint64_t ref) {
+    return SlotHandle(chunks_[ChunkOf(ref)].get(), SlotOf(ref));
+  }
+
   // Appends the values of `run` (samples of this slot's key) to the slot's
   // window, condensing into its ladder one full window at a time.  Same
-  // semantics as StreamingHistogramBuilder::AddMany, per slot.
+  // semantics as StreamingHistogramBuilder::AddMany, per slot.  The ref form
+  // checks that the slot is live; the handle form trusts Resolve's contract.
   Status Append(uint64_t ref, Span<const KeyedSample> run);
+  Status Append(SlotHandle slot, Span<const KeyedSample> run);
 
   // Read-ahead hints for a pipelined ingest (SummaryStore::AddBatch): they
   // request cache lines and write nothing, so a stale hint costs a wasted
-  // line, never a wrong result.  `ref` must name a slot of this pool.
-  // PrefetchSlot requests the lines Append checks first (liveness and window
-  // length); PrefetchWindow reads the window length and requests, for
-  // write, the window line the slot's next sample lands on.
-  void PrefetchSlot(uint64_t ref) const {
-    const Chunk& chunk = *chunks_[ChunkOf(ref)];
-    PrefetchForRead(&chunk.live[SlotOf(ref)]);
-    PrefetchForRead(&chunk.window_len[SlotOf(ref)]);
+  // line, never a wrong result.  PrefetchSlot requests the line of the
+  // slot's window length; PrefetchWindow reads that length and requests,
+  // for write, the window line the slot's next sample lands on.  Both go
+  // through store/prefetch.h's helpers, which the optimizer cannot prove
+  // free of effects, so a call that does nothing else is still kept.
+  void PrefetchSlot(SlotHandle slot) const {
+    PrefetchForRead(&slot.chunk_->window_len[slot.slot_]);
   }
-  void PrefetchWindow(uint64_t ref) const {
-    const Chunk& chunk = *chunks_[ChunkOf(ref)];
-    const size_t slot = SlotOf(ref);
+  void PrefetchWindow(SlotHandle slot) const {
+    const Chunk& chunk = *slot.chunk_;
     // A window whose flush failed sits at capacity; clamp to its last line.
-    const size_t len = std::min(static_cast<size_t>(chunk.window_len[slot]),
-                                config_.window_capacity - 1);
+    const size_t len =
+        std::min(static_cast<size_t>(chunk.window_len[slot.slot_]),
+                 config_.window_capacity - 1);
     WithWindowType([&](auto zero) {
-      PrefetchForWrite(WindowOf<decltype(zero)>(chunk, slot) + len);
+      PrefetchForWrite(WindowOf<decltype(zero)>(chunk, slot.slot_) + len);
     });
   }
 

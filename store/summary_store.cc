@@ -67,8 +67,9 @@ namespace {
 
 // AddBatch's look-ahead, in samples (a power of two, >= 4).  While sample i
 // is appended, sample i + kAhead is hashed and its first index line
-// requested, sample i + kAhead / 2 is probed and its slot's bookkeeping
-// lines requested, and sample i + kAhead / 4's window line is requested.
+// requested, sample i + kAhead / 2 is probed, its slot resolved and its
+// window length's line requested, and sample i + kAhead / 4's window line is
+// requested for write.
 constexpr size_t kAhead = 16;
 
 }  // namespace
@@ -80,17 +81,20 @@ Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
   ArchetypePool& pool = pools_[static_cast<size_t>(archetype)];
 
   // A rolling software pipeline over the span: each sample's dependent
-  // misses (index line -> slot bookkeeping -> window line) are requested
-  // stage by stage ahead of its append, so they overlap its neighbours'.
-  // The stages only read and prefetch; the append stage below does exactly
-  // what a per-sample Add loop would, in span order.  ring[j % kAhead]
-  // describes sample j from its hash stage to its append.
+  // misses (index line -> window length -> window line) are requested stage
+  // by stage ahead of its append, so they overlap its neighbours'.  The
+  // stages only read and prefetch; the append stage below does exactly what
+  // a per-sample Add loop would, in span order.  ring[j % kAhead] describes
+  // sample j from its hash stage to its append.
   struct InFlight {
     uint64_t hash = 0;
     // Index value seen at the probe stage (kNotFound: absent then).  A
     // present key's value cannot change before its append, because AddBatch
     // never erases.
     uint64_t value = KeyIndex::kNotFound;
+    // The slot of `value`, resolved at the probe stage; set only when the
+    // entry is hinted, so it is read only then.
+    ArchetypePool::SlotHandle slot;
     // Same key as the sample before: it rides that sample's run, so it is
     // neither hashed nor probed.
     bool repeat = false;
@@ -113,11 +117,13 @@ Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
     InFlight& entry = ring[j % kAhead];
     if (entry.repeat) return;
     entry.value = index_.FindHashed(samples[j].key, entry.hash);
-    if (hinted(entry)) pool.PrefetchSlot(PoolRefOf(entry.value));
+    if (!hinted(entry)) return;
+    entry.slot = pool.Resolve(PoolRefOf(entry.value));
+    pool.PrefetchSlot(entry.slot);
   };
   const auto window_stage = [&](size_t j) {
     const InFlight& entry = ring[j % kAhead];
-    if (hinted(entry)) pool.PrefetchWindow(PoolRefOf(entry.value));
+    if (hinted(entry)) pool.PrefetchWindow(entry.slot);
   };
 
   for (size_t j = 0; j < std::min(n, kAhead); ++j) hash_stage(j);
@@ -135,16 +141,15 @@ Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
     const uint64_t key = samples[i].key;
     run_end = i + 1;
     while (run_end < n && samples[run_end].key == key) ++run_end;
-    uint64_t value = current.value;
+    ArchetypePool::SlotHandle slot = current.slot;
     if (!hinted(current)) {
       // Absent when probed (maybe created by an earlier sample since), or
       // under another archetype: the per-sample path creates or fails.
       auto resolved = FindOrCreateValue(key, archetype);
       if (!resolved.ok()) return resolved.status();
-      value = *resolved;
+      slot = pool.Resolve(PoolRefOf(*resolved));
     }
-    if (Status s =
-            pool.Append(PoolRefOf(value), samples.subspan(i, run_end - i));
+    if (Status s = pool.Append(slot, samples.subspan(i, run_end - i));
         !s.ok()) {
       return s;
     }

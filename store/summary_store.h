@@ -56,20 +56,27 @@ struct StoreMemoryStats {
 // Ingest is batched: AddBatch walks a span of (key, value) pairs once, one
 // slab append per run of consecutive equal keys, as a rolling software
 // pipeline.  A sample's work is a chain of dependent cache misses — its
-// index line, then its slot's bookkeeping, then its window line — which at
+// index line, then its window length, then its window line — which at
 // many keys outsizes everything else.  So while sample i is appended,
-// sample i + 16 is hashed and its first index line requested, sample i + 8
-// is probed and its slot's lines requested, and sample i + 4's window line
-// is requested for write; a present key is not probed again at its append.
-// The stages only read and prefetch: creation, validation and the append
-// itself happen at the append stage in span order, so the effect is the
+// sample i + 16 is hashed and its first index line requested; sample i + 8
+// is probed, a present key's slot resolved once to an
+// ArchetypePool::SlotHandle kept in the pipeline's ring, and its window
+// length's line requested; and sample i + 4's window line is requested for
+// write, located through that handle.  A present key's append goes through
+// the same handle, with no second probe and no chunk lookup.  The stages
+// only read and prefetch: creation, validation and the append itself
+// happen at the append stage in span order, so the effect is the
 // per-sample Add loop's, failures included, and a batch reads ahead only
-// its own keys' slots.  The distance (16) was picked from a
-// BM_StoreAddBatch sweep over 8, 16 and 32 in bench_micro.  Bulk
-// read-side ops — merge all keys matching a predicate, group-by rollups,
-// top-k — sweep the slabs chunk-major and reduce through the deterministic
-// merge tree, so their outputs are bit-identical regardless of insertion
-// history (canonical key order) and thread count.
+// its own keys' slots.  The hints are opaque to the optimizer
+// (store/prefetch.h), so it cannot prove a stage free of effects and
+// delete it.  The distance (16) was picked with every stage live, from a
+// bench/ab_store.sh sweep over 8, 16 and 32: 16 was fastest at 131072
+// keys; 8 was 2-5 % faster at 64 keys but 6-12 % slower at 131072.
+//
+// Bulk read-side ops — merge all keys matching a predicate, group-by
+// rollups, top-k — sweep the slabs chunk-major and reduce through the
+// deterministic merge tree, so their outputs are bit-identical regardless
+// of insertion history (canonical key order) and thread count.
 //
 // Concurrency: mutating entry points are serial by default, with one
 // carve-out for ingest — concurrent AddBatch calls are safe iff their key

@@ -370,6 +370,9 @@ int CheckPipelineShapedBatches(int64_t domain,
 // itself.  The third runs the same shape over domain 1024, whose windows
 // store 16-bit values, failing on values a narrowing store would wrap into
 // the domain: 65536 + 5 and 2^32 + 5 (both 5 in 16 bits) and -65536 (0).
+// The fourth runs it over domain 2^16 + 1, whose windows store int64_t
+// values, failing on -1 and the domain, so AddBatch's window hint and its
+// append through the probe stage's slot handle run at both window widths.
 // Each is rejected, so exactly every other batch fails.
 TEST(StoreAddBatchMatchesPerSampleAddLoop) {
   {
@@ -403,6 +406,9 @@ TEST(StoreAddBatchMatchesPerSampleAddLoop) {
   CHECK(CheckPipelineShapedBatches(64, {-1, 64}) == 100);
   CHECK(CheckPipelineShapedBatches(
             1024, {65536 + 5, (int64_t{1} << 32) + 5, -65536}) == 100);
+  const int64_t wide_domain = (int64_t{1} << 16) + 1;
+  CHECK(ArchetypePool::WindowValueBytes(wide_domain) == sizeof(int64_t));
+  CHECK(CheckPipelineShapedBatches(wide_domain, {-1, wide_domain}) == 100);
 }
 
 // Window lengths are int32_t, so a window capacity past INT32_MAX is one
