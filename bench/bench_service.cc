@@ -1,16 +1,12 @@
-// End-to-end throughput of the service layer.  Two grids, both written to
-// the same machine-readable perf trajectory (BENCH_service.json, same
-// schema as BENCH_merge.json):
+// End-to-end throughput of the service layer.  Three grids, each written
+// to its own machine-readable perf trajectory (same schema as
+// BENCH_merge.json):
 //
 //   --grid          shards x samples: per-shard ingest
 //                   (StreamingHistogramBuilder::AddMany), snapshot export +
 //                   wire encoding, merge-tree reduction at fan-in 2/4/8,
-//                   and quantile-query latency on the aggregate.
-//   --striped-grid  writer-threads x stripes: N real std::threads appending
-//                   concurrently into one StripedShardIngestor, timed end
-//                   to end (create + append + reconcile export).  Reps are
-//                   interleaved and rotated across the writer-count axis so
-//                   no cell owns a quiet (or noisy) stretch of the machine.
+//                   and quantile-query latency on the aggregate, written to
+//                   BENCH_service.json (--out=PATH).
 //   --net-grid      loops x connections x batch x offered load, over real
 //                   loopback sockets: an in-process ShardedIngestServer
 //                   (net/sharded_ingest_server.h) with `loops` worker event
@@ -46,13 +42,13 @@
 //                   exits 2, so the committed trajectory cannot drift past
 //                   the multi-tenancy budget silently.
 //
-// With neither flag the shard and striped grids run (the store grid is
-// opt-in: it is a different binary contract with its own output file).
+// With no grid flag the shard grid runs (the store and net grids are
+// opt-in: each is a different binary contract with its own output file).
 // Every JSON row records threads_effective (what the machine actually ran,
 // so a 1-core container cannot masquerade as a scaling result) and the
 // min-of-R rep count (--reps=N, floor 3).
 //
-//   bench_service [--grid] [--striped-grid] [--store-grid] [--net-grid]
+//   bench_service [--grid] [--store-grid] [--net-grid]
 //                 [--require-scaling] [--smoke] [--reps=N] [--out=PATH]
 //                 [--store-out=PATH] [--net-out=PATH]
 //
@@ -78,7 +74,6 @@
 
 #include "net/client.h"
 #include "net/frame.h"
-#include "net/ingest_server.h"
 #include "net/sharded_ingest_server.h"
 #endif
 #include "dist/alias_sampler.h"
@@ -86,7 +81,6 @@
 #include "service/aggregator.h"
 #include "service/merge_tree.h"
 #include "service/shard.h"
-#include "service/striped_ingestor.h"
 #include "service/wire_format.h"
 #include "store/summary_store.h"
 #include "util/parallel.h"
@@ -246,7 +240,6 @@ int RunGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
                   {"samples_per_shard",
                    static_cast<double>(samples_per_shard)},
                   {"threads_effective", threads_effective},
-                  {"stripes", 1.0},
                   {"reps", static_cast<double>(reps)},
                   {"ingest_ms", ingest_ms},
                   {"ingest_msamples_per_s", ingest_msamples_per_s},
@@ -274,180 +267,6 @@ int RunGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
     }
   }
 
-  table.Print(std::cout);
-  return 0;
-}
-
-// --- striped grid -----------------------------------------------------------
-
-constexpr size_t kStripedBatch = 1024;
-
-// One full multi-writer pipeline: create a StripedShardIngestor, claim
-// `writers` stripes, append each writer's pre-generated stream from its own
-// std::thread in kStripedBatch-sample batches, join, and export the
-// reconciled snapshot.  Returns the snapshot so the caller can verify it
-// outside the timed region; any service failure dies (a benchmark that
-// silently times broken runs is worse than one that aborts).
-ShardSnapshot RunStripedCellOnce(
-    int writers, int stripes,
-    const std::vector<std::vector<int64_t>>& streams) {
-  auto ingestor = StripedShardIngestor::Create(
-      /*shard_id=*/0, kDomain, kK, kBufferCapacity, MergingOptions(), stripes);
-  if (!ingestor.ok()) Die("StripedShardIngestor::Create", ingestor.status());
-  std::vector<StripedShardIngestor::Writer> handles;
-  handles.reserve(static_cast<size_t>(writers));
-  for (int w = 0; w < writers; ++w) {
-    auto handle = (*ingestor)->RegisterWriter();
-    if (!handle.ok()) Die("RegisterWriter", handle.status());
-    handles.push_back(std::move(handle).value());
-  }
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(writers));
-  for (int w = 0; w < writers; ++w) {
-    threads.emplace_back([&, w] {
-      const std::vector<int64_t>& stream = streams[static_cast<size_t>(w)];
-      for (size_t off = 0; off < stream.size(); off += kStripedBatch) {
-        const size_t len = std::min(kStripedBatch, stream.size() - off);
-        if (!handles[static_cast<size_t>(w)]
-                 .Append(Span<const int64_t>(stream.data() + off, len))
-                 .ok()) {
-          failed.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  if (failed.load(std::memory_order_relaxed)) {
-    Die("Writer::Append", Status::Invalid("append failed mid-stream"));
-  }
-  auto snapshot = (*ingestor)->ExportSnapshot();
-  if (!snapshot.ok()) Die("ExportSnapshot", snapshot.status());
-  return std::move(snapshot).value();
-}
-
-int RunStripedGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
-  const std::vector<int> writer_counts =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-  const std::vector<int> stripe_counts =
-      smoke ? std::vector<int>{4} : std::vector<int>{4, 8, 16};
-  const int64_t samples_per_writer = smoke ? 8192 : 65536;
-
-  // One stream per writer slot, shared by every cell: cells differ only in
-  // how many writers drain them and across how many stripes.
-  const AliasSampler& sampler = SharedSampler();
-  const int max_writers =
-      *std::max_element(writer_counts.begin(), writer_counts.end());
-  std::vector<std::vector<int64_t>> streams;
-  streams.reserve(static_cast<size_t>(max_writers));
-  for (int w = 0; w < max_writers; ++w) {
-    Rng rng(0x57a1bed0 + static_cast<uint64_t>(w));
-    streams.push_back(sampler.SampleMany(
-        static_cast<size_t>(samples_per_writer), &rng));
-  }
-
-  struct Cell {
-    int writers = 0;
-    int stripes = 0;
-  };
-  std::vector<Cell> cells;
-  for (const int stripes : stripe_counts) {
-    for (const int writers : writer_counts) {
-      // A stripe stays claimed for a writer's lifetime, so a cell needs at
-      // least as many stripes as writers.
-      if (writers > stripes) continue;
-      cells.push_back({writers, stripes});
-    }
-  }
-
-  // Min-of-R with the reps interleaved and rotated across cells (the
-  // bench_micro pattern): every cell's reps are spread over the whole
-  // wall-clock window, so a noisy stretch of the machine hurts all cells
-  // alike instead of poisoning whichever cell owned it.  Pass -1 is an
-  // uncounted warm-up.
-  std::vector<double> best_ms(cells.size(), 0.0);
-  std::vector<ShardSnapshot> last_snapshot(cells.size());
-  for (int rep = -1; rep < reps; ++rep) {
-    for (size_t j = 0; j < cells.size(); ++j) {
-      const size_t ci = (static_cast<size_t>(rep + 1) + j) % cells.size();
-      const Cell& cell = cells[ci];
-      WallTimer timer;
-      ShardSnapshot snapshot =
-          RunStripedCellOnce(cell.writers, cell.stripes, streams);
-      const double ms = timer.ElapsedMillis();
-      if (rep >= 0 && (best_ms[ci] == 0.0 || ms < best_ms[ci])) {
-        best_ms[ci] = ms;
-      }
-      last_snapshot[ci] = std::move(snapshot);
-    }
-  }
-
-  // Correctness gate (outside the timed region): exact count and unit mass
-  // on every cell's final export.
-  for (size_t ci = 0; ci < cells.size(); ++ci) {
-    const int64_t expected =
-        static_cast<int64_t>(cells[ci].writers) * samples_per_writer;
-    if (last_snapshot[ci].num_samples != expected) {
-      std::fprintf(stderr, "bench_service: cell w%d_s%d counted %lld != %lld\n",
-                   cells[ci].writers, cells[ci].stripes,
-                   static_cast<long long>(last_snapshot[ci].num_samples),
-                   static_cast<long long>(expected));
-      return 2;
-    }
-    auto decoded = DecodeHistogram(last_snapshot[ci].encoded_histogram);
-    if (!decoded.ok()) Die("DecodeHistogram", decoded.status());
-    if (std::abs(decoded->TotalMass() - 1.0) > 1e-6) {
-      std::fprintf(stderr, "bench_service: striped mass drifted to %.9f\n",
-                   decoded->TotalMass());
-      return 2;
-    }
-  }
-
-  TablePrinter table({"writers", "stripes", "thr eff", "ms",
-                      "ingest Msamp/s", "speedup vs 1w"});
-  for (size_t ci = 0; ci < cells.size(); ++ci) {
-    const Cell& cell = cells[ci];
-    // The single-writer cell at the same stripe count is the scaling
-    // baseline (same reconcile fan-in, same per-stripe capacity).
-    double one_writer_ms = best_ms[ci];
-    for (size_t bj = 0; bj < cells.size(); ++bj) {
-      if (cells[bj].writers == 1 && cells[bj].stripes == cell.stripes) {
-        one_writer_ms = best_ms[bj];
-      }
-    }
-    const double total_samples =
-        static_cast<double>(cell.writers) *
-        static_cast<double>(samples_per_writer);
-    const double msamples_per_s = total_samples / (best_ms[ci] * 1e3);
-    // Throughput scaling: W writers push W x the samples, so the ratio of
-    // throughputs is W * ms_1writer / ms.
-    const double speedup =
-        best_ms[ci] > 0.0
-            ? static_cast<double>(cell.writers) * one_writer_ms / best_ms[ci]
-            : 0.0;
-    const int threads_effective = EffectiveParallelism(cell.writers);
-    const std::string name = "striped_w" + std::to_string(cell.writers) +
-                             "_s" + std::to_string(cell.stripes);
-    writer.Add(name,
-               {{"writers", static_cast<double>(cell.writers)},
-                {"stripes", static_cast<double>(cell.stripes)},
-                {"threads_effective", static_cast<double>(threads_effective)},
-                {"samples_per_writer",
-                 static_cast<double>(samples_per_writer)},
-                {"reps", static_cast<double>(reps)},
-                {"ms", best_ms[ci]},
-                {"ingest_msamples_per_s", msamples_per_s},
-                {"speedup_vs_1writer", speedup},
-                {"error_levels",
-                 static_cast<double>(last_snapshot[ci].error_levels)}});
-    table.AddRow({TablePrinter::FormatInt(cell.writers),
-                  TablePrinter::FormatInt(cell.stripes),
-                  TablePrinter::FormatInt(threads_effective),
-                  TablePrinter::FormatDouble(best_ms[ci], 3),
-                  TablePrinter::FormatDouble(msamples_per_s, 2),
-                  TablePrinter::FormatDouble(speedup, 2)});
-  }
   table.Print(std::cout);
   return 0;
 }
@@ -670,10 +489,10 @@ int RunStoreGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
   }
 
   // Timed passes, min-of-R with the reps interleaved and rotated across
-  // cells (RunStripedGrid's pattern): each rep times every cell's store
-  // pass (store create + reserve + generate + AddBatch everything) and its
-  // ShardIngestor baseline back to back, so a swing in host speed hits
-  // every cell alike instead of moving one cell against its neighbours.
+  // cells: each rep times every cell's store pass (store create + reserve +
+  // generate + AddBatch everything) and its ShardIngestor baseline back to
+  // back, so a swing in host speed hits every cell alike instead of moving
+  // one cell against its neighbours.
   // Pass -1 is an uncounted warm-up.
   std::vector<double> store_ms(cells.size(), 0.0);
   std::vector<double> baseline_ms(cells.size(), 0.0);
@@ -1136,7 +955,6 @@ int main(int argc, char** argv) {
 
   const bool smoke = HasFlag(argc, argv, "--smoke");
   const bool grid_flag = HasFlag(argc, argv, "--grid");
-  const bool striped_flag = HasFlag(argc, argv, "--striped-grid");
   const bool store_flag = HasFlag(argc, argv, "--store-grid");
   const bool net_flag = HasFlag(argc, argv, "--net-grid");
   const bool require_scaling = HasFlag(argc, argv, "--require-scaling");
@@ -1160,12 +978,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // With no shard-level flag, run both shard grids into the same trajectory
-  // file.  The keyed store and net grids are opt-in only and write their own
-  // files.
-  const bool run_grid = grid_flag || (!striped_flag && !store_flag && !net_flag);
-  const bool run_striped =
-      striped_flag || (!grid_flag && !store_flag && !net_flag);
+  // With no grid flag, run the shard grid.  The keyed store and net grids
+  // are opt-in only and write their own files.
+  const bool run_grid = grid_flag || (!store_flag && !net_flag);
 
   fasthist::bench_util::JsonBenchWriter writer("service");
   writer.AddContext("domain", static_cast<double>(fasthist::kDomain));
@@ -1181,15 +996,12 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (run_grid) rc = fasthist::RunGrid(smoke, reps, writer);
-  if (rc == 0 && run_striped) {
-    rc = fasthist::RunStripedGrid(smoke, reps, writer);
-  }
   if (rc != 0) return rc;
 
   // Only a run that produced shard-grid records may touch the service
   // trajectory file — a store-only invocation from the repo root must not
   // clobber the committed BENCH_service.json with an empty record set.
-  if (run_grid || run_striped) {
+  if (run_grid) {
     if (!writer.WriteFile(out_path)) {
       std::fprintf(stderr, "bench_service: cannot write %s\n",
                    out_path.c_str());

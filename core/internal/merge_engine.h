@@ -83,7 +83,7 @@ void ResetEngineCountersForTesting();
 // a partition that starts at or below that threshold is returned as-is —
 // so every output satisfies pieces <= min(this bound, domain_size).
 // Callers that pre-size fixed-capacity buffers for engine outputs (the
-// striped ingestor's lock-free summary planes) size them with this.
+// keyed store's ladder level planes) size them with this.
 int64_t MaxSurvivingPieces(int64_t k, const MergingOptions& options);
 
 // The histogram rounds run in a per-thread workspace: the partition

@@ -37,8 +37,8 @@ class StreamingHistogramBuilder {
       const MergingOptions& options = MergingOptions());
 
   // Copyable (tests snapshot builder state by value) and movable: pools
-  // that recycle builders — or hand them between stripes — can move-assign
-  // into an existing slot without reallocating the destination's buffers.
+  // that recycle builders can move-assign into an existing slot without
+  // reallocating the destination's buffers.
   StreamingHistogramBuilder(const StreamingHistogramBuilder&) = default;
   StreamingHistogramBuilder& operator=(const StreamingHistogramBuilder&) =
       default;
@@ -88,15 +88,15 @@ class StreamingHistogramBuilder {
     return summarized_count_ + static_cast<int64_t>(buffer_.size());
   }
 
-  // --- Generation hooks for concurrent wrappers ---------------------------
+  // --- State hooks --------------------------------------------------------
   //
-  // The builder itself is single-writer and unsynchronized; these hooks are
-  // what service/striped_ingestor.h's seqlock protocol is built from.  The
-  // generation counts committed condenses (buffer -> ladder commits), so a
-  // wrapper can tag everything it republishes for concurrent readers with
-  // the generation it was derived from, bracket the builder's mutation
-  // window with an odd/even epoch, and detect "a condense happened while I
-  // was reading" as a generation change.
+  // The builder itself is single-writer and unsynchronized.  These hooks
+  // expose its commit state: the generation counts committed condenses
+  // (buffer -> ladder commits), so a caller that keeps a copy of the
+  // committed summary can tell whether it is still current, and the
+  // committed summary plus the buffer are exactly the inputs of
+  // FoldBufferIntoSummary, the read-side fold the keyed store reuses
+  // (store/archetype_pool.cc).  streaming_test pins their contracts.
 
   // Committed condenses so far; bumped exactly once per buffer commit
   // (Flush with a non-empty buffer), never by Peek.
@@ -114,8 +114,8 @@ class StreamingHistogramBuilder {
   // One "level" is one lossy step: a buffer condense, a committed carry
   // merge, or the read-side fold pass that chains the live slots (and the
   // buffered remainder) left to right — the same convention as
-  // MergeTreeResult::error_levels and StripedShardIngestor's
-  // kReconcileErrorLevels, so budgets compose additively across layers.
+  // MergeTreeResult::error_levels, so budgets compose additively across
+  // layers.
 
   // 1 + the highest occupied ladder level (0 when nothing is committed):
   // the deepest commit-side chain any sample has passed through, counting
@@ -137,16 +137,15 @@ class StreamingHistogramBuilder {
   // The committed ladder folded to a single histogram (valid only when
   // summarized_count() > 0): live slots chained oldest (highest level)
   // first, with no buffered remainder mixed in.  This is the exact prefix
-  // of the Peek() fold, so a wrapper that republishes it and later folds a
-  // buffer copy in with FoldBufferIntoSummary reproduces Peek()
-  // bit-identically (the striped ingestor's export path).
+  // of the Peek() fold, so a caller that keeps it and later folds a buffer
+  // copy in with FoldBufferIntoSummary reproduces Peek() bit-identically.
   StatusOr<Histogram> CommittedSummary() const;
 
-  // The condense+fold step the read path is built from, exposed so wrappers
+  // The condense+fold step the read path is built from, exposed so callers
   // can run the exact same computation on state they manage themselves
-  // (e.g. a seqlock-consistent copy read off another thread's stripe):
-  // condenses `buffer` (non-empty, in-domain) to a ~2k+1-piece histogram
-  // and, when `summary` is non-null, folds it in with weights
+  // (the keyed store's SoA slots, store/archetype_pool.cc): condenses
+  // `buffer` (non-empty, in-domain) to a ~2k+1-piece histogram and, when
+  // `summary` is non-null, folds it in with weights
   // (summarized_count : buffer.size()).  Pure: no builder involved,
   // bit-identical to what Peek()/Snapshot() produce from the same
   // (CommittedSummary, summarized_count, buffer) state.
@@ -184,8 +183,7 @@ class StreamingHistogramBuilder {
   // The Peek() computation: fold the live ladder slots highest level first,
   // then chain the condensed buffer in.  Snapshot() returns this value
   // computed *before* its Flush commits, which is what keeps Peek() ==
-  // Snapshot() bit-identical, and the striped ingestor's exports
-  // bit-identical to a per-stripe serial replay.
+  // Snapshot() bit-identical.
   StatusOr<Histogram> FoldedView() const;
 
   int64_t domain_size_;

@@ -33,11 +33,10 @@ class IngestClient {
   IngestClient(const IngestClient&) = delete;
   IngestClient& operator=(const IngestClient&) = delete;
 
-  // The server's disposition of one batch: either rejected at the hard
-  // watermark (`rejected`, with the queue state that tripped it) or
-  // accepted with the shed accounting (`ack` — keep_shift > 0 means the
-  // soft tier thinned the batch; the kept indices are i % (1 << keep_shift)
-  // == 0, so the caller can reconstruct the accepted subsequence exactly).
+  // The server's disposition of one batch: the shed and reject accounting
+  // per partition (`ack`; ReconstructAccepted rebuilds the accepted
+  // subsequence from it exactly).  `rejected` and `rejected_info` are set
+  // only by a kRejected reply, which no server sends.
   struct IngestResult {
     bool rejected = false;
     IngestAck ack;

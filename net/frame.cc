@@ -436,8 +436,8 @@ std::vector<KeyedSample> ReconstructAccepted(Span<const KeyedSample> batch,
                                              uint32_t num_partitions) {
   std::vector<KeyedSample> kept;
   if (ack.partitions.empty()) {
-    // Single-loop shape: one stride over the whole batch (rejected != 0
-    // would have come as a kRejected frame instead of an ack).
+    // Un-partitioned shape: one stride over the whole batch.  The server
+    // sends it only for an empty batch.
     const uint64_t stride = uint64_t{1} << ack.keep_shift;
     for (size_t i = 0; i < batch.size(); ++i) {
       if (i % stride == 0) kept.push_back(batch[i]);

@@ -32,7 +32,7 @@ namespace fasthist {
 enum class FrameType : uint32_t {
   kIngest = 1,         // client -> server: a batch of KeyedSamples
   kIngestAck = 2,      // server -> client: accepted/shed accounting
-  kRejected = 3,       // server -> client: batch refused (hard watermark)
+  kRejected = 3,       // decoded for wire compatibility; no server sends it
   kSnapshotPull = 4,   // client -> server: export one key's snapshot
   kSnapshotPush = 5,   // server -> client: wire v2/v3 snapshot envelope
   kQuantileQuery = 6,  // client -> server: quantile of one key
@@ -70,13 +70,13 @@ struct PartitionDisposition {
 // preserves the sample distribution (quantiles stay unbiased), but count
 // readouts must be rescaled by it.
 //
-// The sharded server applies shedding *per partition* and fills
-// `partitions` with one entry per partition the batch touched; the
-// top-level accepted/shed/rejected are then sums over the entries and
-// keep_shift is the maximum stride any partition applied (a summary for
-// single-loop-era dashboards).  When `partitions` is empty the whole batch
-// was disposed with the single top-level stride (the single-loop server).
-// ReconstructAccepted (below) handles both shapes.
+// The server applies shedding *per partition* and fills `partitions` with
+// one entry per partition the batch touched; the top-level
+// accepted/shed/rejected are sums over the entries and keep_shift is the
+// maximum stride any partition applied (a one-number summary).  An ACK
+// with empty `partitions` disposes of the whole batch with the one
+// top-level stride; the server sends that shape only for an empty batch,
+// and ReconstructAccepted (below) accepts it.
 struct IngestAck {
   uint64_t accepted = 0;
   uint64_t shed = 0;
@@ -86,6 +86,8 @@ struct IngestAck {
 };
 
 // Payload of kRejected: the queue state that tripped the hard watermark.
+// Kept for wire compatibility; the server reports rejections in the
+// kIngestAck instead.
 struct RejectedInfo {
   uint64_t queue_depth = 0;
   uint64_t hard_watermark = 0;
@@ -121,11 +123,10 @@ struct PartitionStats {
 // streaming histograms (net/latency_recorder.h).  Latencies are
 // microseconds; the ingest class times frame-decode -> ACK-queued, the
 // query class times frame-decode -> reply-queued for pulls and quantiles.
-// Sharded servers report num_loops > 1 and one PartitionStats per
-// partition; the top-level latency quantiles are then the *merge* of every
-// loop's recorder (the library's own mergeability at work), and the
-// top-level counters are sums.  The single-loop server reports
-// num_loops = 1 with one partition entry mirroring its global counters.
+// The server reports num_loops and one PartitionStats per partition; the
+// top-level latency quantiles are the *merge* of every loop's recorder
+// (the library's own mergeability at work), and the top-level counters are
+// sums over loops and partitions.
 struct ServerStats {
   uint64_t frames_received = 0;
   uint64_t connections_accepted = 0;
@@ -252,10 +253,10 @@ StatusOr<ErrorReply> DecodeErrorReply(Span<const uint8_t> payload);
 // ingested, in original batch order.  With per-partition dispositions the
 // stride is applied within each partition's subsequence (the same
 // PartitionOfKey walk the server did); without them the top-level stride
-// applies to the whole batch (single-loop server).  A partition entry with
-// rejected != 0 contributed nothing; a partition the batch touched but the
-// ACK omits likewise contributed nothing (defensive — the server always
-// emits touched partitions).
+// applies to the whole batch (the server omits them only for an empty
+// batch).  A partition entry with rejected != 0 contributed nothing; a
+// partition the batch touched but the ACK omits likewise contributed
+// nothing (defensive — the server always emits touched partitions).
 std::vector<KeyedSample> ReconstructAccepted(Span<const KeyedSample> batch,
                                              const IngestAck& ack,
                                              uint32_t num_partitions);

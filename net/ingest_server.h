@@ -1,48 +1,48 @@
 #ifndef FASTHIST_NET_INGEST_SERVER_H_
 #define FASTHIST_NET_INGEST_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
-#include <thread>
 
-#include "net/event_loop.h"
 #include "net/frame.h"
-#include "net/latency_recorder.h"
 #include "store/archetype_pool.h"
-#include "store/summary_store.h"
-#include "util/status.h"
 
 namespace fasthist {
 
+// The server-wide knobs of ShardedIngestServer (net/sharded_ingest_server.h),
+// which holds them as ShardedIngestServerOptions::base.  The flush triggers
+// and the watermarks act per partition: each worker loop judges only the
+// samples its own partition has accepted but not yet flushed.
 struct IngestServerOptions {
   // Loopback by default: the bench and tests drive the server over
   // 127.0.0.1, and a histogram service has no business on 0.0.0.0 unless
   // deliberately deployed there.
   std::string bind_address = "127.0.0.1";
-  uint16_t port = 0;  // 0 = ephemeral; IngestServer::port() reports it
+  uint16_t port = 0;  // 0 = ephemeral; the server's port() reports it
 
   // The keyed store every accepted sample lands in (archetype 0).
   ArchetypeConfig archetype;
   // Identity stamped on snapshots this server exports.
   uint64_t shard_id = 0;
 
-  // Batch flush triggers: a connection's queue is flushed to
-  // SummaryStore::AddBatch when it holds >= flush_batch samples (size
-  // trigger) or when its oldest enqueued sample turns flush_deadline_us old
-  // (deadline trigger) — whichever fires first.
+  // Batch flush triggers, per partition: the samples a partition has
+  // drained from its hand-off rings are flushed to SummaryStore::AddBatch
+  // when they number >= flush_batch (size trigger) or when the oldest of
+  // them turns flush_deadline_us old (deadline trigger), whichever fires
+  // first.
   size_t flush_batch = 4096;
   uint64_t flush_deadline_us = 2000;
 
-  // Two-tier overload policy, per connection, in queued samples:
-  //   depth <= soft_watermark          accept everything
-  //   soft < depth < hard_watermark    degrade to sampling (see below)
-  //   depth >= hard_watermark          reply kRejected, drop the batch
-  // The hard watermark is the bounded-queue guarantee: a connection never
-  // queues more than hard_watermark + one decoded batch of samples, so
-  // server memory is bounded by connections * (hard_watermark + batch)
-  // no matter how fast clients push.
+  // Two-tier overload policy, per partition, in accepted-but-unflushed
+  // samples (the partition's depth):
+  //   depth <= soft_watermark          accept the batch's slice whole
+  //   soft < depth < hard_watermark    keep every 2^s-th sample (s = 1..4)
+  //   depth >= hard_watermark          reject the slice
+  // A rejected slice is reported in the kIngestAck (its partition entry's
+  // `rejected`); no server replies kRejected.  The hard watermark bounds
+  // memory: a partition never holds more than hard_watermark plus one
+  // slice per producer loop, no matter how fast clients push.
   size_t soft_watermark = 16384;
   size_t hard_watermark = 65536;
 
@@ -60,126 +60,6 @@ struct IngestServerOptions {
   // max-size frame, or every oversized reply would tear its connection
   // down.
   size_t max_reply_backlog = size_t{4} << 20;
-};
-
-// The socket front-end (ROADMAP item 2): a TCP server speaking the framed
-// protocol of net/frame.h, feeding accepted KeyedSample batches into a
-// SummaryStore through bounded per-connection queues, and answering
-// snapshot pulls (wire v2/v3 envelopes), quantile queries, and stats
-// probes.  Single-threaded by construction: everything — sockets, queues,
-// the store, the latency recorders — lives on the event-loop thread, so
-// there is not one lock on the request path.  Start() spawns that thread;
-// Shutdown() drains it gracefully.
-//
-// Load shedding (the soft tier) is degrade-to-sampling by deterministic
-// systematic thinning: at queue depth d in (soft, hard), a batch is kept
-// only at indices i with i % (1 << s) == 0, where the stride shift
-//
-//   s = 1 + floor(3 * (d - soft) / (hard - soft)),  clamped to [1, 4]
-//
-// escalates with depth (keep 1/2 down to 1/16).  Uniform thinning
-// preserves the sample *distribution* (quantile estimates stay unbiased),
-// and the ACK records (accepted, shed, keep_shift) so the client holds the
-// exact weight correction — and, because the kept index set is a
-// deterministic function of the recorded stride, the accepted subsequence
-// is exactly reconstructible: "server summaries are bit-identical to an
-// offline replay of the accepted samples" is a testable contract even
-// through an overload (net_test and the --net-grid overload cell check it).
-//
-// Self-measurement: every ingest and query request is timed (frame
-// dispatch to reply queued) into LatencyRecorders built on this library's
-// own streaming histograms, and a kStats frame answers with the server's
-// own P50/P99/P99.5 — the service measures itself with the very summaries
-// it serves.
-class IngestServer {
- public:
-  // Binds and listens (so port() is live immediately) but does not serve
-  // until Start().
-  static StatusOr<std::unique_ptr<IngestServer>> Create(
-      const IngestServerOptions& options);
-
-  ~IngestServer();
-
-  IngestServer(const IngestServer&) = delete;
-  IngestServer& operator=(const IngestServer&) = delete;
-
-  uint16_t port() const { return port_; }
-
-  // Spawns the event-loop thread and begins accepting connections.
-  Status Start();
-
-  // Graceful shutdown: stops accepting, flushes every connection's queued
-  // samples into the store (partial deadline batches included), closes the
-  // sockets, stops the loop, and joins the thread.  After Shutdown the
-  // final store state is exactly "all accepted samples, flushed in
-  // connection order" — the bit-identical-replay regression test's anchor.
-  // Idempotent; also runs from the destructor if the caller forgot.
-  Status Shutdown();
-
-  // Post-shutdown inspection (the loop thread owns these while serving; a
-  // live server answers through kSnapshotPull / kStats frames instead —
-  // that self-serving path is the one the bench exercises).
-  const SummaryStore& store() const { return *store_; }
-  ServerStats stats() const;
-
- private:
-  struct Connection;
-
-  explicit IngestServer(IngestServerOptions options);
-
-  Status Bind();
-  // Everything below runs on the loop thread.
-  void OnListenerReadable();
-  void OnConnectionIo(int fd, EventLoop::IoEvent event);
-  void OnConnectionReadable(Connection& conn);
-  void HandleFrame(Connection& conn, const Frame& frame);
-  void HandleIngest(Connection& conn, const Frame& frame, uint64_t start_ns);
-  void HandleSnapshotPull(Connection& conn, const Frame& frame,
-                          uint64_t start_ns);
-  void HandleQuantileQuery(Connection& conn, const Frame& frame,
-                           uint64_t start_ns);
-  void HandleStats(Connection& conn, uint64_t start_ns);
-  ServerStats BuildStats() const;
-
-  // Flushes `conn`'s queue into the store (cancelling any deadline timer).
-  void FlushQueue(Connection& conn);
-  void ScheduleDeadlineFlush(Connection& conn);
-  // Queues the encoded frame on the connection and pumps the socket.  The
-  // send path can tear the connection down — a write error (peer reset) or
-  // a reply backlog past max_reply_backlog both CloseConnection — so these
-  // return whether `conn` is still alive; on false the reference is
-  // dangling and the caller must not touch it again.
-  bool SendFrame(Connection& conn, FrameType type,
-                 Span<const uint8_t> payload);
-  bool SendError(Connection& conn, ErrorCode code, const std::string& message);
-  bool PumpWrites(Connection& conn);
-  // Accept hit a persistent error (fd exhaustion): unwatch the listener so
-  // level-triggered poll cannot hot-spin on it, and re-arm via a timer.
-  void PauseAccepting();
-  // Protocol-violation teardown: best-effort error reply, then close once
-  // the write buffer drains (queued samples are flushed first — they were
-  // accepted and ACKed, so they are part of the server's committed state).
-  void DropConnection(Connection& conn, ErrorCode code,
-                      const std::string& message);
-  void CloseConnection(int fd);
-  void GracefulStop();
-
-  IngestServerOptions options_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  uint64_t accept_rearm_timer_id_ = 0;  // 0 = accepting normally
-
-  std::unique_ptr<EventLoop> loop_;
-  std::thread loop_thread_;
-  bool started_ = false;
-  bool stopped_ = false;
-
-  // Loop-thread state.
-  std::unique_ptr<SummaryStore> store_;
-  std::map<int, std::unique_ptr<Connection>> connections_;  // key: fd
-  std::unique_ptr<LatencyRecorder> ingest_latency_;
-  std::unique_ptr<LatencyRecorder> query_latency_;
-  ServerStats counters_;  // latency fields filled on demand by BuildStats
 };
 
 }  // namespace fasthist

@@ -27,10 +27,17 @@ Status SetNonBlockingFd(int fd) {
   return Status::Ok();
 }
 
-// Same accept-failure backoff as the single-loop server.
+// How long accepting pauses after a persistent accept() failure (fd
+// exhaustion), so the level-triggered listener cannot hot-spin.
 constexpr uint64_t kAcceptRearmDelayNanos = 100ull * 1000 * 1000;
 
-// The single-loop server's depth-escalated stride, reused per partition.
+// The soft tier's stride shift for a partition at `depth`: a slice keeps
+// only indices i with i % (1 << s) == 0, where
+//
+//   s = 1 + floor(3 * (depth - soft) / (hard - soft)),  clamped to [1, 4]
+//
+// so thinning escalates from keep 1/2 to keep 1/16 as the depth climbs
+// toward the hard watermark (0 = keep all, at or below soft).
 uint32_t KeepShiftForDepth(uint64_t depth, size_t soft, size_t hard) {
   if (depth <= soft) return 0;
   const uint64_t span = hard - soft;
@@ -41,12 +48,12 @@ uint32_t KeepShiftForDepth(uint64_t depth, size_t soft, size_t hard) {
 
 }  // namespace
 
-// Per-connection state, owned by exactly one worker loop.  Unlike the
-// single-loop server there is no sample queue here: accepted slices go
-// straight into the owner partitions' hand-off rings at ingest time, so a
-// connection's teardown never has samples to rescue.  `id` disambiguates
-// fd reuse: replies built on another loop come back as (fd, id) and are
-// dropped if either no longer matches.
+// Per-connection state, owned by exactly one worker loop.  There is no
+// sample queue here: accepted slices go straight into the owner
+// partitions' hand-off rings at ingest time, so a connection's teardown
+// never has samples to rescue.  `id` disambiguates fd reuse: replies built
+// on another loop come back as (fd, id) and are dropped if either no
+// longer matches.
 //
 // Replies leave in request order (frames carry no request id, so a
 // pipelining client pairs them by position).  Ingest and error replies are
@@ -154,7 +161,10 @@ StatusOr<std::unique_ptr<ShardedIngestServer>> ShardedIngestServer::Create(
     return Status::Invalid(
         "ShardedIngestServer: max_connections must be positive");
   }
-  if (base.max_reply_backlog < base.max_frame_payload + kFrameHeaderBytes) {
+  // Written without the sum max_frame_payload + kFrameHeaderBytes, which
+  // wraps for a frame cap within 16 of UINT64_MAX.
+  if (base.max_reply_backlog < kFrameHeaderBytes ||
+      base.max_reply_backlog - kFrameHeaderBytes < base.max_frame_payload) {
     return Status::Invalid(
         "ShardedIngestServer: max_reply_backlog must fit one max-size frame");
   }

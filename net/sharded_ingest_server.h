@@ -17,22 +17,20 @@
 #include "store/partitioned_store.h"
 #include "util/status.h"
 
-// IngestServerOptions is the shared knob set (watermarks, flush triggers,
-// frame caps) — the sharded server reuses it verbatim as `base`.
+// IngestServerOptions: the server-wide knobs, held below as `base`.
 #include "net/ingest_server.h"
 
 namespace fasthist {
 
 struct ShardedIngestServerOptions {
-  // Address, archetype, flush triggers, watermarks, caps — identical
-  // meaning to the single-loop server, except the watermarks and the queue
-  // bound now apply *per partition* (see below).
+  // Address, archetype, flush triggers, watermarks, caps.  The flush
+  // triggers and the watermarks act per partition (net/ingest_server.h).
   IngestServerOptions base;
 
   // Worker event loops = key-hash partitions.  Must be a power of two
-  // (PartitionOfKey masks, it does not divide).  1 degenerates to the
-  // single-loop topology — same code path, which is what the loops axis of
-  // the bench compares against.
+  // (PartitionOfKey masks, it does not divide).  1 runs the acceptor and
+  // the one partition on a single loop through the same code path; the
+  // loops axis of the bench compares against it.
   int num_loops = 4;
 
   // Capacity (batches, power of two) of each (owner, producer) hand-off
@@ -65,15 +63,18 @@ struct ShardedIngestServerOptions {
 // PartitionOfKey, and applies the two-tier shed policy *per partition*
 // against that partition's accepted-but-unflushed depth: at or past the
 // hard watermark (or with the hand-off ring full) the slice is rejected
-// outright; between the watermarks it is thinned with the deterministic
-// stride of the single-loop server; below the soft watermark it is kept
-// whole.  Kept slices are pushed into the owner's ring *before* the ACK is
-// sent, so by the time a client sees its ACK the samples are visible to any
+// outright; between the watermarks it is thinned by keeping every
+// (1 << s)-th sample, with s escalating from 1 to 4 as the depth climbs
+// (deterministic systematic thinning keeps the sample distribution, so
+// quantiles stay unbiased); below the soft watermark it is kept whole.
+// Kept slices are pushed into the owner's ring *before* the ACK is sent,
+// so by the time a client sees its ACK the samples are visible to any
 // later drain — the freshness contract queries rely on.  The ACK carries
-// one PartitionDisposition per touched partition, which keeps the
-// bit-identical-replay contract of PR 9 alive under sharding: a client
-// replays each partition's stride over its subsequence
-// (ReconstructAccepted) and must land on exactly the server's state.
+// one PartitionDisposition per touched partition (a rejection included;
+// there is no kRejected reply), which makes the bit-identical-replay
+// contract checkable: a client replays each partition's stride over its
+// subsequence (ReconstructAccepted) and must land on exactly the server's
+// state.
 //
 // Hand-off is one bounded SPSC ring per (owner, producer) pair — single
 // producer (the receiving loop), single consumer (the owner loop), so the
@@ -181,8 +182,10 @@ class ShardedIngestServer {
                      const std::shared_ptr<StatsGather>& gather);
   ServerStats AggregateStats(const StatsGather& gather) const;
 
-  // --- Write path (the owning worker's loop); alive-bool contract as in
-  // the single-loop server: false means the connection is gone. ---
+  // --- Write path (the owning worker's loop).  These return whether the
+  // connection is still alive: a write error (peer reset) or a reply
+  // backlog past max_reply_backlog closes it, and on false the reference
+  // is dangling and the caller must not touch it again. ---
   bool SendFrame(Worker& w, Connection& conn, FrameType type,
                  Span<const uint8_t> payload);
   bool SendError(Worker& w, Connection& conn, ErrorCode code,

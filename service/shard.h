@@ -40,12 +40,8 @@ class ShardIngestor {
   // Wire-encoded summary of everything ingested so far.  Const: built on
   // StreamingHistogramBuilder::Peek, so exporting never flushes the buffer
   // or perturbs the summaries later ingest will produce.  Callers must
-  // serialize exports against concurrent Ingest calls on the same shard —
-  // this class is the simple single-writer front-end.  When many threads
-  // feed one shard, or exports must run while writers keep appending, use
-  // StripedShardIngestor (service/striped_ingestor.h): same snapshot
-  // format, wait-free concurrent appends, and exports that never block
-  // writers.
+  // serialize exports against concurrent Ingest calls on the same shard:
+  // this class is a single-writer front-end.
   StatusOr<ShardSnapshot> ExportSnapshot() const;
 
  private:

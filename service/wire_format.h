@@ -54,10 +54,10 @@ struct ShardSnapshot {
   uint64_t shard_id = 0;
   int64_t num_samples = 0;  // merge weight of this summary
   // Lemma-4.2 error levels already spent producing `encoded_histogram`
-  // (condenses + merges on the shard: the builder's dyadic ladder depth
-  // plus the striped reconcile, see StreamingHistogramBuilder::
-  // error_levels).  The reducer adds its own tree depth on top, so
-  // MergeTreeResult::error_levels stays an honest end-to-end count.
+  // (condenses + merges on the shard: the builder's dyadic ladder depth,
+  // see StreamingHistogramBuilder::error_levels).  The reducer adds its
+  // own tree depth on top, so MergeTreeResult::error_levels stays an
+  // honest end-to-end count.
   // 0 only for a no-data snapshot (num_samples == 0).
   int error_levels = 0;
   std::vector<uint8_t> encoded_histogram;

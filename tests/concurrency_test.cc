@@ -1,25 +1,13 @@
-// The striped ingestor's concurrency contracts, exercised with real
-// threads: wait-free multi-writer appends with concurrent snapshot
-// readers, the seqlock's consistency guarantee (every export decodes
-// cleanly, counts never run backwards), and the determinism contract
-// (the final aggregate is bit-identical to a serial replay of the
-// per-stripe streams).  This binary is the core of the ThreadSanitizer CI
-// job (FASTHIST_TSAN) — it is the suite where a racy protocol would
-// actually interleave.
+// Real-thread coverage of the keyed store's concurrency carve-out:
+// AddBatch calls on disjoint key sets running at once, checked bit for bit
+// against a serial replay.  The ThreadSanitizer CI job (FASTHIST_TSAN) runs
+// this binary, so a racy plane publication fails there with a report.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "core/streaming.h"
-#include "service/merge_tree.h"
-#include "service/shard.h"
-#include "service/striped_ingestor.h"
-#include "service/wire_format.h"
 #include "store/summary_store.h"
 #include "tests/fasthist_test.h"
 #include "tests/histogram_testutil.h"
@@ -32,267 +20,6 @@ using ::fasthist::testing::BitIdentical;
 
 constexpr int64_t kDomain = 512;
 constexpr int64_t kK = 8;
-constexpr size_t kBuffer = 256;
-
-std::vector<int64_t> RandomStream(uint64_t seed, size_t count) {
-  Rng rng(seed);
-  std::vector<int64_t> samples;
-  samples.reserve(count);
-  for (size_t i = 0; i < count; ++i) samples.push_back(rng.UniformInt(kDomain));
-  return samples;
-}
-
-// The reconcile ExportSnapshot promises: every non-empty stripe's serial
-// summary (a plain builder Peek over that stripe's stream), folded in
-// stripe-id order through one ReduceSummaries level.  Rebuilding it here
-// from first principles is what makes the bit-identity tests a spec, not a
-// tautology.
-MergeTreeResult SerialReplayReduction(
-    const std::vector<std::vector<int64_t>>& per_stripe_streams) {
-  std::vector<ShardSummary> summaries;
-  for (const auto& stream : per_stripe_streams) {
-    if (stream.empty()) continue;
-    auto builder = StreamingHistogramBuilder::Create(kDomain, kK, kBuffer);
-    CHECK_OK(builder);
-    CHECK(builder->AddMany(stream).ok());
-    auto peek = builder->Peek();
-    CHECK_OK(peek);
-    summaries.push_back({std::move(peek).value(),
-                         static_cast<double>(stream.size()),
-                         builder->error_levels()});
-  }
-  CHECK(!summaries.empty());
-  MergeTreeOptions reconcile;
-  reconcile.fan_in =
-      summaries.size() < 2 ? 2 : static_cast<int>(summaries.size());
-  auto reduced = ReduceSummaries(std::move(summaries), kK, reconcile);
-  CHECK_OK(reduced);
-  return std::move(reduced).value();
-}
-
-Histogram SerialReplayAggregate(
-    const std::vector<std::vector<int64_t>>& per_stripe_streams) {
-  return SerialReplayReduction(per_stripe_streams).aggregate;
-}
-
-TEST(StripedSerialReplayBitIdentity) {
-  const int kStripes = 4;
-  auto striped = StripedShardIngestor::Create(7, kDomain, kK, kBuffer,
-                                              MergingOptions(), kStripes);
-  CHECK_OK(striped);
-
-  // Deal one stream round-robin over the stripes in uneven batches, the
-  // way a fleet of writer threads would — just without the threads, so the
-  // expected per-stripe streams are exact.
-  const std::vector<int64_t> stream = RandomStream(99, 10000);
-  std::vector<std::vector<int64_t>> per_stripe(kStripes);
-  std::vector<StripedShardIngestor::Writer> writers;
-  for (int i = 0; i < kStripes; ++i) {
-    auto writer = (*striped)->RegisterWriter();
-    CHECK_OK(writer);
-    CHECK(writer->stripe() == i);
-    writers.push_back(std::move(writer).value());
-  }
-  Rng rng(1234);
-  size_t offset = 0;
-  int turn = 0;
-  while (offset < stream.size()) {
-    const size_t batch =
-        std::min(static_cast<size_t>(1 + rng.UniformInt(700)),
-                 stream.size() - offset);
-    const int stripe = turn++ % kStripes;
-    CHECK(writers[static_cast<size_t>(stripe)]
-              .Append({stream.data() + offset, batch})
-              .ok());
-    per_stripe[static_cast<size_t>(stripe)].insert(
-        per_stripe[static_cast<size_t>(stripe)].end(), stream.begin() + offset,
-        stream.begin() + offset + batch);
-    offset += batch;
-  }
-
-  CHECK((*striped)->num_samples() == static_cast<int64_t>(stream.size()));
-  auto snapshot = (*striped)->ExportSnapshot();
-  CHECK_OK(snapshot);
-  CHECK(snapshot->shard_id == 7);
-  CHECK(snapshot->num_samples == static_cast<int64_t>(stream.size()));
-  auto decoded = DecodeHistogram(snapshot->encoded_histogram);
-  CHECK_OK(decoded);
-  const MergeTreeResult replay = SerialReplayReduction(per_stripe);
-  CHECK(BitIdentical(*decoded, replay.aggregate));
-  // The ladder accounting replays exactly too: each stripe's cut reports
-  // the same levels a serial builder over that stream would, and the
-  // reconcile fold adds the same depth.
-  CHECK(snapshot->error_levels == replay.error_levels);
-
-  // A second export with no intervening writes is byte-identical.
-  auto again = (*striped)->ExportSnapshot();
-  CHECK_OK(again);
-  CHECK(again->encoded_histogram == snapshot->encoded_histogram);
-  CHECK(again->error_levels == snapshot->error_levels);
-}
-
-TEST(StripedWriterLifecycleAndExhaustion) {
-  auto striped = StripedShardIngestor::Create(1, kDomain, kK, kBuffer,
-                                              MergingOptions(), 2);
-  CHECK_OK(striped);
-  CHECK((*striped)->num_stripes() == 2);
-
-  // Claim both stripes; the third registration fails without blocking.
-  auto first = (*striped)->RegisterWriter();
-  CHECK_OK(first);
-  auto second = (*striped)->RegisterWriter();
-  CHECK_OK(second);
-  CHECK(first->stripe() == 0);
-  CHECK(second->stripe() == 1);
-  CHECK(!(*striped)->RegisterWriter().ok());
-  // Single-call Ingest also needs a stripe, so it fails too.
-  CHECK(!(*striped)->Ingest({int64_t{1}, int64_t{2}}).ok());
-
-  // Releasing stripe 0 makes it the next claim (lowest-free order); the
-  // released handle refuses further appends.
-  first->Release();
-  CHECK(!first->valid());
-  CHECK(!first->Append({int64_t{1}}).ok());
-  auto reclaimed = (*striped)->RegisterWriter();
-  CHECK_OK(reclaimed);
-  CHECK(reclaimed->stripe() == 0);
-
-  // Moves transfer the claim; the moved-from handle is inert.
-  StripedShardIngestor::Writer moved = std::move(reclaimed).value();
-  CHECK(moved.valid() && moved.stripe() == 0);
-  CHECK(moved.Append({int64_t{3}, int64_t{4}}).ok());
-  // Out-of-domain: valid prefix kept, like AddMany.
-  CHECK(!moved.Append({int64_t{5}, kDomain}).ok());
-  CHECK((*striped)->num_samples() == 3);
-
-  // Destruction releases: drop every handle, then all stripes are free.
-  moved.Release();
-  second->Release();
-  auto w0 = (*striped)->RegisterWriter();
-  CHECK_OK(w0);
-  auto w1 = (*striped)->RegisterWriter();
-  CHECK_OK(w1);
-  CHECK(w0->stripe() == 0 && w1->stripe() == 1);
-
-  CHECK(!StripedShardIngestor::Create(1, kDomain, kK, kBuffer,
-                                      MergingOptions(), -1)
-             .ok());
-  CHECK(!StripedShardIngestor::Create(1, 0, kK, kBuffer).ok());
-}
-
-TEST(StripedSingleStripeMatchesShardIngestor) {
-  // With one stripe the striped ingestor degenerates to ShardIngestor:
-  // same stream, same snapshot bytes.
-  auto striped = StripedShardIngestor::Create(3, kDomain, kK, kBuffer,
-                                              MergingOptions(), 1);
-  CHECK_OK(striped);
-  auto plain = ShardIngestor::Create(3, kDomain, kK, kBuffer);
-  CHECK_OK(plain);
-
-  // Empty on both sides: the uniform summary.
-  auto empty_striped = (*striped)->ExportSnapshot();
-  CHECK_OK(empty_striped);
-  auto empty_plain = plain->ExportSnapshot();
-  CHECK_OK(empty_plain);
-  CHECK(empty_striped->encoded_histogram == empty_plain->encoded_histogram);
-
-  const std::vector<int64_t> stream = RandomStream(55, 5000);
-  CHECK((*striped)->Ingest(stream).ok());
-  CHECK(plain->Ingest(stream).ok());
-  CHECK((*striped)->num_samples() == plain->num_samples());
-  auto striped_snapshot = (*striped)->ExportSnapshot();
-  CHECK_OK(striped_snapshot);
-  auto plain_snapshot = plain->ExportSnapshot();
-  CHECK_OK(plain_snapshot);
-  CHECK(striped_snapshot->encoded_histogram ==
-        plain_snapshot->encoded_histogram);
-}
-
-TEST(StripedMultiWriterStressWithConcurrentExports) {
-  // N writer threads, each with its own claimed stripe, append randomized
-  // batches while a reader thread exports continuously.  Every export must
-  // decode cleanly with sane mass; the sample count across sequential
-  // exports must never run backwards (per-stripe counts are monotone and
-  // the seqlock forbids double-counting a window mid-condense).  At the
-  // end, the aggregate must be bit-identical to a serial replay.
-  for (const int kWriters : {2, 4, 8}) {
-    auto striped = StripedShardIngestor::Create(11, kDomain, kK, kBuffer,
-                                                MergingOptions(), kWriters);
-    CHECK_OK(striped);
-
-    std::vector<StripedShardIngestor::Writer> writers;
-    for (int i = 0; i < kWriters; ++i) {
-      auto writer = (*striped)->RegisterWriter();
-      CHECK_OK(writer);
-      writers.push_back(std::move(writer).value());
-    }
-
-    std::vector<std::vector<int64_t>> per_stripe(
-        static_cast<size_t>(kWriters));
-    std::atomic<int> writers_done{0};
-    std::atomic<bool> writer_failed{false};
-
-    std::thread reader([&] {
-      int64_t last_count = 0;
-      bool running = true;
-      while (running) {
-        // One last export after the final writer finishes, so the loop
-        // always observes the complete stream at least once.
-        running = writers_done.load(std::memory_order_acquire) < kWriters;
-        auto snapshot = (*striped)->ExportSnapshot();
-        if (!snapshot.ok()) {
-          writer_failed.store(true, std::memory_order_relaxed);
-          return;
-        }
-        auto decoded = DecodeHistogram(snapshot->encoded_histogram);
-        if (!decoded.ok() || snapshot->num_samples < last_count ||
-            decoded->TotalMass() < 0.5 || decoded->TotalMass() > 1.5) {
-          writer_failed.store(true, std::memory_order_relaxed);
-          return;
-        }
-        last_count = snapshot->num_samples;
-      }
-    });
-
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kWriters; ++t) {
-      threads.emplace_back([&, t] {
-        const std::vector<int64_t> stream =
-            RandomStream(1000 + static_cast<uint64_t>(t), 12000);
-        per_stripe[static_cast<size_t>(t)] = stream;
-        Rng rng(77 + static_cast<uint64_t>(t));
-        size_t offset = 0;
-        while (offset < stream.size()) {
-          const size_t batch =
-              std::min(static_cast<size_t>(1 + rng.UniformInt(600)),
-                       stream.size() - offset);
-          if (!writers[static_cast<size_t>(t)]
-                   .Append({stream.data() + offset, batch})
-                   .ok()) {
-            writer_failed.store(true, std::memory_order_relaxed);
-            return;
-          }
-          offset += batch;
-        }
-        writers_done.fetch_add(1, std::memory_order_acq_rel);
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    reader.join();
-    CHECK(!writer_failed.load());
-
-    // Quiescent: counts are exact and the aggregate equals the replay.
-    CHECK((*striped)->num_samples() ==
-          static_cast<int64_t>(kWriters) * 12000);
-    auto final_snapshot = (*striped)->ExportSnapshot();
-    CHECK_OK(final_snapshot);
-    CHECK(final_snapshot->num_samples ==
-          static_cast<int64_t>(kWriters) * 12000);
-    auto decoded = DecodeHistogram(final_snapshot->encoded_histogram);
-    CHECK_OK(decoded);
-    CHECK(BitIdentical(*decoded, SerialReplayAggregate(per_stripe)));
-  }
-}
 
 // The summary store's ingest carve-out: once every key exists (serial
 // EnsureKeys), AddBatch calls on *disjoint* key sets may run concurrently —

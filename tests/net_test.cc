@@ -1,9 +1,10 @@
 // The net/ layer's contracts: frame codecs total over hostile bytes, the
 // parser reassembling arbitrary chunkings, the event loop's timers and
 // cross-thread Post, the latency recorder against a sorted-vector
-// reference, and the ingest server end to end over real loopback sockets —
-// including the two-tier overload policy's bit-identical-replay guarantee,
-// live-socket frame fuzzing, and graceful-shutdown drain.
+// reference, and ShardedIngestServer end to end over real loopback sockets
+// at 1 and 4 loops — including the two-tier overload policy's
+// bit-identical-replay guarantee, live-socket frame fuzzing, hostile and
+// vanishing peers, and the graceful-shutdown drain.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -23,9 +24,10 @@
 #include "net/client.h"
 #include "net/event_loop.h"
 #include "net/frame.h"
-#include "net/ingest_server.h"
 #include "net/latency_recorder.h"
+#include "net/sharded_ingest_server.h"
 #include "service/wire_format.h"
+#include "store/partitioned_store.h"
 #include "store/summary_store.h"
 #include "tests/fasthist_test.h"
 #include "util/clock.h"
@@ -36,15 +38,24 @@ namespace {
 
 // --- Shared helpers ---------------------------------------------------------
 
-std::unique_ptr<IngestServer> StartServer(const IngestServerOptions& options) {
-  auto server = IngestServer::Create(options);
+// Every server test runs at one loop (the acceptor and the only partition
+// share a thread) and at four (batches cross loops through the hand-off
+// rings, replies hop back from the key's owner loop).
+constexpr int kLoopCounts[] = {1, 4};
+
+std::unique_ptr<ShardedIngestServer> StartServer(
+    const IngestServerOptions& base, int num_loops) {
+  ShardedIngestServerOptions options;
+  options.base = base;
+  options.num_loops = num_loops;
+  auto server = ShardedIngestServer::Create(options);
   CHECK_OK(server);
-  std::unique_ptr<IngestServer> owned = std::move(server).value();
+  std::unique_ptr<ShardedIngestServer> owned = std::move(server).value();
   CHECK(owned->Start().ok());
   return owned;
 }
 
-IngestClient ConnectTo(const IngestServer& server) {
+IngestClient ConnectTo(const ShardedIngestServer& server) {
   auto client = IngestClient::Connect("127.0.0.1", server.port());
   CHECK_OK(client);
   return std::move(client).value();
@@ -496,166 +507,180 @@ TEST(NetLatencyRecorderMatchesSortedReference) {
 // --- Loopback end to end ----------------------------------------------------
 
 TEST(NetLoopbackIngestQueryEndToEnd) {
-  IngestServerOptions options;
-  options.shard_id = 7;
-  options.flush_batch = 8;          // exercise the size trigger
-  options.flush_deadline_us = 5000; // and the deadline trigger
-  auto server = StartServer(options);
-  const int64_t domain = options.archetype.domain_size;
+  for (const int num_loops : kLoopCounts) {
+    IngestServerOptions options;
+    options.shard_id = 7;
+    options.flush_batch = 8;           // exercise the size trigger
+    options.flush_deadline_us = 5000;  // and the deadline trigger
+    auto server = StartServer(options, num_loops);
+    const int64_t domain = options.archetype.domain_size;
 
-  // Two clients with disjoint key sets: per-key store state depends only on
-  // that key's subsequence, so the offline replay below is exact no matter
-  // how the two connections' flushes interleave.
-  IngestClient alice = ConnectTo(*server);
-  IngestClient bob = ConnectTo(*server);
+    // Two clients with disjoint key sets: per-key store state depends only
+    // on that key's subsequence, so the offline replay below is exact no
+    // matter how the two connections' flushes interleave.
+    IngestClient alice = ConnectTo(*server);
+    IngestClient bob = ConnectTo(*server);
 
-  Rng rng(4242);
-  std::vector<KeyedSample> alice_sent;
-  std::vector<KeyedSample> bob_sent;
-  uint64_t batches = 0;
-  for (int round = 0; round < 12; ++round) {
-    for (uint64_t key : {uint64_t{1}, uint64_t{2}}) {
-      const std::vector<KeyedSample> batch = MakeBatch(&rng, key, 11, domain);
-      auto result = alice.Ingest(batch);
+    Rng rng(4242);
+    std::vector<KeyedSample> alice_sent;
+    std::vector<KeyedSample> bob_sent;
+    uint64_t batches = 0;
+    for (int round = 0; round < 12; ++round) {
+      for (uint64_t key : {uint64_t{1}, uint64_t{2}}) {
+        const std::vector<KeyedSample> batch =
+            MakeBatch(&rng, key, 11, domain);
+        auto result = alice.Ingest(batch);
+        CHECK_OK(result);
+        CHECK(result->ack.accepted == batch.size());
+        CHECK(result->ack.shed == 0 && result->ack.rejected == 0);
+        alice_sent.insert(alice_sent.end(), batch.begin(), batch.end());
+        ++batches;
+      }
+      const std::vector<KeyedSample> batch = MakeBatch(&rng, 3, 5, domain);
+      auto result = bob.Ingest(batch);
       CHECK_OK(result);
-      CHECK(!result->rejected);
-      CHECK(result->ack.accepted == batch.size() && result->ack.shed == 0);
-      alice_sent.insert(alice_sent.end(), batch.begin(), batch.end());
+      CHECK(result->ack.rejected == 0);
+      bob_sent.insert(bob_sent.end(), batch.begin(), batch.end());
       ++batches;
     }
-    const std::vector<KeyedSample> batch = MakeBatch(&rng, 3, 5, domain);
-    auto result = bob.Ingest(batch);
-    CHECK_OK(result);
-    CHECK(!result->rejected);
-    bob_sent.insert(bob_sent.end(), batch.begin(), batch.end());
-    ++batches;
+
+    // Offline replay: one store fed the same per-connection streams.
+    auto offline = SummaryStore::Create(options.archetype);
+    CHECK_OK(offline);
+    CHECK(offline->AddBatch(alice_sent).ok());
+    CHECK(offline->AddBatch(bob_sent).ok());
+
+    for (uint64_t key : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+      auto pulled = alice.PullSnapshot(key);
+      CHECK_OK(pulled);
+      auto expected = offline->ExportKeyedSnapshot(key, options.shard_id);
+      CHECK_OK(expected);
+      CHECK(SnapshotsBitIdentical(*pulled, *expected));
+
+      auto served = alice.Quantile(key, 0.5);
+      CHECK_OK(served);
+      auto aggregator = offline->QueryAggregator(key);
+      CHECK_OK(aggregator);
+      CHECK(served->value == aggregator->Quantile(0.5));
+      CHECK_NEAR(served->error_budget, aggregator->error_budget(), 0.0);
+      auto expected_count = offline->NumSamples(key);
+      CHECK_OK(expected_count);
+      CHECK(served->num_samples == *expected_count);
+    }
+
+    // Semantic errors leave the connection serving.
+    auto unknown = bob.Quantile(999, 0.5);
+    CHECK(!unknown.ok());
+    CHECK(unknown.status().message().find("UNKNOWN_KEY") !=
+          std::string::npos);
+    CHECK(bob.connected());
+    auto still_alive = bob.Quantile(3, 0.5);
+    CHECK_OK(still_alive);
+
+    // A partial batch below the size trigger must flush by deadline.
+    const std::vector<KeyedSample> tail = MakeBatch(&rng, 3, 3, domain);
+    CHECK_OK(bob.Ingest(tail));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    auto stats = alice.Stats();
+    CHECK_OK(stats);
+    CHECK(stats->num_loops == static_cast<uint32_t>(num_loops));
+    CHECK(stats->connections_accepted == 2);
+    CHECK(stats->batches_ingested == batches + 1);
+    CHECK(stats->samples_offered ==
+          alice_sent.size() + bob_sent.size() + tail.size());
+    CHECK(stats->samples_accepted == stats->samples_offered);
+    CHECK(stats->samples_shed == 0 && stats->batches_rejected == 0);
+    CHECK(stats->flushes_size > 0);
+    CHECK(stats->flushes_deadline > 0);
+    // The server measured itself: every ingest and query was recorded.
+    CHECK(stats->ingest_count == static_cast<int64_t>(batches + 1));
+    CHECK(stats->query_count > 0);
+    CHECK(stats->ingest_p50_us > 0.0);
+    CHECK(stats->ingest_p50_us <= stats->ingest_p99_us);
+
+    CHECK(server->Shutdown().ok());
   }
-
-  // Offline replay: one store fed the same per-connection streams.
-  auto offline = SummaryStore::Create(options.archetype);
-  CHECK_OK(offline);
-  CHECK(offline->AddBatch(alice_sent).ok());
-  CHECK(offline->AddBatch(bob_sent).ok());
-
-  for (uint64_t key : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
-    auto pulled = alice.PullSnapshot(key);
-    CHECK_OK(pulled);
-    auto expected = offline->ExportKeyedSnapshot(key, options.shard_id);
-    CHECK_OK(expected);
-    CHECK(SnapshotsBitIdentical(*pulled, *expected));
-
-    auto served = alice.Quantile(key, 0.5);
-    CHECK_OK(served);
-    auto aggregator = offline->QueryAggregator(key);
-    CHECK_OK(aggregator);
-    CHECK(served->value == aggregator->Quantile(0.5));
-    CHECK_NEAR(served->error_budget, aggregator->error_budget(), 0.0);
-    auto expected_count = offline->NumSamples(key);
-    CHECK_OK(expected_count);
-    CHECK(served->num_samples == *expected_count);
-  }
-
-  // Semantic errors leave the connection serving.
-  auto unknown = bob.Quantile(999, 0.5);
-  CHECK(!unknown.ok());
-  CHECK(unknown.status().message().find("UNKNOWN_KEY") != std::string::npos);
-  CHECK(bob.connected());
-  auto still_alive = bob.Quantile(3, 0.5);
-  CHECK_OK(still_alive);
-
-  // A partial batch below the size trigger must flush by deadline.
-  const std::vector<KeyedSample> tail = MakeBatch(&rng, 3, 3, domain);
-  CHECK_OK(bob.Ingest(tail));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  auto stats = alice.Stats();
-  CHECK_OK(stats);
-  CHECK(stats->connections_accepted == 2);
-  CHECK(stats->batches_ingested == batches + 1);
-  CHECK(stats->samples_offered ==
-        alice_sent.size() + bob_sent.size() + tail.size());
-  CHECK(stats->samples_accepted == stats->samples_offered);
-  CHECK(stats->samples_shed == 0 && stats->batches_rejected == 0);
-  CHECK(stats->flushes_size > 0);
-  CHECK(stats->flushes_deadline > 0);
-  // The server measured itself: every ingest and query was recorded.
-  CHECK(stats->ingest_count == static_cast<int64_t>(batches + 1));
-  CHECK(stats->query_count > 0);
-  CHECK(stats->ingest_p50_us > 0.0);
-  CHECK(stats->ingest_p50_us <= stats->ingest_p99_us);
-
-  CHECK(server->Shutdown().ok());
 }
 
 // --- Overload: shed, reject, and still replay bit-identically ---------------
 
 TEST(NetServerShedsAndRejectsUnderOverload) {
-  IngestServerOptions options;
-  options.shard_id = 3;
-  options.soft_watermark = 64;
-  options.hard_watermark = 256;
-  options.flush_batch = 1u << 20;        // never size-flush:
-  options.flush_deadline_us = 60000000;  // the queue only grows
-  auto server = StartServer(options);
-  const int64_t domain = options.archetype.domain_size;
+  for (const int num_loops : kLoopCounts) {
+    IngestServerOptions options;
+    options.shard_id = 3;
+    options.soft_watermark = 64;
+    options.hard_watermark = 256;
+    options.flush_batch = 1u << 20;        // never size-flush:
+    options.flush_deadline_us = 60000000;  // the depth only grows
+    auto server = StartServer(options, num_loops);
+    const int64_t domain = options.archetype.domain_size;
 
-  IngestClient client = ConnectTo(*server);
-  Rng rng(99);
-  std::vector<KeyedSample> accepted_replay;
-  bool saw_shed = false;
-  bool saw_reject = false;
-  uint64_t offered = 0;
-  for (int round = 0; round < 40; ++round) {
-    const std::vector<KeyedSample> batch = MakeBatch(&rng, 7, 32, domain);
-    offered += batch.size();
-    auto result = client.Ingest(batch);
-    CHECK_OK(result);
-    if (result->rejected) {
-      saw_reject = true;
-      CHECK(result->rejected_info.queue_depth >= options.hard_watermark);
-      CHECK(result->rejected_info.hard_watermark == options.hard_watermark);
-      continue;
+    // One key, so every batch lands whole in one partition and that
+    // partition walks keep-all -> thinned -> rejected.
+    IngestClient client = ConnectTo(*server);
+    Rng rng(99);
+    std::vector<KeyedSample> accepted_replay;
+    bool saw_shed = false;
+    bool saw_reject = false;
+    uint64_t offered = 0;
+    for (int round = 0; round < 40; ++round) {
+      const std::vector<KeyedSample> batch = MakeBatch(&rng, 7, 32, domain);
+      offered += batch.size();
+      auto result = client.Ingest(batch);
+      CHECK_OK(result);
+      const IngestAck& ack = result->ack;
+      CHECK(ack.partitions.size() == 1);
+      CHECK(ack.partitions[0].partition ==
+            PartitionOfKey(7, static_cast<uint32_t>(num_loops)));
+      if (ack.rejected != 0) {
+        // A rejection refuses the partition's whole slice and says so in
+        // the ACK.
+        saw_reject = true;
+        CHECK(ack.rejected == batch.size());
+        CHECK(ack.accepted == 0 && ack.shed == 0);
+        continue;
+      }
+      // Reconstruct the accepted subsequence from the recorded stride — the
+      // whole point of deterministic systematic thinning.
+      const std::vector<KeyedSample> kept =
+          ReconstructAccepted(batch, ack, static_cast<uint32_t>(num_loops));
+      const uint64_t stride = uint64_t{1} << ack.keep_shift;
+      CHECK(kept.size() == (batch.size() + stride - 1) / stride);
+      CHECK(ack.accepted == kept.size());
+      CHECK(ack.shed == batch.size() - kept.size());
+      accepted_replay.insert(accepted_replay.end(), kept.begin(), kept.end());
+      if (ack.keep_shift > 0) saw_shed = true;
     }
-    // Reconstruct the accepted subsequence from the recorded stride — the
-    // whole point of deterministic systematic thinning.
-    const uint64_t stride = uint64_t{1} << result->ack.keep_shift;
-    uint64_t kept = 0;
-    for (size_t i = 0; i < batch.size(); i += stride) {
-      accepted_replay.push_back(batch[i]);
-      ++kept;
-    }
-    CHECK(result->ack.accepted == kept);
-    CHECK(result->ack.shed == batch.size() - kept);
-    if (result->ack.keep_shift > 0) saw_shed = true;
+    CHECK(saw_shed);
+    CHECK(saw_reject);
+
+    auto live_stats = client.Stats();
+    CHECK_OK(live_stats);
+    CHECK(live_stats->samples_shed > 0);
+    CHECK(live_stats->batches_rejected > 0);
+    CHECK(live_stats->samples_offered == offered);
+    CHECK(live_stats->samples_accepted == accepted_replay.size());
+    // The bounded-memory guarantee: the partition never holds more than
+    // the hard watermark plus one (thinned) batch.
+    CHECK(live_stats->max_queue_depth < options.hard_watermark + 32);
+
+    CHECK(server->Shutdown().ok());
+
+    // The drained store is bit-identical to an offline replay of exactly
+    // the accepted (non-shed, non-rejected) samples.
+    auto offline = SummaryStore::Create(options.archetype);
+    CHECK_OK(offline);
+    CHECK(offline->AddBatch(accepted_replay).ok());
+    auto server_snapshot = server->store().ExportKeyedSnapshot(7, 3);
+    CHECK_OK(server_snapshot);
+    auto offline_snapshot = offline->ExportKeyedSnapshot(7, 3);
+    CHECK_OK(offline_snapshot);
+    CHECK(SnapshotsBitIdentical(*server_snapshot, *offline_snapshot));
+    auto count = server->store().NumSamples(7);
+    CHECK_OK(count);
+    CHECK(*count == static_cast<int64_t>(accepted_replay.size()));
   }
-  CHECK(saw_shed);
-  CHECK(saw_reject);
-
-  auto live_stats = client.Stats();
-  CHECK_OK(live_stats);
-  CHECK(live_stats->samples_shed > 0);
-  CHECK(live_stats->batches_rejected > 0);
-  CHECK(live_stats->samples_offered == offered);
-  CHECK(live_stats->samples_accepted == accepted_replay.size());
-  // The bounded-memory guarantee: the queue never exceeds the hard
-  // watermark plus one (thinned) batch.
-  CHECK(live_stats->max_queue_depth < options.hard_watermark + 32);
-
-  CHECK(server->Shutdown().ok());
-
-  // The drained store is bit-identical to an offline replay of exactly the
-  // accepted (non-shed, non-rejected) samples.
-  auto offline = SummaryStore::Create(options.archetype);
-  CHECK_OK(offline);
-  CHECK(offline->AddBatch(accepted_replay).ok());
-  auto server_snapshot = server->store().ExportKeyedSnapshot(7, 3);
-  CHECK_OK(server_snapshot);
-  auto offline_snapshot = offline->ExportKeyedSnapshot(7, 3);
-  CHECK_OK(offline_snapshot);
-  CHECK(SnapshotsBitIdentical(*server_snapshot, *offline_snapshot));
-  auto count = server->store().NumSamples(7);
-  CHECK_OK(count);
-  CHECK(*count == static_cast<int64_t>(accepted_replay.size()));
 }
 
 // --- Live-socket frame fuzz -------------------------------------------------
@@ -717,106 +742,109 @@ bool RepliesWithError(const std::vector<uint8_t>& received, ErrorCode* code) {
 }
 
 TEST(NetFrameFuzzServerSurvivesHostileBytes) {
-  IngestServerOptions options;
-  auto server = StartServer(options);
-  const int64_t domain = options.archetype.domain_size;
+  for (const int num_loops : kLoopCounts) {
+    IngestServerOptions options;
+    auto server = StartServer(options, num_loops);
+    const int64_t domain = options.archetype.domain_size;
 
-  Rng rng(1337);
-  const std::vector<KeyedSample> samples = {{5, 1}, {5, 2}, {6, 3}};
-  const std::vector<uint8_t> valid =
-      EncodeFrame(FrameType::kIngest, EncodeIngestPayload(samples));
+    Rng rng(1337);
+    const std::vector<KeyedSample> samples = {{5, 1}, {5, 2}, {6, 3}};
+    const std::vector<uint8_t> valid =
+        EncodeFrame(FrameType::kIngest, EncodeIngestPayload(samples));
 
-  // Every-prefix truncation: the server must treat any cut point (mid-
-  // header, mid-payload, clean boundary) as an orderly or empty stream.
-  for (size_t len = 0; len <= valid.size(); ++len) {
-    const std::vector<uint8_t> received =
-        RawExchange(server->port(), Span<const uint8_t>(valid.data(), len));
-    FrameParser parser;  // whatever came back must at least be well-formed
-    parser.Consume(received);
-    Frame frame;
-    while (parser.Next(&frame) == FrameParser::Result::kFrame) {
+    // Every-prefix truncation: the server must treat any cut point (mid-
+    // header, mid-payload, clean boundary) as an orderly or empty stream.
+    for (size_t len = 0; len <= valid.size(); ++len) {
+      const std::vector<uint8_t> received =
+          RawExchange(server->port(), Span<const uint8_t>(valid.data(), len));
+      FrameParser parser;  // whatever came back must at least be well-formed
+      parser.Consume(received);
+      Frame frame;
+      while (parser.Next(&frame) == FrameParser::Result::kFrame) {
+      }
+      CHECK(parser.buffered() == 0);
     }
-    CHECK(parser.buffered() == 0);
-  }
 
-  // Hostile bits: corrupt header fields must earn a typed kMalformed error
-  // and a dropped connection.
-  size_t hostile_cases = 0;
-  for (const size_t index : {size_t{0}, size_t{5}, size_t{15}}) {
-    std::vector<uint8_t> corrupt = valid;
-    corrupt[index] ^= 0xFF;
-    const std::vector<uint8_t> received =
-        RawExchange(server->port(), corrupt);
-    ErrorCode code = ErrorCode::kInternal;
-    CHECK(RepliesWithError(received, &code));
-    CHECK(code == ErrorCode::kMalformed);
-    ++hostile_cases;
-  }
-  // A well-framed payload whose content lies about its sample count.
-  {
-    std::vector<uint8_t> payload = EncodeIngestPayload(samples);
-    payload[0] = 0xEE;  // count no longer matches the bytes present
-    const std::vector<uint8_t> received = RawExchange(
-        server->port(), EncodeFrame(FrameType::kIngest, payload));
-    ErrorCode code = ErrorCode::kInternal;
-    CHECK(RepliesWithError(received, &code));
-    CHECK(code == ErrorCode::kMalformed);
-    ++hostile_cases;
-  }
-  // An out-of-domain sample value: decodes fine, violates the store's
-  // contract, must be refused before it can poison an AddBatch.
-  {
-    const std::vector<KeyedSample> out_of_domain = {{5, domain + 100}};
-    const std::vector<uint8_t> received = RawExchange(
-        server->port(),
-        EncodeFrame(FrameType::kIngest, EncodeIngestPayload(out_of_domain)));
-    ErrorCode code = ErrorCode::kInternal;
-    CHECK(RepliesWithError(received, &code));
-    CHECK(code == ErrorCode::kMalformed);
-    ++hostile_cases;
-  }
-  // A reply-direction frame arriving as a request.
-  {
-    const std::vector<uint8_t> received = RawExchange(
-        server->port(),
-        EncodeFrame(FrameType::kIngestAck, EncodeIngestAck(IngestAck{})));
-    ErrorCode code = ErrorCode::kInternal;
-    CHECK(RepliesWithError(received, &code));
-    CHECK(code == ErrorCode::kMalformed);
-    ++hostile_cases;
-  }
-  // Seeded garbage streams.
-  for (int round = 0; round < 8; ++round) {
-    std::vector<uint8_t> garbage(64 + static_cast<size_t>(rng.UniformInt(64)));
-    for (uint8_t& byte : garbage) {
-      byte = static_cast<uint8_t>(rng.UniformInt(256));
-    }
-    const std::vector<uint8_t> received =
-        RawExchange(server->port(), garbage);
-    // Random bytes essentially never spell the magic, so the server should
-    // answer kMalformed; at minimum it must close cleanly (RawExchange
-    // returning proves that).
-    ErrorCode code = ErrorCode::kInternal;
-    if (RepliesWithError(received, &code)) {
+    // Hostile bits: corrupt header fields must earn a typed kMalformed error
+    // and a dropped connection.
+    size_t hostile_cases = 0;
+    for (const size_t index : {size_t{0}, size_t{5}, size_t{15}}) {
+      std::vector<uint8_t> corrupt = valid;
+      corrupt[index] ^= 0xFF;
+      const std::vector<uint8_t> received =
+          RawExchange(server->port(), corrupt);
+      ErrorCode code = ErrorCode::kInternal;
+      CHECK(RepliesWithError(received, &code));
       CHECK(code == ErrorCode::kMalformed);
+      ++hostile_cases;
     }
-    ++hostile_cases;
+    // A well-framed payload whose content lies about its sample count.
+    {
+      std::vector<uint8_t> payload = EncodeIngestPayload(samples);
+      payload[0] = 0xEE;  // count no longer matches the bytes present
+      const std::vector<uint8_t> received = RawExchange(
+          server->port(), EncodeFrame(FrameType::kIngest, payload));
+      ErrorCode code = ErrorCode::kInternal;
+      CHECK(RepliesWithError(received, &code));
+      CHECK(code == ErrorCode::kMalformed);
+      ++hostile_cases;
+    }
+    // An out-of-domain sample value: decodes fine, violates the store's
+    // contract, must be refused before it can poison an AddBatch.
+    {
+      const std::vector<KeyedSample> out_of_domain = {{5, domain + 100}};
+      const std::vector<uint8_t> received = RawExchange(
+          server->port(),
+          EncodeFrame(FrameType::kIngest, EncodeIngestPayload(out_of_domain)));
+      ErrorCode code = ErrorCode::kInternal;
+      CHECK(RepliesWithError(received, &code));
+      CHECK(code == ErrorCode::kMalformed);
+      ++hostile_cases;
+    }
+    // A reply-direction frame arriving as a request.
+    {
+      const std::vector<uint8_t> received = RawExchange(
+          server->port(),
+          EncodeFrame(FrameType::kIngestAck, EncodeIngestAck(IngestAck{})));
+      ErrorCode code = ErrorCode::kInternal;
+      CHECK(RepliesWithError(received, &code));
+      CHECK(code == ErrorCode::kMalformed);
+      ++hostile_cases;
+    }
+    // Seeded garbage streams.
+    for (int round = 0; round < 8; ++round) {
+      std::vector<uint8_t> garbage(64 +
+                                   static_cast<size_t>(rng.UniformInt(64)));
+      for (uint8_t& byte : garbage) {
+        byte = static_cast<uint8_t>(rng.UniformInt(256));
+      }
+      const std::vector<uint8_t> received =
+          RawExchange(server->port(), garbage);
+      // Random bytes essentially never spell the magic, so the server should
+      // answer kMalformed; at minimum it must close cleanly (RawExchange
+      // returning proves that).
+      ErrorCode code = ErrorCode::kInternal;
+      if (RepliesWithError(received, &code)) {
+        CHECK(code == ErrorCode::kMalformed);
+      }
+      ++hostile_cases;
+    }
+
+    // After all of that the server still serves a fresh, honest client.
+    IngestClient client = ConnectTo(*server);
+    const std::vector<KeyedSample> batch = MakeBatch(&rng, 11, 16, domain);
+    auto result = client.Ingest(batch);
+    CHECK_OK(result);
+    CHECK(result->ack.accepted == batch.size());
+    auto reply = client.Quantile(11, 0.5);
+    CHECK_OK(reply);
+    auto stats = client.Stats();
+    CHECK_OK(stats);
+    CHECK(stats->connections_dropped >= 7);  // every typed-error case above
+    CHECK(static_cast<size_t>(stats->connections_accepted) >= hostile_cases);
+
+    CHECK(server->Shutdown().ok());
   }
-
-  // After all of that the server still serves a fresh, honest client.
-  IngestClient client = ConnectTo(*server);
-  const std::vector<KeyedSample> batch = MakeBatch(&rng, 11, 16, domain);
-  auto result = client.Ingest(batch);
-  CHECK_OK(result);
-  CHECK(!result->rejected && result->ack.accepted == batch.size());
-  auto reply = client.Quantile(11, 0.5);
-  CHECK_OK(reply);
-  auto stats = client.Stats();
-  CHECK_OK(stats);
-  CHECK(stats->connections_dropped >= 7);  // every typed-error case above
-  CHECK(static_cast<size_t>(stats->connections_accepted) >= hostile_cases);
-
-  CHECK(server->Shutdown().ok());
 }
 
 // A peer that vanishes right after sending traffic makes the server's ack
@@ -830,166 +858,174 @@ TEST(NetFrameFuzzServerSurvivesHostileBytes) {
 // error path mid-HandleIngest.  ASan turns any regression into a hard
 // failure.
 TEST(NetServerSurvivesPeerResetDuringIngestReply) {
-  IngestServerOptions options;
-  auto server = StartServer(options);
-  const int64_t domain = options.archetype.domain_size;
-  Rng rng(31337);
+  for (const int num_loops : kLoopCounts) {
+    IngestServerOptions options;
+    auto server = StartServer(options, num_loops);
+    const int64_t domain = options.archetype.domain_size;
+    Rng rng(31337);
 
-  for (int round = 0; round < 8; ++round) {
-    std::vector<uint8_t> bytes;
-    for (int b = 0; b < 16; ++b) {
-      const std::vector<KeyedSample> batch = MakeBatch(&rng, 5, 64, domain);
-      const std::vector<uint8_t> frame =
-          EncodeFrame(FrameType::kIngest, EncodeIngestPayload(batch));
-      bytes.insert(bytes.end(), frame.begin(), frame.end());
+    for (int round = 0; round < 8; ++round) {
+      std::vector<uint8_t> bytes;
+      for (int b = 0; b < 16; ++b) {
+        const std::vector<KeyedSample> batch =
+            MakeBatch(&rng, 5, 64, domain);
+        const std::vector<uint8_t> frame =
+            EncodeFrame(FrameType::kIngest, EncodeIngestPayload(batch));
+        bytes.insert(bytes.end(), frame.begin(), frame.end());
+      }
+      const int fd = RawConnect(server->port());
+      size_t sent = 0;
+      while (sent < bytes.size()) {
+        const ssize_t n = send(fd, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR) continue;
+        CHECK(n > 0);
+        sent += static_cast<size_t>(n);
+      }
+      // Close with the acks unread: data arriving for the orphaned socket
+      // (the server's first ack) draws an RST, so the server's later ack
+      // writes in the same drain loop fail.
+      close(fd);
     }
-    const int fd = RawConnect(server->port());
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = send(fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      CHECK(n > 0);
-      sent += static_cast<size_t>(n);
-    }
-    // Close with the acks unread: data arriving for the orphaned socket
-    // (the server's first ack) draws an RST, so the server's later ack
-    // writes in the same drain loop fail.
-    close(fd);
+
+    // The server must still serve a fresh, honest client.
+    IngestClient client = ConnectTo(*server);
+    const std::vector<KeyedSample> batch = MakeBatch(&rng, 11, 16, domain);
+    auto result = client.Ingest(batch);
+    CHECK_OK(result);
+    CHECK(result->ack.accepted == batch.size());
+    auto reply = client.Quantile(11, 0.5);
+    CHECK_OK(reply);
+    CHECK(server->Shutdown().ok());
   }
-
-  // The server must still serve a fresh, honest client.
-  IngestClient client = ConnectTo(*server);
-  const std::vector<KeyedSample> batch = MakeBatch(&rng, 11, 16, domain);
-  auto result = client.Ingest(batch);
-  CHECK_OK(result);
-  CHECK(!result->rejected && result->ack.accepted == batch.size());
-  auto reply = client.Quantile(11, 0.5);
-  CHECK_OK(reply);
-  CHECK(server->Shutdown().ok());
 }
 
 // The write-side bound: a client that sends requests but never reads the
 // replies must be dropped once the server's unwritten reply backlog passes
 // max_reply_backlog — not buffered indefinitely.
 TEST(NetServerBoundsReplyBacklog) {
-  IngestServerOptions options;
-  options.max_frame_payload = 1024;
-  options.max_reply_backlog = 2048;
-  auto server = StartServer(options);
+  for (const int num_loops : kLoopCounts) {
+    IngestServerOptions options;
+    options.max_frame_payload = 1024;
+    options.max_reply_backlog = 2048;
+    auto server = StartServer(options, num_loops);
 
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  CHECK(fd >= 0);
-  // A tiny receive buffer (set before connect so the window is negotiated
-  // small) keeps the kernel from absorbing replies the test never reads.
-  const int rcvbuf = 4096;
-  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server->port());
-  CHECK(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) == 1);
-  CHECK(connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) == 0);
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    CHECK(fd >= 0);
+    // A tiny receive buffer (set before connect so the window is negotiated
+    // small) keeps the kernel from absorbing replies the test never reads.
+    const int rcvbuf = 4096;
+    setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server->port());
+    CHECK(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) == 1);
+    CHECK(connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                  sizeof(addr)) == 0);
 
-  // Pump stats requests (each reply ~168 bytes) and never read.  Replies
-  // fill the kernel buffers, then the server's `out`, then trip the cap:
-  // the server closes and the pending RST fails any still-blocked send.
-  // 50k requests is ~8 MB of replies — past any plausible kernel
-  // buffering, so a server that (wrongly) buffers forever cannot pass.
-  const std::vector<uint8_t> stats_request =
-      EncodeFrame(FrameType::kStats, Span<const uint8_t>());
-  bool server_dropped_us = false;
-  for (int i = 0; i < 50000 && !server_dropped_us; ++i) {
-    size_t sent = 0;
-    while (sent < stats_request.size()) {
-      const ssize_t n = send(fd, stats_request.data() + sent,
-                             stats_request.size() - sent, MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        server_dropped_us = true;  // EPIPE/ECONNRESET: the cap fired
-        break;
-      }
-      sent += static_cast<size_t>(n);
-    }
-  }
-  // The send side can outrun a (sanitizer-slowed) server — the whole
-  // request stream fits in the local kernel send buffer — so a clean send
-  // loop proves nothing yet.  The verdict is the RST: wait for it.
-  if (!server_dropped_us) {
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = 0;  // POLLERR/POLLHUP are reported regardless
-    for (int waited_ms = 0; waited_ms < 30000; waited_ms += 100) {
-      if (poll(&pfd, 1, 100) > 0 &&
-          (pfd.revents & (POLLERR | POLLHUP)) != 0) {
-        server_dropped_us = true;
-        break;
+    // Pump stats requests (each reply ~168 bytes) and never read.  Replies
+    // fill the kernel buffers, then the server's `out`, then trip the cap:
+    // the server closes and the pending RST fails any still-blocked send.
+    // 50k requests is ~8 MB of replies — past any plausible kernel
+    // buffering, so a server that (wrongly) buffers forever cannot pass.
+    const std::vector<uint8_t> stats_request =
+        EncodeFrame(FrameType::kStats, Span<const uint8_t>());
+    bool server_dropped_us = false;
+    for (int i = 0; i < 50000 && !server_dropped_us; ++i) {
+      size_t sent = 0;
+      while (sent < stats_request.size()) {
+        const ssize_t n = send(fd, stats_request.data() + sent,
+                               stats_request.size() - sent, MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) {
+          server_dropped_us = true;  // EPIPE/ECONNRESET: the cap fired
+          break;
+        }
+        sent += static_cast<size_t>(n);
       }
     }
-  }
-  CHECK(server_dropped_us);
-  close(fd);
+    // The send side can outrun a (sanitizer-slowed) server — the whole
+    // request stream fits in the local kernel send buffer — so a clean send
+    // loop proves nothing yet.  The verdict is the RST: wait for it.
+    if (!server_dropped_us) {
+      struct pollfd pfd;
+      pfd.fd = fd;
+      pfd.events = 0;  // POLLERR/POLLHUP are reported regardless
+      for (int waited_ms = 0; waited_ms < 30000; waited_ms += 100) {
+        if (poll(&pfd, 1, 100) > 0 &&
+            (pfd.revents & (POLLERR | POLLHUP)) != 0) {
+          server_dropped_us = true;
+          break;
+        }
+      }
+    }
+    CHECK(server_dropped_us);
+    close(fd);
 
-  // The drop was surgical: the server still serves, and counted it.
-  IngestClient client = ConnectTo(*server);
-  auto stats = client.Stats();
-  CHECK_OK(stats);
-  CHECK(stats->connections_dropped >= 1);
-  CHECK(server->Shutdown().ok());
+    // The drop was surgical: the server still serves, and counted it.
+    IngestClient client = ConnectTo(*server);
+    auto stats = client.Stats();
+    CHECK_OK(stats);
+    CHECK(stats->connections_dropped >= 1);
+    CHECK(server->Shutdown().ok());
+  }
 }
 
 // --- Graceful shutdown ------------------------------------------------------
 
 TEST(NetGracefulShutdownDrainsAndMatchesOfflineReplay) {
-  IngestServerOptions options;
-  options.shard_id = 12;
-  options.flush_batch = 1u << 20;        // nothing flushes by size...
-  options.flush_deadline_us = 60000000;  // ...or by deadline:
-  auto server = StartServer(options);    // Shutdown's drain does all of it
-  const int64_t domain = options.archetype.domain_size;
+  for (const int num_loops : kLoopCounts) {
+    IngestServerOptions options;
+    options.shard_id = 12;
+    options.flush_batch = 1u << 20;        // nothing flushes by size...
+    options.flush_deadline_us = 60000000;  // ...or by deadline: Shutdown's
+    auto server = StartServer(options, num_loops);  // drain does all of it
+    const int64_t domain = options.archetype.domain_size;
 
-  IngestClient alice = ConnectTo(*server);
-  IngestClient bob = ConnectTo(*server);
-  Rng rng(2718);
-  std::vector<KeyedSample> alice_sent;
-  std::vector<KeyedSample> bob_sent;
-  for (int round = 0; round < 6; ++round) {
-    for (uint64_t key : {uint64_t{21}, uint64_t{22}}) {
-      const std::vector<KeyedSample> batch = MakeBatch(&rng, key, 9, domain);
-      auto result = alice.Ingest(batch);
+    IngestClient alice = ConnectTo(*server);
+    IngestClient bob = ConnectTo(*server);
+    Rng rng(2718);
+    std::vector<KeyedSample> alice_sent;
+    std::vector<KeyedSample> bob_sent;
+    for (int round = 0; round < 6; ++round) {
+      for (uint64_t key : {uint64_t{21}, uint64_t{22}}) {
+        const std::vector<KeyedSample> batch =
+            MakeBatch(&rng, key, 9, domain);
+        auto result = alice.Ingest(batch);
+        CHECK_OK(result);
+        CHECK(result->ack.shed == 0 && result->ack.rejected == 0);
+        alice_sent.insert(alice_sent.end(), batch.begin(), batch.end());
+      }
+      const std::vector<KeyedSample> batch = MakeBatch(&rng, 23, 7, domain);
+      auto result = bob.Ingest(batch);
       CHECK_OK(result);
-      CHECK(!result->rejected && result->ack.shed == 0);
-      alice_sent.insert(alice_sent.end(), batch.begin(), batch.end());
+      bob_sent.insert(bob_sent.end(), batch.begin(), batch.end());
     }
-    const std::vector<KeyedSample> batch = MakeBatch(&rng, 23, 7, domain);
-    auto result = bob.Ingest(batch);
-    CHECK_OK(result);
-    bob_sent.insert(bob_sent.end(), batch.begin(), batch.end());
-  }
 
-  // Shut down with both connections open and every sample still queued:
-  // the drain must flush the partial batches before the loop dies.
-  CHECK(server->Shutdown().ok());
-  const ServerStats stats = server->stats();
-  CHECK(stats.flushes_size == 0);  // nothing reached the size trigger
-  CHECK(stats.samples_accepted == alice_sent.size() + bob_sent.size());
+    // Shut down with both connections open and every sample still queued:
+    // the drain must flush the partial batches before the loops stop.
+    CHECK(server->Shutdown().ok());
+    const ServerStats stats = server->stats();
+    CHECK(stats.flushes_size == 0);  // nothing reached the size trigger
+    CHECK(stats.samples_accepted == alice_sent.size() + bob_sent.size());
 
-  auto offline = SummaryStore::Create(options.archetype);
-  CHECK_OK(offline);
-  CHECK(offline->AddBatch(alice_sent).ok());
-  CHECK(offline->AddBatch(bob_sent).ok());
-  for (uint64_t key : {uint64_t{21}, uint64_t{22}, uint64_t{23}}) {
-    auto drained = server->store().ExportKeyedSnapshot(key, options.shard_id);
-    CHECK_OK(drained);
-    auto expected = offline->ExportKeyedSnapshot(key, options.shard_id);
-    CHECK_OK(expected);
-    CHECK(SnapshotsBitIdentical(*drained, *expected));
-    auto drained_count = server->store().NumSamples(key);
-    auto expected_count = offline->NumSamples(key);
-    CHECK_OK(drained_count);
-    CHECK_OK(expected_count);
-    CHECK(*drained_count == *expected_count);
+    auto offline = SummaryStore::Create(options.archetype);
+    CHECK_OK(offline);
+    CHECK(offline->AddBatch(alice_sent).ok());
+    CHECK(offline->AddBatch(bob_sent).ok());
+    for (uint64_t key : {uint64_t{21}, uint64_t{22}, uint64_t{23}}) {
+      auto drained = server->store().ExportKeyedSnapshot(key, options.shard_id);
+      CHECK_OK(drained);
+      auto expected = offline->ExportKeyedSnapshot(key, options.shard_id);
+      CHECK_OK(expected);
+      CHECK(SnapshotsBitIdentical(*drained, *expected));
+      auto drained_count = server->store().NumSamples(key);
+      auto expected_count = offline->NumSamples(key);
+      CHECK_OK(drained_count);
+      CHECK_OK(expected_count);
+      CHECK(*drained_count == *expected_count);
+    }
   }
 }
 

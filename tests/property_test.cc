@@ -485,10 +485,11 @@ TEST(MergeHistogramsIsAssociativeUpToTolerance) {
 }
 
 TEST(StripedReconciliationWithinSqrtOnePlusDeltaBound) {
-  // The striped ingestor's reconcile is one extra merge level: per-stripe
-  // degree-d summaries h_i (with construction errors e_i against their own
-  // streams q_i) are folded by one more construction over their weighted
-  // mixture.  Triangle inequality + Theorem 3.3 turn that into a provable
+  // Reconciling independently built summaries is one extra merge level:
+  // degree-d summaries h_i of sub-streams (with construction errors e_i
+  // against their own streams q_i) are folded by one more construction
+  // over their weighted mixture, as one merge-tree node folds its
+  // children.  Triangle inequality + Theorem 3.3 turn that into a provable
   // bound on the reconciled error against the POOLED stream q = sum w_i q_i:
   //
   //   err(reconciled, q) <= err(reconciled, sum w_i h_i) + sum w_i e_i
@@ -497,9 +498,8 @@ TEST(StripedReconciliationWithinSqrtOnePlusDeltaBound) {
   //                         + sum w_i e_i
   //
   // — i.e. one extra sqrt(1+delta) factor and one extra weighted-error
-  // term, exactly the "one merge level" the ingestor's error accounting
-  // charges (StripedShardIngestor::kReconcileErrorLevels).  Verified at
-  // degrees 0-3 against the exact DP optimum.
+  // term, the "one merge level" that error_levels accounting charges per
+  // fold.  Verified at degrees 0-3 against the exact DP optimum.
   const int64_t n = 96;
   for (int degree = 0; degree <= 3; ++degree) {
     for (uint64_t seed = 0; seed < 6; ++seed) {

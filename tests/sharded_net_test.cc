@@ -1,10 +1,10 @@
 // The sharded socket front-end (net/sharded_ingest_server.h) and its
 // building blocks: the key-hash partitioned store, the SPSC hand-off ring,
-// multi-loop ingest/query end to end over real loopback sockets, the
-// per-partition shed policy with ACK-reconstructed replay bit-identity,
-// epoll-vs-poll behavioral equivalence, the scatter-gathered kStats
-// reply, and the graceful-shutdown drain.  The multi-loop stress cases are
-// the TSan CI job's main target for this layer.
+// option validation, multi-loop ingest/query end to end over real loopback
+// sockets, the per-partition shed policy with ACK-reconstructed replay
+// bit-identity, epoll-vs-poll behavioral equivalence, the scatter-gathered
+// kStats reply, and the graceful-shutdown drain.  The multi-loop stress
+// cases are the TSan CI job's main target for this layer.
 
 #include <arpa/inet.h>
 #include <errno.h>
@@ -223,6 +223,70 @@ TEST(SpscRingStressTransfersAllBatchesInOrder) {
   }
   producer.join();
   CHECK(!ring.Pop(&got));
+}
+
+// --- Option validation ------------------------------------------------------
+
+// Every rejection branch of Create, each with a value it refuses before it
+// builds a store or a loop.  The message names the option, which pins the
+// branch that fired.
+TEST(ShardedCreateRejectsInvalidOptions) {
+  using Options = ShardedIngestServerOptions;
+  // Applies `edit` to default options; Create must refuse the result with
+  // a message that names `option_name`.
+  const auto rejects = [](const auto& edit, const std::string& option_name) {
+    Options options;
+    edit(options);
+    auto server = ShardedIngestServer::Create(options);
+    CHECK(!server.ok());
+    CHECK(server.status().message().find(option_name) != std::string::npos);
+  };
+
+  rejects([](Options& o) { o.base.soft_watermark = 0; }, "watermarks");
+  rejects([](Options& o) { o.base.soft_watermark = o.base.hard_watermark; },
+          "watermarks");
+  rejects(
+      [](Options& o) {
+        o.base.soft_watermark = 200;
+        o.base.hard_watermark = 100;
+      },
+      "watermarks");
+  rejects([](Options& o) { o.base.flush_batch = 0; }, "flush_batch");
+  rejects([](Options& o) { o.base.max_frame_payload = 23; },
+          "max_frame_payload");
+  rejects([](Options& o) { o.base.max_connections = 0; }, "max_connections");
+
+  // The reply backlog must hold one max-size frame: payload plus the
+  // 16-byte header.
+  rejects(
+      [](Options& o) {
+        o.base.max_frame_payload = 1024;
+        o.base.max_reply_backlog = 1024 + kFrameHeaderBytes - 1;
+      },
+      "max_reply_backlog");
+  rejects([](Options& o) { o.base.max_reply_backlog = 0; },
+          "max_reply_backlog");
+  rejects([](Options& o) { o.base.max_frame_payload = uint64_t{8} << 20; },
+          "max_reply_backlog");  // over the 4 MB default backlog
+  // A frame cap within 16 of UINT64_MAX wraps payload + header past zero,
+  // which let the 4 MB default backlog pass; 2^64 - 17, the largest cap
+  // whose sum does not wrap, is refused as well.
+  constexpr uint64_t kMaxU64 = ~uint64_t{0};
+  constexpr uint64_t kHeader = kFrameHeaderBytes;
+  for (const uint64_t cap :
+       {kMaxU64, kMaxU64 - (kHeader - 1), kMaxU64 - kHeader}) {
+    rejects([cap](Options& o) { o.base.max_frame_payload = cap; },
+            "max_reply_backlog");
+  }
+
+  for (const int num_loops : {0, 3, 512}) {
+    rejects([num_loops](Options& o) { o.num_loops = num_loops; },
+            "num_loops");
+  }
+  for (const size_t ring_capacity : {size_t{0}, size_t{3}}) {
+    rejects([ring_capacity](Options& o) { o.ring_capacity = ring_capacity; },
+            "ring_capacity");
+  }
 }
 
 // --- End to end -------------------------------------------------------------

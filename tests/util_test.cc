@@ -9,7 +9,6 @@
 
 #include "tests/fasthist_test.h"
 #include "util/clock.h"
-#include "util/padded.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/span.h"
@@ -291,47 +290,16 @@ TEST(SpanViewsAndSubspans) {
   CHECK(Span<const int64_t>().empty());
 }
 
-TEST(HardwareParallelismAndStripeCounts) {
-  // The override steers both accessors, so stripe sizing is testable on
-  // any container.
+TEST(HardwareParallelismClampsRequests) {
+  // The override steers both accessors, so the clamp is testable on any
+  // container.
   SetHardwareParallelismForTesting(6);
   CHECK(HardwareParallelism() == 6);
   CHECK(EffectiveParallelism(8) == 6);
   CHECK(EffectiveParallelism(2) == 2);
-  // Next power of two >= max(hint, machine), floor 4, cap 256.
-  CHECK(DefaultStripeCount() == 8);        // machine 6 -> 8
-  CHECK(DefaultStripeCount(3) == 8);       // hint below machine: machine wins
-  CHECK(DefaultStripeCount(9) == 16);      // hint above machine: hint wins
-  CHECK(DefaultStripeCount(100000) == 256);  // cap
-
-  SetHardwareParallelismForTesting(1);
-  CHECK(DefaultStripeCount() == 4);  // floor keeps claim headroom
-  CHECK(DefaultStripeCount(5) == 8);
 
   SetHardwareParallelismForTesting(0);
-  const int machine = HardwareParallelism();
-  CHECK(machine >= 0);
-  const int stripes = DefaultStripeCount();
-  CHECK(stripes >= 4 && stripes <= 256);
-  CHECK((stripes & (stripes - 1)) == 0);  // power of two
-  CHECK(stripes >= machine || stripes == 256);
-}
-
-TEST(PaddedAtomicLayout) {
-  // Each padded atomic owns its cache line: size and alignment are exactly
-  // one line, so adjacent array elements (or struct fields) never share —
-  // the false-sharing guard the striped ingestor's hot counters rely on.
-  CHECK(sizeof(PaddedAtomic<int64_t>) == kCacheLineBytes);
-  CHECK(alignof(PaddedAtomic<int64_t>) == kCacheLineBytes);
-  PaddedAtomic<int64_t> pair[2];
-  const auto gap = reinterpret_cast<char*>(&pair[1].value) -
-                   reinterpret_cast<char*>(&pair[0].value);
-  CHECK(gap == static_cast<ptrdiff_t>(kCacheLineBytes));
-  pair[0].value.store(41, std::memory_order_relaxed);
-  pair[1].value.store(1, std::memory_order_relaxed);
-  CHECK(pair[0].value.load(std::memory_order_relaxed) +
-            pair[1].value.load(std::memory_order_relaxed) ==
-        42);
+  CHECK(HardwareParallelism() >= 0);
 }
 
 }  // namespace
