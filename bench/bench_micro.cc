@@ -1,22 +1,23 @@
 // Google-benchmark microbenchmarks of the library's kernels: merging at
-// several input sizes (sample-linear time, Theorem 3.4) and on both sides
-// of the engine's small-run cutoff, the served 64-sample window condense
-// and ladder carry, the store's batched ingest at few and many keys, the
-// hierarchical builder, Gram evaluation
+// several input sizes (sample-linear time, Theorem 3.4), the served
+// 64-sample window condense and ladder carry, the store's batched ingest
+// at few and many keys, the hierarchical builder, Gram evaluation
 // (O(d) per point), the projection oracle, alias sampling (O(1)),
 // empirical-distribution construction, selection, and the exact DP for
 // context.
 //
-// Invoked with --merge-grid the binary instead runs the thread/size scaling
-// grid of the SoA merge engine (2^20 .. 2^26 domains x 1/2/4/8 threads) and
-// writes the machine-readable perf trajectory to BENCH_merge.json — plus an
+// Invoked with --merge-grid the binary instead runs the size scaling grid
+// of the merge engine (serial histogram constructions at 2^20 .. 2^26
+// domains, plus a polynomial row at 1/2/4/8 threads) and writes the
+// machine-readable perf trajectory to BENCH_merge.json — plus an
 // allocation sanity check asserting the engine's round-persistent buffers
 // really keep the per-construction allocation count independent of the
 // round count.  Every cell is timed min-of-R (R >= 3, --reps=<R> to raise
-// it) with repetitions interleaved across thread counts, so a single noisy
-// run can never enter the committed trajectory and machine-state drift
-// (huge-page promotion, frequency) cannot bias one cell against another.
-// --smoke shrinks the grid for CI; --out=<path> redirects the JSON.
+// it), with the polynomial row's repetitions interleaved across thread
+// counts, so a single noisy run can never enter the committed trajectory
+// and machine-state drift (huge-page promotion, frequency) cannot bias one
+// cell against another.  --smoke shrinks the grid for CI; --out=<path>
+// redirects the JSON.
 
 #include <benchmark/benchmark.h>
 
@@ -49,7 +50,6 @@
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/selection.h"
-#include "util/simd.h"
 #include "util/span.h"
 #include "util/timer.h"
 
@@ -253,45 +253,6 @@ void BM_StoreAddBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreAddBatch)->Arg(64)->Arg(131072);
 
-// ConstructHistogramFast (k 8) on random supports that start the rounds at
-// exactly `atoms` atoms (every support point ringed by zero runs): 511
-// runs the small-run round loop, 513 the streaming one, so the step at the
-// engine's cutoff (512) has a number.  Iterations cycle through 64 inputs.
-void BM_ConstructAtSmallRunCutoff(benchmark::State& state) {
-  constexpr size_t kInputs = 64;
-  const int64_t support = (state.range(0) - 1) / 2;
-  Rng rng(511);
-  std::vector<SparseFunction> inputs;
-  for (size_t i = 0; i < kInputs; ++i) {
-    std::vector<double> dense(static_cast<size_t>(4 * support + 4), 0.0);
-    for (int64_t s = 0; s < support; ++s) {
-      dense[static_cast<size_t>(4 * s + 1 + rng.UniformInt(2))] =
-          1.0 + static_cast<double>(rng.UniformInt(1000));
-    }
-    inputs.push_back(SparseFunction::FromDense(dense));
-  }
-  size_t input = 0;
-  for (auto _ : state) {
-    auto result = ConstructHistogramFast(inputs[input], 8);
-    benchmark::DoNotOptimize(result);
-    input = (input + 1) % kInputs;
-  }
-}
-BENCHMARK(BM_ConstructAtSmallRunCutoff)->Arg(511)->Arg(513);
-
-void BM_ConstructHistogramFastThreaded(benchmark::State& state) {
-  const SparseFunction q = SparseFunction::FromDense(Signal(state.range(0)));
-  MergingOptions options;
-  options.num_threads = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    auto result = ConstructHistogramFast(q, 64, options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ConstructHistogramFastThreaded)
-    ->ArgsProduct({{1 << 18, 1 << 20}, {1, 2, 4, 8}});
-
 void BM_Hierarchical(benchmark::State& state) {
   const SparseFunction q = SparseFunction::FromDense(Signal(state.range(0)));
   for (auto _ : state) {
@@ -436,10 +397,11 @@ void BM_SelectKthMedianOfMedians(benchmark::State& state) {
 BENCHMARK(BM_SelectKthMedianOfMedians)->Range(1 << 10, 1 << 18)->Complexity();
 
 // ---------------------------------------------------------------------------
-// The thread/size scaling grid (--merge-grid): the perf trajectory of the
-// SoA engine.  One warm histogram construction per (domain size, threads)
-// cell plus a degree-2 piecewise-polynomial row, written as
-// BENCH_merge.json via bench_util::JsonBenchWriter.
+// The size scaling grid (--merge-grid): the perf trajectory of the merge
+// engine.  One warm serial histogram construction per domain size (the
+// histogram loop ignores num_threads) plus a degree-2 piecewise-polynomial
+// row per thread count, written as BENCH_merge.json via
+// bench_util::JsonBenchWriter.
 // ---------------------------------------------------------------------------
 
 // Min-of-R per thread count with thread-count-interleaved, rotated
@@ -493,13 +455,12 @@ int RunMergeScalingGrid(int argc, char** argv) {
   bench_util::JsonBenchWriter writer("merge_scaling");
   writer.AddContext("k", static_cast<double>(k));
   // hardware_threads is what the oversubscription clamp sees: on a 1-core
-  // container every threads > 1 row degrades to the serial path by design
-  // (threads_effective = 1 in the records), so flat rows there are the
-  // clamp working, not missing parallelism.
+  // container every poly_fast row with threads > 1 degrades to the serial
+  // path by design (threads_effective = 1 in the records), so flat rows
+  // there are the clamp working, not missing parallelism.
   writer.AddContext("hardware_threads",
                     static_cast<double>(std::thread::hardware_concurrency()));
   writer.AddContext("timing_min_of_reps", static_cast<double>(reps));
-  writer.AddContext("simd_avx2", FASTHIST_SIMD_AVX2);
   bool allocation_check_ok = true;
 
   for (const int64_t n : sizes) {
@@ -529,36 +490,25 @@ int RunMergeScalingGrid(int argc, char** argv) {
       allocation_check_ok = false;
     }
 
-    const std::vector<double> best = MinOfInterleavedReps(
-        threads, reps, [&](const MergingOptions& options) {
+    const double ms = MinOfInterleavedReps(
+        {1}, reps, [&](const MergingOptions& options) {
           auto result = ConstructHistogramFast(q, k, options);
           benchmark::DoNotOptimize(result);
-        });
-    const double serial_ms = best[0];  // threads vector starts at 1
-    for (size_t ti = 0; ti < threads.size(); ++ti) {
-      const int num_threads = threads[ti];
-      const double ms = best[ti];
-      writer.Add("hist_fast",
-                 {{"n", static_cast<double>(n)},
-                  {"threads", static_cast<double>(num_threads)},
-                  {"threads_effective",
-                   static_cast<double>(EffectiveParallelism(num_threads))},
-                  {"ms", ms},
-                  {"reps", static_cast<double>(reps)},
-                  {"speedup_vs_serial", ms > 0.0 ? serial_ms / ms : 1.0},
-                  {"rounds", static_cast<double>(probe->num_rounds)},
-                  {"pieces",
-                   static_cast<double>(probe->histogram.num_pieces())},
-                  {"allocs", static_cast<double>(allocs)}});
-      std::printf("hist_fast n=%lld threads=%d: %.2f ms (%.2fx)\n",
-                  static_cast<long long>(n), num_threads, ms,
-                  ms > 0.0 ? serial_ms / ms : 1.0);
-      std::fflush(stdout);
-    }
+        })[0];
+    writer.Add("hist_fast",
+               {{"n", static_cast<double>(n)},
+                {"threads_effective", 1.0},
+                {"ms", ms},
+                {"reps", static_cast<double>(reps)},
+                {"rounds", static_cast<double>(probe->num_rounds)},
+                {"pieces", static_cast<double>(probe->histogram.num_pieces())},
+                {"allocs", static_cast<double>(allocs)}});
+    std::printf("hist_fast n=%lld: %.2f ms\n", static_cast<long long>(n), ms);
+    std::fflush(stdout);
   }
 
-  // One polynomial row: the refit pass is the compute-bound face of the
-  // same engine, so it scales where the histogram kernel is memory-bound.
+  // One polynomial row per thread count: the refit pass is compute-bound
+  // and data-parallel, the one place the engine uses threads.
   {
     const int64_t n = smoke ? (1 << 13) : (1 << 20);
     const int degree = 2;

@@ -5,8 +5,8 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
-#include <type_traits>
 #include <utility>
 
 #include "poly/fit_poly.h"
@@ -29,16 +29,14 @@ void ResetEngineCountersForTesting() {
 
 namespace {
 
-// Chunk-size floors for the data-parallel passes: histogram merges are a
-// few flops each, so chunks must be large to amortize dispatch; poly refits
-// scan their support, so much smaller chunks already pay off; the selection
-// mark pass is a byte-wide scan and needs the largest chunks of all.
+// Chunk-size floors for the polynomial engine's data-parallel passes:
+// refits scan their support, so small chunks already pay off, while the
+// selection mark pass is a byte-wide scan and needs large chunks.
 // ParallelFor's scheduling rule (util/parallel.h) guarantees at least one
 // full grain of work per task and stays serial below two grains.
-constexpr int64_t kHistogramGrain = 8192;
 constexpr int64_t kPolyGrain = 64;
 constexpr int64_t kSelectGrain = 32768;
-// The selection threshold's three tiers (MarkKeepSplit): up to
+// The selection threshold's three tiers (SelectThreshold): up to
 // kNetworkSelectWidth kept pairs it comes from a sorted top-8 register
 // buffer (TopEightThreshold), up to kHeapSelectCutoff from a sequential
 // top-k heap scan, and above that from copy + nth_element.  With the
@@ -46,15 +44,9 @@ constexpr int64_t kSelectGrain = 32768;
 // partition, so the two scan tiers touch the error plane exactly once.
 constexpr size_t kNetworkSelectWidth = 8;
 constexpr size_t kHeapSelectCutoff = 2048;
-// A kSelect histogram run that starts at or below this many atoms takes
-// the small-run round loop (SmallRun below) instead of RunRounds.  The
-// cutoff is set by footprint: the small loop's planes take about 64 bytes
-// per atom, so 512 atoms stay inside a 48 KB L1d.  It covers every served
-// run (a 64-sample window starts at <= 129 atoms, a ladder carry at <= 34).
-constexpr size_t kSmallRunAtoms = 512;
-// Interior chunk boundaries are rounded down to a cache line's worth of
-// elements, so adjacent chunks never write the same line at a seam.
-constexpr int64_t kDoubleAlign = 8;   // 8 doubles = 64 bytes
+// Interior chunk boundaries of the parallel mark pass are rounded down to
+// a cache line's worth of marks, so adjacent chunks never write the same
+// line at a seam.
 constexpr int64_t kByteAlign = 64;    // keep_split is a char plane
 
 // Clamp bound applied before double -> int64 casts of the keep/stop
@@ -136,10 +128,8 @@ std::vector<Interval> SupportPartition(const SparseFunction& q) {
   return intervals;
 }
 
-// The two histogram fills, shared by both round loops (RunRounds' store
-// and SmallRun), which differ only in where push(length, sum, sumsq)
-// writes each atom.  One walk each also keeps an FMA build's contraction
-// of w1 * v1 + w2 * v2 the same on both loops.
+// The two histogram fills: each walks its input once and hands every atom
+// to push(length, sum, sumsq), in order.
 
 // The support partition of q with q's moments on each interval: a zero
 // run carries (0, 0), the singleton at support point s carries (v, v*v).
@@ -184,9 +174,8 @@ struct PlaneView {
 };
 
 // Flat-value histogram of a surviving partition of n atoms and its summed
-// error, for both round loops.  Endpoints come back from the length plane
-// by an exact integer prefix sum from 0 (both fills tile the domain from
-// its origin).
+// error.  Endpoints come back from the length plane by an exact integer
+// prefix sum from 0 (both fills tile the domain from its origin).
 StatusOr<MergingResult> FinishPartition(const PlaneView& planes, size_t n,
                                         int64_t domain_size,
                                         long long num_rounds) {
@@ -212,17 +201,16 @@ StatusOr<MergingResult> FinishPartition(const PlaneView& planes, size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Structure-of-arrays stores.  RunRounds (below) is generic over a store
-// that owns the current partition as parallel planes plus the candidate and
+// The polynomial round loop.  RunRounds (below) drives PolyStore, which owns
+// the current partition as parallel planes plus the candidate and
 // next-generation buffers.  Every buffer persists across rounds — a round
 // only resize()s within capacity reserved up front, so the steady state
-// allocates nothing (the perf-smoke ctest and bench_micro ride on this).
-// A store supplies
+// allocates nothing.  The store supplies
 //   size_t size();                       current number of atoms
-//   void EvaluatePairs(n, pool, err);    statistics + error of the n
-//                                        adjacent pairs into the candidate
-//                                        planes (the cold start: only the
-//                                        first round needs a stand-alone
+//   void EvaluatePairs(n, pool, err);    refits + errors of the n adjacent
+//                                        pairs into the candidate planes
+//                                        (the cold start: only the first
+//                                        round needs a stand-alone
 //                                        evaluation pass)
 //   void CommitAndEvaluate(keep_split, n, pool, err);
 //                                        THE fused round kernel: build the
@@ -231,10 +219,10 @@ StatusOr<MergingResult> FinishPartition(const PlaneView& planes, size_t n,
 //                                        candidate, an odd tail survives)
 //                                        and, while those planes are hot,
 //                                        produce the *next* round's
-//                                        candidate statistics and errors —
-//                                        one streaming pass instead of a
-//                                        commit sweep plus an evaluate
-//                                        sweep.  `err` carries the current
+//                                        candidate refits and errors — one
+//                                        streaming pass instead of a commit
+//                                        sweep plus an evaluate sweep.
+//                                        `err` carries the current
 //                                        candidate errors in and the next
 //                                        generation's out.
 //   void Commit(keep_split, n, err);     the last round's commit, when no
@@ -246,357 +234,12 @@ StatusOr<MergingResult> FinishPartition(const PlaneView& planes, size_t n,
 //
 // Threading: the fused kernel self-schedules.  It plans chunks of pairs
 // (ChunkBoundary/ChunkCount, so the plan is a pure function of the sizes),
-// counts kept pairs per chunk to derive each chunk's output offset, writes
-// the next generation and in-chunk candidates data-parallel, and finishes
-// the few candidates that straddle chunk seams (plus the odd tail's pair)
-// serially.  Every atom and candidate value is produced by the same
-// single-rounded double operations whichever path computes it, so serial,
-// fused-serial, fused-parallel, and the SIMD cold start are bit-identical.
+// writes the next generation and in-chunk candidates data-parallel, and
+// finishes the few candidates that straddle chunk seams (plus the odd
+// tail's pair) serially.  Every coefficient and error is produced by the
+// same double operations whichever path computes it, so serial and
+// threaded rounds are bit-identical.
 // ---------------------------------------------------------------------------
-
-// Histogram store: closed-form sufficient statistics, O(1) per merge.  The
-// partition planes are len[]/sum[]/sumsq[] — interval *lengths*, not
-// endpoints: atoms always tile the domain contiguously, so endpoints are
-// recovered by a prefix sum at Finish and the round loop streams three
-// planes instead of five.  (Lengths are exact in a double up to 2^53 —
-// far beyond any real domain, and the same limit the residual formula
-// already had.)  The cold start is the streaming kernel trio PairwiseSum
-// (sum, sumsq, len) + ResidualError (util/simd.h); the fused kernel
-// produces the identical values scalar while committing.
-//
-// One store per thread (HistogramWorkspace below) is refilled by every run,
-// so its planes keep their capacity from run to run; the fills write the
-// planes straight from the input.
-class HistogramStore {
- public:
-  void FillFromSparse(const SparseFunction& q) {
-    // Exact atom count first, so no plane is sized past the partition
-    // (which would also push it over the workspace cap needlessly).
-    size_t num_atoms = 0;
-    ForEachSupportInterval(q, [&num_atoms](Interval, const double*) {
-      ++num_atoms;
-    });
-    BeginFill(num_atoms);
-    ForEachSupportAtom(q, [this](double length, double sum, double sumsq) {
-      PushAtom(length, sum, sumsq);
-    });
-    EndFill();
-  }
-
-  void FillFromUnion(const Histogram& h1, double w1, const Histogram& h2,
-                     double w2) {
-    BeginFill(static_cast<size_t>(h1.num_pieces() + h2.num_pieces()));
-    ForEachUnionAtom(h1, w1, h2, w2,
-                     [this](double length, double sum, double sumsq) {
-                       PushAtom(length, sum, sumsq);
-                     });
-    EndFill();
-  }
-
-  size_t size() const { return len_.size(); }
-
-  void EvaluatePairs(size_t num_pairs, ThreadPool* pool,
-                     std::vector<double>& err) {
-    ++EngineCountersForTesting().evaluate_passes;
-    cand_len_.resize(num_pairs);
-    cand_sum_.resize(num_pairs);
-    cand_sumsq_.resize(num_pairs);
-    err.resize(num_pairs);
-    err_out_ = err.data();
-    ParallelFor(
-        pool, 0, static_cast<int64_t>(num_pairs), kHistogramGrain,
-        [this](int64_t chunk_begin, int64_t chunk_end) {
-          const size_t lo = static_cast<size_t>(chunk_begin);
-          const size_t count = static_cast<size_t>(chunk_end - chunk_begin);
-          simd::PairwiseSum(sum_.data() + 2 * lo, count,
-                            cand_sum_.data() + lo);
-          simd::PairwiseSum(sumsq_.data() + 2 * lo, count,
-                            cand_sumsq_.data() + lo);
-          simd::PairwiseSum(len_.data() + 2 * lo, count,
-                            cand_len_.data() + lo);
-          simd::ResidualError(cand_sum_.data() + lo, cand_sumsq_.data() + lo,
-                              cand_len_.data() + lo, count, err_out_ + lo);
-        },
-        kDoubleAlign);
-  }
-
-  void CommitAndEvaluate(const std::vector<char>& keep_split,
-                         size_t num_pairs, ThreadPool* pool,
-                         std::vector<double>& err) {
-    ++EngineCountersForTesting().fused_passes;
-    const int64_t chunks =
-        pool == nullptr
-            ? 1
-            : ChunkCount(static_cast<int64_t>(num_pairs), kHistogramGrain,
-                         pool->num_threads());
-    if (chunks <= 1) {
-      CommitAndEvaluateSerial(keep_split, num_pairs, err);
-    } else {
-      CommitAndEvaluateParallel(keep_split, num_pairs, pool, chunks, err);
-    }
-  }
-
-  void Commit(const std::vector<char>& keep_split, size_t num_pairs,
-              const std::vector<double>& /*candidate_err*/) {
-    ++EngineCountersForTesting().commit_passes;
-    next_len_.clear();
-    next_sum_.clear();
-    next_sumsq_.clear();
-    for (size_t p = 0; p < num_pairs; ++p) {
-      if (keep_split[p]) {
-        for (const size_t i : {2 * p, 2 * p + 1}) {
-          next_len_.push_back(len_[i]);
-          next_sum_.push_back(sum_[i]);
-          next_sumsq_.push_back(sumsq_[i]);
-        }
-      } else {
-        next_len_.push_back(cand_len_[p]);
-        next_sum_.push_back(cand_sum_[p]);
-        next_sumsq_.push_back(cand_sumsq_[p]);
-      }
-    }
-    if (size() % 2 == 1) {
-      next_len_.push_back(len_.back());
-      next_sum_.push_back(sum_.back());
-      next_sumsq_.push_back(sumsq_.back());
-    }
-    len_.swap(next_len_);
-    sum_.swap(next_sum_);
-    sumsq_.swap(next_sumsq_);
-  }
-
-  StatusOr<MergingResult> Finish(int64_t domain_size, long long num_rounds) {
-    return FinishPartition({len_.data(), sum_.data(), sumsq_.data()}, size(),
-                           domain_size, num_rounds);
-  }
-
-  // Calls fn on every plane and buffer (the workspace's capacity cap).
-  template <typename Fn>
-  void ForEachBuffer(Fn&& fn) {
-    for (std::vector<double>* plane :
-         {&len_, &sum_, &sumsq_, &cand_len_, &cand_sum_, &cand_sumsq_,
-          &next_len_, &next_sum_, &next_sumsq_, &pcand_len_, &pcand_sum_,
-          &pcand_sumsq_}) {
-      fn(*plane);
-    }
-    fn(chunk_bounds_);
-    fn(chunk_out_);
-  }
-
- private:
-  void BeginFill(size_t max_atoms) {
-    len_.clear();
-    sum_.clear();
-    sumsq_.clear();
-    len_.reserve(max_atoms);
-    sum_.reserve(max_atoms);
-    sumsq_.reserve(max_atoms);
-  }
-
-  void PushAtom(double length, double sum, double sumsq) {
-    len_.push_back(length);
-    sum_.push_back(sum);
-    sumsq_.push_back(sumsq);
-  }
-
-  // Sizes the round buffers for this partition (a no-op once warm).
-  void EndFill() {
-    const size_t n = size();
-    cand_len_.reserve(n / 2);
-    cand_sum_.reserve(n / 2);
-    cand_sumsq_.reserve(n / 2);
-    next_len_.reserve(n);
-    next_sum_.reserve(n);
-    next_sumsq_.reserve(n);
-  }
-
-  // One fused streaming sweep: commit pair p's outcome, and as soon as an
-  // adjacent output pair (2i, 2i+1) is complete, produce its candidate
-  // statistics and error while both atoms are still in registers/L1.
-  // Candidate writes land at index i, and by the output recursion
-  // o <= 2p + 2 every write index is <= p with equality only for a kept
-  // pair (whose candidate slot is dead) — so the candidate planes and the
-  // error vector are safely reused in place.
-  void CommitAndEvaluateSerial(const std::vector<char>& keep_split,
-                               size_t num_pairs, std::vector<double>& err) {
-    next_len_.clear();
-    next_sum_.clear();
-    next_sumsq_.clear();
-    size_t ci = 0;  // next candidate index to produce
-    const auto emit_ready = [&] {
-      const size_t ready = next_len_.size() / 2;
-      for (; ci < ready; ++ci) {
-        EvaluateCandidate(ci, cand_len_.data(), cand_sum_.data(),
-                          cand_sumsq_.data(), err.data());
-      }
-    };
-    for (size_t p = 0; p < num_pairs; ++p) {
-      if (keep_split[p]) {
-        for (const size_t i : {2 * p, 2 * p + 1}) {
-          next_len_.push_back(len_[i]);
-          next_sum_.push_back(sum_[i]);
-          next_sumsq_.push_back(sumsq_[i]);
-        }
-      } else {
-        next_len_.push_back(cand_len_[p]);
-        next_sum_.push_back(cand_sum_[p]);
-        next_sumsq_.push_back(cand_sumsq_[p]);
-      }
-      emit_ready();
-    }
-    if (size() % 2 == 1) {
-      next_len_.push_back(len_.back());
-      next_sum_.push_back(sum_.back());
-      next_sumsq_.push_back(sumsq_.back());
-      emit_ready();
-    }
-    FinishFusedRound(ci, err);
-    cand_len_.resize(ci);
-    cand_sum_.resize(ci);
-    cand_sumsq_.resize(ci);
-  }
-
-  // The data-parallel fused sweep.  Chunk output offsets are derived from
-  // per-chunk kept counts (pair p's output offset is p + kept-before-p), so
-  // every chunk writes its slice of the next generation by index; each
-  // chunk then evaluates the candidates wholly inside its output slice, and
-  // the at-most-one candidate per seam (odd offset) plus the tail's pair
-  // are finished serially after the barrier.  Candidate writes go to
-  // double-buffered planes here: unlike the serial sweep, a chunk's
-  // candidate indices can overlap an earlier chunk's still-unread pair
-  // slots.
-  void CommitAndEvaluateParallel(const std::vector<char>& keep_split,
-                                 size_t num_pairs, ThreadPool* pool,
-                                 int64_t chunks, std::vector<double>& err) {
-    const size_t n = size();
-    chunk_bounds_.resize(static_cast<size_t>(chunks) + 1);
-    chunk_out_.resize(static_cast<size_t>(chunks) + 1);
-    for (int64_t c = 0; c <= chunks; ++c) {
-      chunk_bounds_[static_cast<size_t>(c)] = ChunkBoundary(
-          0, static_cast<int64_t>(num_pairs), chunks, c, kDoubleAlign);
-    }
-    keep_in_ = keep_split.data();
-    pool->ParallelFor(0, chunks, 1, [this](int64_t cb, int64_t ce) {
-      for (int64_t c = cb; c < ce; ++c) {
-        size_t kept = 0;
-        for (int64_t p = chunk_bounds_[static_cast<size_t>(c)];
-             p < chunk_bounds_[static_cast<size_t>(c) + 1]; ++p) {
-          kept += keep_in_[p] != 0;
-        }
-        chunk_out_[static_cast<size_t>(c) + 1] = kept;  // prefix below
-      }
-    });
-    chunk_out_[0] = 0;
-    for (int64_t c = 0; c < chunks; ++c) {
-      chunk_out_[static_cast<size_t>(c) + 1] +=
-          chunk_out_[static_cast<size_t>(c)] +
-          static_cast<size_t>(chunk_bounds_[static_cast<size_t>(c) + 1] -
-                              chunk_bounds_[static_cast<size_t>(c)]);
-    }
-    const size_t from_pairs = chunk_out_[static_cast<size_t>(chunks)];
-    const size_t next_size = from_pairs + (n & 1);
-    const size_t next_num_pairs = next_size / 2;
-    next_len_.resize(next_size);
-    next_sum_.resize(next_size);
-    next_sumsq_.resize(next_size);
-    pcand_len_.resize(next_num_pairs);
-    pcand_sum_.resize(next_num_pairs);
-    pcand_sumsq_.resize(next_num_pairs);
-    if (n & 1) {  // odd tail, written before the dispatch so a tail-closing
-                  // candidate (fixed up below) reads committed data
-      next_len_[next_size - 1] = len_.back();
-      next_sum_[next_size - 1] = sum_.back();
-      next_sumsq_[next_size - 1] = sumsq_.back();
-    }
-    err.resize(next_num_pairs);  // disjoint writes only; nothing reads err
-    err_out_ = err.data();
-    pool->ParallelFor(0, chunks, 1, [this](int64_t cb, int64_t ce) {
-      for (int64_t c = cb; c < ce; ++c) {
-        const size_t out_end = chunk_out_[static_cast<size_t>(c) + 1];
-        size_t o = chunk_out_[static_cast<size_t>(c)];
-        for (int64_t p = chunk_bounds_[static_cast<size_t>(c)];
-             p < chunk_bounds_[static_cast<size_t>(c) + 1]; ++p) {
-          if (keep_in_[p]) {
-            for (const size_t i :
-                 {2 * static_cast<size_t>(p), 2 * static_cast<size_t>(p) + 1}) {
-              next_len_[o] = len_[i];
-              next_sum_[o] = sum_[i];
-              next_sumsq_[o] = sumsq_[i];
-              ++o;
-            }
-          } else {
-            next_len_[o] = cand_len_[static_cast<size_t>(p)];
-            next_sum_[o] = cand_sum_[static_cast<size_t>(p)];
-            next_sumsq_[o] = cand_sumsq_[static_cast<size_t>(p)];
-            ++o;
-          }
-        }
-        for (size_t i = (chunk_out_[static_cast<size_t>(c)] + 1) / 2;
-             2 * i + 1 < out_end; ++i) {
-          EvaluateCandidate(i, pcand_len_.data(), pcand_sum_.data(),
-                            pcand_sumsq_.data(), err_out_);
-        }
-      }
-    });
-    // Seam and tail candidates: the pair straddling each odd chunk-output
-    // boundary, and the last pair when it closes over the odd tail.
-    for (int64_t c = 1; c < chunks; ++c) {
-      const size_t off = chunk_out_[static_cast<size_t>(c)];
-      if (off & 1) {
-        EvaluateCandidate((off - 1) / 2, pcand_len_.data(),
-                          pcand_sum_.data(), pcand_sumsq_.data(), err_out_);
-      }
-    }
-    if (2 * next_num_pairs > from_pairs) {
-      EvaluateCandidate(next_num_pairs - 1, pcand_len_.data(),
-                        pcand_sum_.data(), pcand_sumsq_.data(), err_out_);
-    }
-    FinishFusedRound(next_num_pairs, err);
-    cand_len_.swap(pcand_len_);
-    cand_sum_.swap(pcand_sum_);
-    cand_sumsq_.swap(pcand_sumsq_);
-  }
-
-  // Candidate i of the *next* generation, from the just-committed planes.
-  // Scalar, but operation-for-operation identical to the PairwiseSum +
-  // ResidualError kernel pair the cold start uses — that is what keeps the
-  // fused rounds bit-identical to a kernel sweep.
-  void EvaluateCandidate(size_t i, double* out_len, double* out_sum,
-                         double* out_sumsq, double* out_err) const {
-    const double l = next_len_[2 * i] + next_len_[2 * i + 1];
-    const double s = next_sum_[2 * i] + next_sum_[2 * i + 1];
-    const double ss = next_sumsq_[2 * i] + next_sumsq_[2 * i + 1];
-    out_len[i] = l;
-    out_sum[i] = s;
-    out_sumsq[i] = ss;
-    const double r = ss - s * s / l;
-    out_err[i] = r > 0.0 ? r : 0.0;
-  }
-
-  void FinishFusedRound(size_t next_num_pairs, std::vector<double>& err) {
-    err.resize(next_num_pairs);
-    len_.swap(next_len_);
-    sum_.swap(next_sum_);
-    sumsq_.swap(next_sumsq_);
-  }
-
-  // Current partition planes (lengths as exact integral doubles).
-  std::vector<double> len_, sum_, sumsq_;
-  // Candidate planes (merged statistics of pair p).
-  std::vector<double> cand_len_, cand_sum_, cand_sumsq_;
-  // Next-generation double buffers (swapped in by the fused pass / Commit).
-  std::vector<double> next_len_, next_sum_, next_sumsq_;
-  // Parallel-only candidate double buffers + the chunk plan (grown lazily:
-  // the serial path — including every 1-core run — never touches them).
-  std::vector<double> pcand_len_, pcand_sum_, pcand_sumsq_;
-  std::vector<int64_t> chunk_bounds_;
-  std::vector<size_t> chunk_out_;
-  // Raw views stashed for the <=16-byte [this] lambda captures (libstdc++'s
-  // std::function small-buffer limit, which keeps the serial-dispatch path
-  // allocation-free).
-  const char* keep_in_ = nullptr;
-  double* err_out_ = nullptr;
-};
 
 // Piecewise-polynomial store: merging refits the degree-d least-squares
 // projection on the union interval (coefficients are not additive across a
@@ -956,7 +599,9 @@ class PolyStore {
   std::vector<int64_t> chunk_bounds_;
   std::vector<size_t> chunk_out_;
   std::vector<double> scratch_;
-  // Raw views for the [this]-only lambda captures (see HistogramStore).
+  // Raw views stashed for the <=16-byte [this] lambda captures (libstdc++'s
+  // std::function small-buffer limit, which keeps the serial-dispatch path
+  // allocation-free).
   const char* keep_in_ = nullptr;
   double* err_out_ = nullptr;
 };
@@ -967,12 +612,13 @@ int64_t MaxSurvivingPieces(int64_t k, const MergingOptions& options) {
   return StopThreshold(PairsKeptPerRound(k, options), options);
 }
 
-// Algorithm 1's round skeleton, generic over the SoA store (see the block
-// comment above the stores).  Both selection strategies rank under the same
-// strict (error desc, index asc) total order, so they pick identical pair
-// sets and the engine's two speeds are bit-for-bit interchangeable for any
-// store — as are its serial and threaded modes, because pair evaluation
-// writes disjoint slots and selection only reads the finished error plane.
+// Algorithm 1's round skeleton: the polynomial loop (RunRounds) and the
+// histogram loop (HistogramRun) below.  Both selection strategies rank
+// under the same strict (error desc, index asc) total order, so they pick
+// identical pair sets and the engine's two speeds are bit-for-bit
+// interchangeable — as are the polynomial loop's serial and threaded
+// modes, because pair evaluation writes disjoint slots and selection only
+// reads the finished error plane.
 namespace {
 
 // Round-persistent scratch of the threshold-select mark pass: the chunk
@@ -989,25 +635,13 @@ struct ThresholdMarkScratch {
 };
 
 // RunRounds' scratch: sized once per run, then only resized downward as
-// the partition shrinks.  The histogram workspace keeps one across runs.
+// the partition shrinks.
 struct RoundScratch {
   std::vector<double> candidate_err;
   std::vector<size_t> order;   // kSort ranking permutation
   std::vector<double> select;  // kSelect threshold scratch
   ThresholdMarkScratch mark;   // kSelect parallel mark-pass scratch
   std::vector<char> keep_split;
-
-  template <typename Fn>
-  void ForEachBuffer(Fn&& fn) {
-    fn(candidate_err);
-    fn(order);
-    fn(select);
-    fn(mark.bounds);
-    fn(mark.above);
-    fn(mark.ties);
-    fn(mark.ties_before);
-    fn(keep_split);
-  }
 };
 
 // The num_keep-th largest of err[0, n), duplicates counted, for
@@ -1020,13 +654,13 @@ struct RoundScratch {
 // are coin flips for the branch predictor; here the one branch left is
 // the entry test, which a scan mostly fails.
 //
-// Exactness needs an error plane without NaN, and both stores guarantee
-// it: every error is clamped into [0, +inf] — the histogram store with
-// r > 0 ? r : 0 (util/simd.h's ResidualError kernel identically), the poly
-// store with std::max(0.0, ...).  So the strict entry test and the heap's
-// e > front() reject exactly the same values (an equal error changes
-// neither the top-8 multiset nor the heap).  The -inf sentinels never come
-// back: every error beats them, and there are more than num_keep errors.
+// Exactness needs an error plane without NaN, and both loops guarantee
+// it: every error is clamped into [0, +inf] — the histogram loop with
+// r > 0 ? r : 0, the poly store with std::max(0.0, ...).  So the strict
+// entry test and the heap's e > front() reject exactly the same values (an
+// equal error changes neither the top-8 multiset nor the heap).  The -inf
+// sentinels never come back: every error beats them, and there are more
+// than num_keep errors.
 double TopEightThreshold(const double* err, size_t n, size_t num_keep) {
   static_assert(kNetworkSelectWidth == 8, "one register per slot below");
   constexpr double kEmpty = -std::numeric_limits<double>::infinity();
@@ -1063,10 +697,10 @@ double TopEightThreshold(const double* err, size_t n, size_t num_keep) {
 // duplicates counted — a value, never an index — for
 // 1 <= num_keep < num_pairs.  One of three tiers finds it: the top-8
 // register network for keep <= 8, a top-k heap scan up to
-// kHeapSelectCutoff, nth_element on a scratch copy above it.  Both round
-// loops call this.
+// kHeapSelectCutoff, nth_element on a scratch copy above it.  `scratch`
+// has room for num_pairs doubles.  Both round loops call this.
 double SelectThreshold(const double* err, size_t num_pairs, size_t num_keep,
-                       std::vector<double>& scratch) {
+                       double* scratch) {
   if (num_keep <= kNetworkSelectWidth) {
     return TopEightThreshold(err, num_pairs, num_keep);
   }
@@ -1074,34 +708,46 @@ double SelectThreshold(const double* err, size_t num_pairs, size_t num_keep,
     // One sequential pass: a min-heap of the num_keep largest values seen
     // (only strictly-greater values displace the root, which is exactly
     // the k-th-largest-with-duplicates semantics nth_element gives).
-    scratch.assign(err, err + num_keep);
-    std::make_heap(scratch.begin(), scratch.end(), std::greater<double>());
+    double* const heap_end = scratch + num_keep;
+    std::copy(err, err + num_keep, scratch);
+    std::make_heap(scratch, heap_end, std::greater<double>());
     for (size_t p = num_keep; p < num_pairs; ++p) {
-      if (err[p] > scratch.front()) {
-        std::pop_heap(scratch.begin(), scratch.end(), std::greater<double>());
-        scratch.back() = err[p];
-        std::push_heap(scratch.begin(), scratch.end(), std::greater<double>());
+      if (err[p] > scratch[0]) {
+        std::pop_heap(scratch, heap_end, std::greater<double>());
+        heap_end[-1] = err[p];
+        std::push_heap(scratch, heap_end, std::greater<double>());
       }
     }
-    return scratch.front();
+    return scratch[0];
   }
-  scratch.assign(err, err + num_pairs);
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<ptrdiff_t>(num_keep - 1),
-                   scratch.end(), std::greater<double>());
+  std::copy(err, err + num_pairs, scratch);
+  std::nth_element(scratch, scratch + (num_keep - 1), scratch + num_pairs,
+                   std::greater<double>());
+  return scratch[num_keep - 1];
+}
+
+// kSort's threshold in the histogram loop: Algorithm 1's sort, on a copy
+// of the errors.  Sorted descending, the num_keep-th largest sits at
+// num_keep - 1 — the value SelectThreshold returns — so the loop's shared
+// mark keeps the pairs an index sort's (error desc, index asc) prefix
+// holds.  `scratch` has room for num_pairs doubles.
+double SortThreshold(const double* err, size_t num_pairs, size_t num_keep,
+                     double* scratch) {
+  std::copy(err, err + num_pairs, scratch);
+  std::sort(scratch, scratch + num_pairs, std::greater<double>());
   return scratch[num_keep - 1];
 }
 
 // Marks the top `num_keep` pairs under the strict (error desc, index asc)
-// total order.  kSort is the reference formulation: sort an index
-// permutation and mark the prefix.  kSelect is value-based: after
-// SelectThreshold, a sequential mark pass keeps everything strictly above
-// the threshold plus the first (num_keep - #above) threshold ties in index
-// order — the same set the sorted prefix contains, without ever chasing an
-// index indirection.  Serially the mark pass is branch-free; it is
-// data-parallel when a pool is available: per-chunk above/tie counts, a
-// serial prefix over the (few) chunks, then disjoint marking with each
-// chunk's global tie rank in hand.
+// total order, for the polynomial loop.  kSort is the reference
+// formulation: sort an index permutation and mark the prefix.  kSelect is
+// value-based: after SelectThreshold, a sequential mark pass keeps
+// everything strictly above the threshold plus the first
+// (num_keep - #above) threshold ties in index order — the same set the
+// sorted prefix contains, without ever chasing an index indirection.
+// Serially the mark pass is branch-free; it is data-parallel when a pool
+// is available: per-chunk above/tie counts, a serial prefix over the (few)
+// chunks, then disjoint marking with each chunk's global tie rank in hand.
 void MarkKeepSplit(SelectionStrategy strategy,
                    const std::vector<double>& candidate_err, size_t num_pairs,
                    size_t num_keep, ThreadPool* pool,
@@ -1126,8 +772,9 @@ void MarkKeepSplit(SelectionStrategy strategy,
     return;
   }
 
-  const double threshold =
-      SelectThreshold(candidate_err.data(), num_pairs, num_keep, scratch);
+  scratch.resize(num_pairs);
+  const double threshold = SelectThreshold(candidate_err.data(), num_pairs,
+                                           num_keep, scratch.data());
 
   const int64_t chunks =
       pool == nullptr ? 1
@@ -1211,8 +858,7 @@ void MarkKeepSplit(SelectionStrategy strategy,
   });
 }
 
-template <typename Store>
-long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
+long long RunRounds(PolyStore& store, int64_t k, const MergingOptions& options,
                     SelectionStrategy strategy, ThreadPool* pool,
                     RoundScratch& scratch) {
   const int64_t keep = PairsKeptPerRound(k, options);
@@ -1259,7 +905,7 @@ long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
 
 // mask ? a : b as a select on the bits, for a mask of all ones or all
 // zeros.  Written as a ternary, GCC compiles it into a branch on the flag
-// behind the mask — the mispredict SmallRun's commit exists to remove.
+// behind the mask — the mispredict HistogramRun's commit exists to remove.
 inline double SelectBits(uint64_t mask, double a, double b) {
   uint64_t bits_a, bits_b;
   std::memcpy(&bits_a, &a, sizeof(a));
@@ -1270,17 +916,17 @@ inline double SelectBits(uint64_t mask, double a, double b) {
   return out;
 }
 
-// SmallRun's evaluate pass: the statistics and error of every adjacent
-// pair, with EvaluateCandidate's operations in its order.  The planes are
-// disjoint, and saying so lets the compiler vectorize the pass; the clamp
-// then becomes a compare-and-mask, exact like the scalar r > 0 ? r : 0.
-void EvaluateSmallPairs(const double* __restrict len,
-                        const double* __restrict sum,
-                        const double* __restrict sumsq, size_t num_pairs,
-                        double* __restrict cand_len,
-                        double* __restrict cand_sum,
-                        double* __restrict cand_sumsq,
-                        double* __restrict err) {
+// HistogramRun's evaluate pass: the statistics and error of every adjacent
+// pair.  The planes are disjoint, and saying so lets the compiler
+// vectorize the pass; the clamp then becomes a compare-and-mask, exact
+// like the scalar r > 0 ? r : 0.
+void EvaluateHistogramPairs(const double* __restrict len,
+                            const double* __restrict sum,
+                            const double* __restrict sumsq, size_t num_pairs,
+                            double* __restrict cand_len,
+                            double* __restrict cand_sum,
+                            double* __restrict cand_sumsq,
+                            double* __restrict err) {
   for (size_t p = 0; p < num_pairs; ++p) {
     const double l = len[2 * p] + len[2 * p + 1];
     const double s = sum[2 * p] + sum[2 * p + 1];
@@ -1293,35 +939,50 @@ void EvaluateSmallPairs(const double* __restrict len,
   }
 }
 
-// The small-run round loop: a kSelect histogram run that starts at or
-// below kSmallRunAtoms atoms (every served window condense, ladder carry
-// and read-side fold).  On such runs RunRounds' fused streaming sweep is
-// dominated by its keep branch, a coin flip for the predictor on tens of
-// pairs, and by per-run costs (pool lookup, capacity scans).  Here every
-// round is three loops over a few planes that stay in L1: evaluate every
-// pair, SelectThreshold, then count the pairs above the threshold and
-// commit without a branch.  The pairing, (error desc, index asc) order,
-// keep/stop schedule and arithmetic are RunRounds' and MarkKeepSplit's,
-// so the output bits are the streaming path's.
+// The histogram round loop, which every histogram run takes:
+// ConstructHistogram (kSort), ConstructHistogramFast and MergeHistograms
+// (kSelect), at any size.  A histogram merge is closed-form — a pair's
+// statistics are the sums of its atoms' (length, sum, sumsq) — and the
+// planes hold interval *lengths*, not endpoints: atoms tile the domain, so
+// Finish recovers endpoints by a prefix sum (exact in a double up to 2^53,
+// the limit ValidateHistogramRoundArgs enforces).  Every round is three
+// loops over the planes: evaluate every pair, find the threshold, then
+// count the pairs above it and commit without a branch.  The strategies
+// differ only in the threshold, where the paper's Algorithm 1 and
+// Theorem 3.4 differ: SortThreshold or SelectThreshold.  The pairing,
+// (error desc, index asc) order, keep/stop schedule and tie rule are the
+// polynomial loop's, so both strategies produce the same bits.  The loop
+// is serial: histograms ignore MergingOptions::num_threads.
 //
-// The planes are one buffer, grown to the largest small run the thread has
-// seen (never past kSmallRunAtoms, about 33 KB), so a warm run allocates
-// only its output histogram.  Each plane starts on a cache line, and no
-// two start a multiple of 4 KiB apart: at 512 atoms a plane is exactly
-// 4 KiB, and a load whose address matches an in-flight store's in the low
-// 12 bits can be held back as if it depended on that store (4K aliasing).
-class SmallRun {
+// The planes are one buffer per thread (ThreadWorkspace), grown to the
+// largest run the thread has seen, so a warm run allocates only its
+// output histogram; a run whose planes exceed kWorkspaceRetainedAtoms
+// frees them when it ends.  Each plane starts a whole number of cache
+// lines into the buffer, and no two start a multiple of 4 KiB apart: at
+// 512 atoms a plane is exactly 4 KiB, and a load whose address matches an
+// in-flight store's in the low 12 bits can be held back as if it depended
+// on that store (4K aliasing).
+class HistogramRun {
  public:
-  // The fills write the run's atoms into the current planes; the
-  // partition must start at or below kSmallRunAtoms atoms.
+  // The fills write the run's atoms into the current planes.
   void FillFromSparse(const SparseFunction& q) {
-    Reserve(2 * q.support_size() + 1);
+    // The support partition has at most 2 * support + 1 atoms, but a dense
+    // input has about half that: when the bound outgrows the planes, they
+    // grow to the exact count, so a dense run below the cap stays below it.
+    if (2 * q.support_size() + 1 > capacity_) {
+      size_t atoms = 0;
+      ForEachSupportInterval(q, [&atoms](Interval, const double*) {
+        ++atoms;
+      });
+      Reserve(atoms);
+    }
     size_ = 0;
     ForEachSupportAtom(q, [this](double length, double sum, double sumsq) {
       PushAtom(length, sum, sumsq);
     });
   }
 
+  // The union has at most p1 + p2 atoms.
   void FillFromUnion(const Histogram& h1, double w1, const Histogram& h2,
                      double w2) {
     Reserve(static_cast<size_t>(h1.num_pieces() + h2.num_pieces()));
@@ -1332,10 +993,28 @@ class SmallRun {
                      });
   }
 
-  // Runs the rounds; returns their count.  select_scratch is the heap
-  // tier's scratch (SelectThreshold).
+  // Runs the rounds over the filled planes and returns the surviving
+  // partition's histogram.  Then the cap: planes past
+  // kWorkspaceRetainedAtoms are freed (EngineCounters reports the
+  // capacity before and after).
+  StatusOr<MergingResult> Run(int64_t domain_size, int64_t k,
+                              const MergingOptions& options,
+                              SelectionStrategy strategy) {
+    const long long num_rounds = Rounds(k, options, strategy);
+    auto result = FinishPartition(cur_, size_, domain_size, num_rounds);
+    EngineCounters& counters = EngineCountersForTesting();
+    counters.workspace_peak_elements = static_cast<long long>(capacity_);
+    if (capacity_ > kWorkspaceRetainedAtoms) *this = HistogramRun();
+    counters.workspace_retained_elements = static_cast<long long>(capacity_);
+    return result;
+  }
+
+ private:
+  static constexpr size_t kLine = 8;   // doubles per 64-byte cache line
+  static constexpr size_t kPage = 512;  // doubles per 4 KiB
+
   long long Rounds(int64_t k, const MergingOptions& options,
-                   std::vector<double>& select_scratch) {
+                   SelectionStrategy strategy) {
     const int64_t keep = PairsKeptPerRound(k, options);
     const int64_t stop = StopThreshold(keep, options);
     PlaneView cur = cur_;
@@ -1346,12 +1025,16 @@ class SmallRun {
     long long num_rounds = 0;
     while (static_cast<int64_t>(n) > stop) {
       const size_t num_pairs = n / 2;
-      EvaluateSmallPairs(cur.len, cur.sum, cur.sumsq, num_pairs, cand.len,
-                         cand.sum, cand.sumsq, err);
+      EvaluateHistogramPairs(cur.len, cur.sum, cur.sumsq, num_pairs,
+                             cand.len, cand.sum, cand.sumsq, err);
       // n > stop >= 2 * keep + 1, so keep < num_pairs (see RunRounds).
       const auto num_keep = static_cast<size_t>(keep);
+      // The next generation's planes are dead until the commit below, so
+      // the threshold's scratch is one of them.
       const double threshold =
-          SelectThreshold(err, num_pairs, num_keep, select_scratch);
+          strategy == SelectionStrategy::kSort
+              ? SortThreshold(err, num_pairs, num_keep, next.sumsq)
+              : SelectThreshold(err, num_pairs, num_keep, next.sumsq);
       size_t above = 0;
       for (size_t p = 0; p < num_pairs; ++p) above += err[p] > threshold;
       // MarkKeepSplit's set: every pair above the threshold plus the first
@@ -1391,17 +1074,11 @@ class SmallRun {
     return num_rounds;
   }
 
-  StatusOr<MergingResult> Finish(int64_t domain_size, long long num_rounds) {
-    return FinishPartition(cur_, size_, domain_size, num_rounds);
-  }
-
- private:
-  static constexpr size_t kLine = 8;   // doubles per 64-byte cache line
-  static constexpr size_t kPage = 512;  // doubles per 4 KiB
-
   // Carves room for a run of up to `atoms` atoms: the current and next
   // generations (atom planes), then the candidate planes and errors (pair
-  // planes).  A no-op once the thread has seen a run this large.
+  // planes).  A no-op once the thread has seen a run this large.  The
+  // buffer is not zero-filled: a fill writes every atom a round reads, and
+  // a round writes every pair slot before reading it.
   void Reserve(size_t atoms) {
     if (atoms <= capacity_) return;
     double** const planes[] = {&cur_.len,  &cur_.sum,   &cur_.sumsq,
@@ -1423,9 +1100,10 @@ class SmallRun {
       offsets[i] = end;
       end += i < kAtomPlanes ? atom_plane : pair_plane;
     }
-    buffer_.assign(end, 0.0);
+    buffer_.reset();  // the old planes go before the new ones come
+    buffer_.reset(new double[end]);
     for (size_t i = 0; i < kPlanes; ++i) {
-      *planes[i] = buffer_.data() + offsets[i];
+      *planes[i] = buffer_.get() + offsets[i];
     }
     capacity_ = atoms;
   }
@@ -1437,22 +1115,18 @@ class SmallRun {
     ++size_;
   }
 
-  std::vector<double> buffer_;
+  std::unique_ptr<double[]> buffer_;
   size_t capacity_ = 0;  // atoms the planes have room for
   size_t size_ = 0;      // atoms in the current planes
   PlaneView cur_{}, next_{}, cand_{};
   double* err_ = nullptr;
 };
 
-}  // namespace
-
-namespace {
-
-// ValidateRoundArgs plus the histogram store's domain limit.
+// ValidateRoundArgs plus the histogram loop's domain limit.
 Status ValidateHistogramRoundArgs(int64_t domain_size, int64_t k,
                                   const MergingOptions& options) {
   if (Status s = ValidateRoundArgs(domain_size, k, options); !s.ok()) return s;
-  // The histogram store tracks interval lengths as exact integral doubles
+  // The histogram loop tracks interval lengths as exact integral doubles
   // (endpoints come back by prefix sum at Finish), which is exact only up
   // to 2^53 — reject the astronomical domains beyond it explicitly instead
   // of letting piece boundaries drift.
@@ -1464,71 +1138,11 @@ Status ValidateHistogramRoundArgs(int64_t domain_size, int64_t k,
   return Status::Ok();
 }
 
-// The calling thread's histogram workspace (kWorkspaceRetainedAtoms in the
-// header has the reuse contract and why it is safe).  The small-run planes
-// never outgrow kSmallRunAtoms, so the capacity cap leaves them alone.
-struct HistogramWorkspace {
-  HistogramStore store;
-  RoundScratch rounds;
-  SmallRun small;
-
-  template <typename Fn>
-  void ForEachBuffer(Fn&& fn) {
-    store.ForEachBuffer(fn);
-    rounds.ForEachBuffer(fn);
-  }
-
-  // Largest capacity, in elements, of any buffer.
-  size_t MaxCapacity() {
-    size_t most = 0;
-    ForEachBuffer([&most](auto& buffer) {
-      most = std::max(most, buffer.capacity());
-    });
-    return most;
-  }
-
-  // Frees every buffer a run grew past the cap.
-  void ReleaseAboveCap() {
-    ForEachBuffer([](auto& buffer) {
-      if (buffer.capacity() > kWorkspaceRetainedAtoms) {
-        std::decay_t<decltype(buffer)>().swap(buffer);
-      }
-    });
-  }
-};
-
-HistogramWorkspace& ThreadWorkspace() {
-  thread_local HistogramWorkspace workspace;
-  return workspace;
-}
-
-// Rounds + Finish over a filled workspace, then the end-of-run release.
-StatusOr<MergingResult> RunFilledRounds(HistogramWorkspace& workspace,
-                                        int64_t domain_size, int64_t k,
-                                        const MergingOptions& options,
-                                        SelectionStrategy strategy) {
-  const long long num_rounds =
-      RunRounds(workspace.store, k, options, strategy, PoolFor(options),
-                workspace.rounds);
-  auto result = workspace.store.Finish(domain_size, num_rounds);
-  EngineCounters& counters = EngineCountersForTesting();
-  counters.workspace_peak_elements =
-      static_cast<long long>(workspace.MaxCapacity());
-  workspace.ReleaseAboveCap();
-  counters.workspace_retained_elements =
-      static_cast<long long>(workspace.MaxCapacity());
-  return result;
-}
-
-// Rounds + Finish over the filled small-run planes.  No pool, no capacity
-// scans: the run is serial whatever num_threads says (RunRounds would be
-// too, below two kHistogramGrain chunks), and its planes are capped.
-StatusOr<MergingResult> RunSmallRounds(HistogramWorkspace& workspace,
-                                       int64_t domain_size, int64_t k,
-                                       const MergingOptions& options) {
-  const long long num_rounds =
-      workspace.small.Rounds(k, options, workspace.rounds.select);
-  return workspace.small.Finish(domain_size, num_rounds);
+// The calling thread's histogram loop (kWorkspaceRetainedAtoms in the
+// header has the reuse contract and why it is safe).
+HistogramRun& ThreadWorkspace() {
+  thread_local HistogramRun run;
+  return run;
 }
 
 }  // namespace
@@ -1540,15 +1154,9 @@ StatusOr<MergingResult> RunMergingRounds(const SparseFunction& q, int64_t k,
       !s.ok()) {
     return s;
   }
-  HistogramWorkspace& workspace = ThreadWorkspace();
-  // The support partition has at most 2 * support + 1 atoms.
-  if (strategy == SelectionStrategy::kSelect &&
-      2 * q.support_size() + 1 <= kSmallRunAtoms) {
-    workspace.small.FillFromSparse(q);
-    return RunSmallRounds(workspace, q.domain_size(), k, options);
-  }
-  workspace.store.FillFromSparse(q);
-  return RunFilledRounds(workspace, q.domain_size(), k, options, strategy);
+  HistogramRun& run = ThreadWorkspace();
+  run.FillFromSparse(q);
+  return run.Run(q.domain_size(), k, options, strategy);
 }
 
 StatusOr<Histogram> RunUnionMergingRounds(const Histogram& h1, double w1,
@@ -1559,20 +1167,12 @@ StatusOr<Histogram> RunUnionMergingRounds(const Histogram& h1, double w1,
       !s.ok()) {
     return s;
   }
-  HistogramWorkspace& workspace = ThreadWorkspace();
+  HistogramRun& run = ThreadWorkspace();
+  run.FillFromUnion(h1, w1, h2, w2);
   // The selection path: identical output to kSort (the engine's strict
   // total order) at linear per-round cost — this is a serving primitive.
-  auto merged = [&] {
-    // The union has at most p1 + p2 atoms.
-    if (static_cast<size_t>(h1.num_pieces() + h2.num_pieces()) <=
-        kSmallRunAtoms) {
-      workspace.small.FillFromUnion(h1, w1, h2, w2);
-      return RunSmallRounds(workspace, h1.domain_size(), k, options);
-    }
-    workspace.store.FillFromUnion(h1, w1, h2, w2);
-    return RunFilledRounds(workspace, h1.domain_size(), k, options,
-                           SelectionStrategy::kSelect);
-  }();
+  auto merged =
+      run.Run(h1.domain_size(), k, options, SelectionStrategy::kSelect);
   if (!merged.ok()) return merged.status();
   return std::move(merged->histogram);
 }

@@ -23,48 +23,45 @@ namespace internal {
 // outputs.
 enum class SelectionStrategy { kSort, kSelect };
 
-// The streaming round loop (RunRounds in merge_engine.cc) is generic over
-// a policy-owned structure-of-arrays store: the histogram store keeps
-// len[]/sum[]/sumsq[] planes and merges statistics with streaming SIMD
-// kernels (util/simd.h), the piecewise-polynomial store keeps interval and
-// coefficient planes and refits a Gram-basis least-squares projection per
-// merged pair.  Each round past the first is one fused streaming pass
-// (CommitAndEvaluate): committing round r's survivors produces round
-// r+1's candidate statistics and errors while the planes are still hot, so
-// a round reads and writes every plane exactly once.  Candidate and
-// next-generation buffers persist across rounds (no per-round allocation)
-// — for histograms across runs too (kWorkspaceRetainedAtoms) — and the
-// fused pass is data-parallel over MergingOptions::num_threads
-// (util/parallel.h, clamped to the hardware by EffectiveParallelism) with
-// bit-identical output at any thread count.
+// The engine has two round loops (merge_engine.cc), one per merge oracle,
+// and both share the selection strategies, the (error, index) total order,
+// the delta/gamma round schedule and the termination argument — which is
+// what makes the sqrt(1 + delta) guarantee a single proof and the two
+// strategies' outputs bit-identical.
 //
-// Small kSelect histogram runs — at most 512 starting atoms (2 * support
-// + 1 for a construction, p1 + p2 for a merge), which covers every served
-// window condense, ladder carry and fold — take a second, serial loop
-// instead (SmallRun in merge_engine.cc): each round evaluates every pair,
-// selects the threshold, and commits without a branch, in a few planes
-// that stay in L1.  kSort, larger runs and the polynomial store stay on
-// RunRounds.  Both loops share the selection strategies, the (error,
-// index) total order, the delta/gamma round schedule, the fills, Finish
-// and the termination argument — which is what makes the sqrt(1 + delta)
-// guarantee a single proof and their outputs bit-identical.
+// Every histogram run — ConstructHistogram, ConstructHistogramFast and
+// MergeHistograms, at any size — takes the histogram loop (HistogramRun):
+// closed-form len[]/sum[]/sumsq[] planes in one per-thread buffer, and
+// rounds of three loops each: evaluate every pair, find the keep-th
+// largest error (kSort sorts a copy of the errors, kSelect selects it as
+// above), then count the pairs above it and commit without a branch.  It
+// is serial: histograms ignore MergingOptions::num_threads.
+//
+// The piecewise-polynomial store runs on RunRounds, whose rounds past the
+// first are one fused streaming pass (CommitAndEvaluate): committing round
+// r's survivors produces round r+1's candidate refits and errors while the
+// planes are still hot, so a round reads and writes every plane exactly
+// once.  Candidate and next-generation buffers persist across rounds (no
+// per-round allocation), and the fused pass is data-parallel over
+// MergingOptions::num_threads (util/parallel.h, clamped to the hardware by
+// EffectiveParallelism) with bit-identical output at any thread count.
 
-// Test-only visibility into the streaming loop's pass structure
-// (thread-local, so concurrent constructions — e.g. merge-tree groups on
-// pool workers — never race).  A "plane pass" is one sweep over the
-// partition planes: evaluate_passes counts stand-alone EvaluatePairs
-// sweeps (the cold start), fused_passes counts CommitAndEvaluate sweeps
-// (commit + next-round evaluate in one), commit_passes counts final-round
-// Commit sweeps.  The fused engine's invariant, asserted by
-// tests/perf_smoke_test.cc, is
-// evaluate_passes + fused_passes + commit_passes == rounds + 1.
-// Every counter here counts streaming (RunRounds) runs only: small runs
-// touch none of them, so the invariant holds over any mix of runs.
+// Test-only visibility into the engine (thread-local, so concurrent
+// constructions — e.g. merge-tree groups on pool workers — never race).
 //
-// The workspace fields report the calling thread's histogram workspace
-// (see kWorkspaceRetainedAtoms) at the end of its last streaming run, in
-// elements of its largest buffer: workspace_peak_elements before the
-// end-of-run release, workspace_retained_elements after it.
+// The pass fields count the polynomial loop (RunRounds) only; histogram
+// runs touch none of them.  A "plane pass" is one sweep over the partition
+// planes: evaluate_passes counts stand-alone EvaluatePairs sweeps (the
+// cold start), fused_passes counts CommitAndEvaluate sweeps (commit +
+// next-round evaluate in one), commit_passes counts final-round Commit
+// sweeps, and rounds counts rounds.  The fused loop's invariant, asserted
+// by tests/perf_smoke_test.cc, is
+// evaluate_passes + fused_passes + commit_passes == rounds + 1.
+//
+// The workspace fields report the calling thread's histogram planes (see
+// kWorkspaceRetainedAtoms) at the end of its last histogram run, as the
+// atoms they have room for: workspace_peak_elements before the end-of-run
+// release, workspace_retained_elements after it.
 struct EngineCounters {
   long long evaluate_passes = 0;
   long long fused_passes = 0;
@@ -86,19 +83,16 @@ void ResetEngineCountersForTesting();
 // keyed store's ladder level planes) size them with this.
 int64_t MaxSurvivingPieces(int64_t k, const MergingOptions& options);
 
-// The histogram rounds run in a per-thread workspace: the partition
-// planes and the round scratch live in a thread_local object that every
-// run on the thread refills, so a warm run allocates only its output
-// Histogram.  A run that grows a workspace buffer past this many elements
-// (about 70 bytes per atom across all buffers) frees that buffer when it
-// ends, so one huge construction does not pin its planes to the thread.
-// (The small-run loop's planes never grow past its 512-atom cutoff.)
+// The histogram loop runs in a per-thread workspace: its planes are one
+// thread_local buffer that every run on the thread refills, so a warm run
+// allocates only its output Histogram.  A run whose planes have room for
+// more than this many atoms (about 64 bytes each) frees them when it ends,
+// so one huge construction does not pin its planes to the thread; each
+// such run therefore allocates, and page-faults in, its planes afresh.
 //
 // Thread-local reuse is safe because no engine call starts on a thread
 // between a run's fill and its Finish: the round loop calls nothing that
-// re-enters the engine, a ParallelFor nested inside a pool task runs inline
-// on that task's thread, and a pool serializes its dispatches (the caller
-// runs its own chunk and then only waits — no work stealing).
+// re-enters the engine.
 constexpr size_t kWorkspaceRetainedAtoms = size_t{1} << 18;
 
 // Runs the merging rounds over the support partition of q — alternating

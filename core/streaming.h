@@ -29,9 +29,8 @@ namespace fasthist {
 // approximates the empirical distribution of everything ingested so far.
 class StreamingHistogramBuilder {
  public:
-  // `options` (delta/gamma/num_threads) is applied to every internal
-  // condense and merge, so a multi-threaded ingest path just sets
-  // options.num_threads — summaries are bit-identical either way.
+  // `options` (delta/gamma) is applied to every internal condense and
+  // merge.  Its num_threads changes nothing: histogram runs are serial.
   static StatusOr<StreamingHistogramBuilder> Create(
       int64_t domain_size, int64_t k, size_t buffer_capacity,
       const MergingOptions& options = MergingOptions());

@@ -22,13 +22,15 @@ namespace fasthist {
 //   gamma — running time vs output pieces (Theorem 3.4 / Corollary 3.1):
 //           larger gamma stops the rounds earlier, saving the tail of the
 //           merging at the cost of proportionally more pieces.
-//   num_threads — data-parallelism of the per-round candidate pass (the
-//           pair merge-and-error evaluation).  Selection already orders
-//           pairs under a strict (error, index) total order, so evaluation
-//           order cannot affect which pairs survive: any thread count
-//           produces bit-identical output to num_threads = 1 (asserted by
+//   num_threads — for piecewise polynomials only: data-parallelism of the
+//           per-round candidate refits.  Selection already orders pairs
+//           under a strict (error, index) total order, so evaluation order
+//           cannot affect which pairs survive: any thread count produces
+//           bit-identical output to num_threads = 1 (asserted by
 //           tests/property_test.cc).  Threads come from the shared
 //           util/parallel pool; 1 means fully serial with no pool touch.
+//           Histogram runs validate it (>= 1) and ignore it: their rounds
+//           are a few flops per pair and run serially.
 struct MergingOptions {
   double delta = 1000.0;
   double gamma = 1.0;

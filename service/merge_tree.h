@@ -20,9 +20,9 @@ namespace fasthist {
 // function of (N, fan_in): level by level, consecutive groups of `fan_in`
 // summaries fold serially left-to-right into one node, until one summary
 // remains.  Groups at a level are independent, so they run on
-// util/parallel.h's statically-partitioned pool — and because the merge
-// engine itself is thread-invariant, the aggregate is bit-identical at any
-// `num_threads`.  ReduceSnapshots additionally canonicalizes input order
+// util/parallel.h's statically-partitioned pool — and because each merge
+// is a serial, deterministic histogram run, the aggregate is bit-identical
+// at any `num_threads`.  ReduceSnapshots additionally canonicalizes input order
 // (by shard id), so the aggregate is bit-identical regardless of the order
 // snapshots arrived in.  Different `fan_in` values produce different (all
 // valid) tree shapes and therefore different — but equally accurate, see
@@ -46,7 +46,8 @@ struct MergeTreeOptions {
   // Tree-level parallelism: independent groups of one level reduce
   // concurrently on the shared pool.  Output is bit-identical at any value.
   int num_threads = 1;
-  // Knobs (delta/gamma/num_threads) for every internal MergeHistograms.
+  // Knobs (delta/gamma) for every internal MergeHistograms; their
+  // num_threads is ignored, as for every histogram run.
   MergingOptions merging;
 };
 

@@ -38,14 +38,14 @@ struct ArchetypeConfig {
   // slot's dyadic ladder one full window at a time (the
   // StreamingHistogramBuilder buffer_capacity, per key).
   size_t window_capacity = 64;
-  // delta/gamma/num_threads applied to every condense and merge.
+  // delta/gamma applied to every condense and merge (num_threads is
+  // ignored: histogram runs are serial).
   MergingOptions options;
 };
 
 // Archetype identity: two configs that produce bit-identical summaries from
 // the same samples are the same archetype.  num_threads is deliberately
-// ignored — the engine is thread-invariant, so it is a run knob, not an
-// identity bit.
+// ignored — histogram runs ignore it too, so it is not an identity bit.
 bool SameArchetype(const ArchetypeConfig& a, const ArchetypeConfig& b);
 
 // A pool of fixed-shape summary slots for one archetype, laid out as

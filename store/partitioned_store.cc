@@ -42,41 +42,9 @@ Status PartitionedSummaryStore::AddBatch(Span<const KeyedSample> samples,
   return Status::Ok();
 }
 
-Status PartitionedSummaryStore::EnsureKeys(Span<const uint64_t> keys,
-                                           int archetype) {
-  std::vector<std::vector<uint64_t>> buckets(partitions_.size());
-  for (const uint64_t key : keys) {
-    buckets[partition_of(key)].push_back(key);
-  }
-  for (uint32_t p = 0; p < num_partitions(); ++p) {
-    if (buckets[p].empty()) continue;
-    if (Status s = partitions_[p].EnsureKeys(
-            Span<const uint64_t>(buckets[p].data(), buckets[p].size()),
-            archetype);
-        !s.ok()) {
-      return s;
-    }
-  }
-  return Status::Ok();
-}
-
 size_t PartitionedSummaryStore::num_keys() const {
   size_t total = 0;
   for (const SummaryStore& store : partitions_) total += store.num_keys();
-  return total;
-}
-
-StoreMemoryStats PartitionedSummaryStore::memory() const {
-  StoreMemoryStats total;
-  for (const SummaryStore& store : partitions_) {
-    const StoreMemoryStats stats = store.memory();
-    total.total_bytes += stats.total_bytes;
-    total.payload_bytes += stats.payload_bytes;
-    total.ladder_slack_bytes += stats.ladder_slack_bytes;
-    total.index_bytes += stats.index_bytes;
-    total.metadata_bytes += stats.metadata_bytes;
-    total.num_keys += stats.num_keys;
-  }
   return total;
 }
 

@@ -66,8 +66,6 @@ class PartitionedSummaryStore {
   // and offline replay, where one thread plays both roles.
   Status AddBatch(Span<const KeyedSample> samples, int archetype = 0);
 
-  Status EnsureKeys(Span<const uint64_t> keys, int archetype = 0);
-
   bool Contains(uint64_t key) const {
     return partitions_[partition_of(key)].Contains(key);
   }
@@ -88,7 +86,6 @@ class PartitionedSummaryStore {
   }
 
   size_t num_keys() const;
-  StoreMemoryStats memory() const;
 
   // Cross-partition reduction: each partition reduces its matching keys
   // locally (SummaryStore::MergeAllMatching — canonical key order), then

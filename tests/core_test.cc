@@ -62,17 +62,17 @@ TEST(FastMergingMatchesSlowExactly) {
   const std::vector<double> poly = MakePolyDataset();
   const std::vector<double> hist = SmallHistData();
   // Support s with a zero run around every point starts the rounds at
-  // 2s + 1 atoms: 511 and 513 sit on either side of the engine's small-run
-  // cutoff (512 atoms), so fast runs both round loops.
+  // 2s + 1 atoms, half of them zero runs: 511 and 513 atoms, where the
+  // round-loop planes cross 4 KiB per plane.
   const auto gapped = [&poly](size_t s) {
     std::vector<double> data(2 * s + 2, 0.0);
     for (size_t i = 0; i < s; ++i) data[2 * i + 1] = poly[i];
     return data;
   };
-  const std::vector<double> below_cutoff = gapped(255);
-  const std::vector<double> above_cutoff = gapped(256);
+  const std::vector<double> gapped_511 = gapped(255);
+  const std::vector<double> gapped_513 = gapped(256);
   for (const std::vector<double>* data :
-       {&poly, &hist, &below_cutoff, &above_cutoff}) {
+       {&poly, &hist, &gapped_511, &gapped_513}) {
     const SparseFunction q = SparseFunction::FromDense(*data);
     for (int64_t k : {2, 8, 10, 25}) {
       for (const MergingOptions& options :

@@ -1,8 +1,8 @@
 // Perf-structure smoke tests: cheap, deterministic assertions on the merge
 // engine's *shape*, so the two properties the single-pass refactor bought —
 // no per-round (or per-support) allocations on a warm engine, and exactly
-// one sweep over the partition planes per round — are locked in by ctest in
-// every build mode instead of only by reading the bench output.
+// one sweep over the polynomial loop's planes per round — are locked in by
+// ctest in every build mode instead of only by reading the bench output.
 
 #include <atomic>
 #include <cstdlib>
@@ -137,10 +137,10 @@ TEST(WarmAddBatchAllocatesPerWindowAndPerCarry) {
   CHECK(store->NumSamples(measured_key).value() == kWindows * window);
 }
 
-// The per-thread workspace must not keep what a huge run grew: a
-// construction larger than kWorkspaceRetainedAtoms frees its oversized
-// buffers when it ends, and a small construction afterwards leaves the
-// workspace at or below the cap (and warm: only its output allocates).
+// The per-thread histogram planes must not keep what a huge run grew: a
+// construction larger than kWorkspaceRetainedAtoms frees its planes when
+// it ends, and a small construction afterwards leaves them at or below the
+// cap (and warm: only its output allocates).
 TEST(EngineWorkspaceReleasesCapacityAboveCap) {
   const auto cap = static_cast<long long>(internal::kWorkspaceRetainedAtoms);
   const internal::EngineCounters& counters =
@@ -165,10 +165,11 @@ TEST(EngineWorkspaceReleasesCapacityAboveCap) {
 // stand-alone evaluation (the cold start), one bare commit (the final
 // round), and a fused commit+evaluate for every round in between:
 // total plane sweeps == rounds + 1, where the pre-fusion engine spent
-// 2 * rounds.  The pass structure is thread-invariant, so the forced-
-// parallel run must report the identical shape.
+// 2 * rounds.  The counters count the polynomial loop, whose fused kernel
+// this is.  The pass structure is thread-invariant, so the forced-parallel
+// run must report the identical shape.
 TEST(FusedRoundMakesOneSweepOverThePlanes) {
-  const SparseFunction q = Signal(1 << 15);
+  const SparseFunction q = Signal(1 << 12);
   const auto check_passes = [](long long expected_rounds) {
     const internal::EngineCounters& c = internal::EngineCountersForTesting();
     CHECK(c.rounds == expected_rounds);
@@ -178,14 +179,7 @@ TEST(FusedRoundMakesOneSweepOverThePlanes) {
   };
 
   internal::ResetEngineCountersForTesting();
-  auto hist = ConstructHistogramFast(q, 64, MergingOptions());
-  CHECK_OK(hist);
-  CHECK(hist->num_rounds > 2);
-  check_passes(hist->num_rounds);
-
-  internal::ResetEngineCountersForTesting();
-  auto poly = ConstructPiecewisePolynomial(Signal(1 << 12), 8, 2,
-                                           MergingOptions());
+  auto poly = ConstructPiecewisePolynomial(q, 8, 2, MergingOptions());
   CHECK_OK(poly);
   CHECK(poly->num_rounds > 2);
   check_passes(poly->num_rounds);
@@ -194,10 +188,10 @@ TEST(FusedRoundMakesOneSweepOverThePlanes) {
   MergingOptions threaded;
   threaded.num_threads = 4;
   internal::ResetEngineCountersForTesting();
-  auto threaded_hist = ConstructHistogramFast(q, 64, threaded);
-  CHECK_OK(threaded_hist);
-  CHECK(threaded_hist->num_rounds == hist->num_rounds);
-  check_passes(threaded_hist->num_rounds);
+  auto threaded_poly = ConstructPiecewisePolynomial(q, 8, 2, threaded);
+  CHECK_OK(threaded_poly);
+  CHECK(threaded_poly->num_rounds == poly->num_rounds);
+  check_passes(threaded_poly->num_rounds);
   SetHardwareParallelismForTesting(0);
 }
 

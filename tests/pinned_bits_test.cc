@@ -5,11 +5,11 @@
 // (fast == slow, store == builder, replay == server), so a refactor that
 // changes both sides alike passes all of them.  These digests pin the
 // absolute output bits of the served path instead: keyed store ingest,
-// ConstructHistogram / ConstructHistogramFast on empirical windows,
-// MergeHistograms (served shapes, and large-k unions on both sides of the
-// engine's small-run cutoff), and FoldBufferIntoSummary.  A change to any
-// of them — an operand reordered, an intermediate rounded differently —
-// moves the digest.
+// ConstructHistogram / ConstructHistogramFast on empirical windows and on
+// dense inputs of up to 2^16 points, MergeHistograms (served shapes, and
+// large-k unions of up to about 800 atoms), and FoldBufferIntoSummary.  A
+// change to any of them — an operand reordered, an intermediate rounded
+// differently — moves the digest.
 //
 // Two constants per section: GCC contracts `a*b + c*d` into a fused
 // multiply-add when the target has FMA (e.g. -march=native builds), which
@@ -19,16 +19,19 @@
 //
 // On a mismatch the failure message prints the digest this build computed.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/fast_merging.h"
 #include "core/merging.h"
 #include "core/streaming.h"
 #include "dist/empirical.h"
+#include "dist/sparse_function.h"
 #include "service/wire_format.h"
 #include "store/summary_store.h"
 #include "tests/fasthist_test.h"
@@ -43,12 +46,14 @@ constexpr uint64_t kConstructDigest = 0x07522b570374f9edull;
 constexpr uint64_t kMergeDigest = 0xbe18cb8d70beca8aull;
 constexpr uint64_t kFoldDigest = 0xd843418ce629a099ull;
 constexpr uint64_t kMergeLargeKDigest = 0x71c35f3372343a20ull;
+constexpr uint64_t kConstructDenseDigest = 0xe7b48b481436d391ull;
 #else
 constexpr uint64_t kStoreDigest = 0x9f7c453ed408c2ecull;
 constexpr uint64_t kConstructDigest = 0x07522b570374f9edull;
 constexpr uint64_t kMergeDigest = 0xf778df95822802d2ull;
 constexpr uint64_t kFoldDigest = 0xd035992b2789a30full;
 constexpr uint64_t kMergeLargeKDigest = 0xa1ef211a686df215ull;
+constexpr uint64_t kConstructDenseDigest = 0xe7b48b481436d391ull;
 #endif
 
 // 64-bit FNV-1a.
@@ -227,6 +232,57 @@ TEST(PinnedBitsConstructHistogram) {
   CheckDigest("ConstructHistogram", digest, kConstructDigest);
 }
 
+// A dense integer signal of n points: random-length blocks at levels 0 to
+// 999 plus noise 0 to 7, so a round sees large jumps, tied errors, and
+// zeros (a level-0 block) that open zero runs.
+std::vector<double> DenseSignal(Rng& rng, int64_t n) {
+  std::vector<double> values(static_cast<size_t>(n));
+  size_t i = 0;
+  while (i < values.size()) {
+    const int64_t level = rng.UniformInt(1000);
+    const size_t end = std::min(
+        values.size(), i + 1 + static_cast<size_t>(rng.UniformInt(n / 16)));
+    for (; i < end; ++i) {
+      values[i] = static_cast<double>(level + rng.UniformInt(8));
+    }
+  }
+  return values;
+}
+
+// ConstructHistogram and ConstructHistogramFast on dense inputs of 2^12 to
+// 2^16 points, whose rounds start at up to about 2^16 atoms: output bytes,
+// err_squared bits and round count.  The knobs are the defaults (every
+// SelectThreshold tier up to the heap), delta 0.5 with gamma 2, and k 64
+// at delta 0.02, whose keep of 3,264 takes the nth_element tier.
+TEST(PinnedBitsConstructHistogramDense) {
+  Digest digest;
+  Rng rng(0xde45e);
+  std::vector<std::pair<int64_t, MergingOptions>> knobs;
+  for (const int64_t k : {1, 8, 10, 64}) {
+    knobs.push_back({k, MergingOptions()});
+    MergingOptions coarse;
+    coarse.delta = 0.5;
+    coarse.gamma = 2.0;
+    knobs.push_back({k, coarse});
+  }
+  MergingOptions fine;
+  fine.delta = 0.02;
+  knobs.push_back({64, fine});
+  for (const int64_t n : {int64_t{1} << 12, int64_t{1} << 14, int64_t{1} << 16}) {
+    const SparseFunction q = SparseFunction::FromDense(DenseSignal(rng, n));
+    for (const auto& [k, options] : knobs) {
+      for (auto construct : {&ConstructHistogram, &ConstructHistogramFast}) {
+        auto built = construct(q, k, options);
+        CHECK_OK(built);
+        digest.Hist(built->histogram);
+        digest.F64(built->err_squared);
+        digest.U64(static_cast<uint64_t>(built->num_rounds));
+      }
+    }
+  }
+  CheckDigest("ConstructHistogram dense", digest, kConstructDenseDigest);
+}
+
 // MergeHistograms over pairs of condensed windows, at equal, skewed,
 // zero and sample-count weights.
 TEST(PinnedBitsMergeHistograms) {
@@ -259,9 +315,9 @@ TEST(PinnedBitsMergeHistograms) {
 }
 
 // MergeHistograms over large-k operands (k 100 to 200, so up to 2k + 1
-// pieces each): the boundary unions start on both sides of the engine's
-// small-run cutoff (512 atoms), which routes a merge's rounds by
-// p1 + p2 <= 512.  The corpus must really reach both sides.
+// pieces each): the boundary unions start on both sides of 512 atoms
+// (p1 + p2), where a round-loop plane passes 4 KiB and the planes' 4 KiB
+// stagger starts to matter.  The corpus must really reach both sides.
 TEST(PinnedBitsMergeHistogramsLargeK) {
   constexpr int64_t kCutoffAtoms = 512;
   constexpr int64_t kDomain = int64_t{1} << 14;

@@ -215,14 +215,13 @@ TEST(PolyDegreeZeroMatchesHistogramMerging) {
 }
 
 TEST(ThreadedHistogramMatchesSerialRandomized) {
-  // MergingOptions::num_threads must be invisible in the output: the
-  // engine's pair evaluation writes disjoint slots and selection ranks
-  // under a strict total order, so serial, 2-thread and 8-thread runs are
-  // bit-identical — for both selection strategies, and under threading the
-  // sort and select paths still agree with each other.  Inputs are large
-  // enough (support >> the engine's chunk grain) that the pool really
-  // splits the candidate pass; every third seed uses a sparse empirical
-  // input over a huge domain.
+  // MergingOptions::num_threads must be invisible in the output.  Histogram
+  // runs ignore it (their loop is serial), so serial, 2-thread and 8-thread
+  // requests are bit-identical by construction; what this checks is
+  // fast == slow on the one histogram loop, on runs of tens of thousands
+  // of atoms (far above any served run) at two knob settings, under every
+  // thread request.  Every third seed uses a sparse empirical input over a
+  // huge domain.
   for (uint64_t seed = 0; seed < 6; ++seed) {
     Rng rng(0x9a11'0000 + seed);
     SparseFunction q;
@@ -310,7 +309,10 @@ TEST(ThresholdSelectionTieBreakingMatchesSort) {
   // proven identical to kSort by this same comparison, so matching kSort
   // also proves parity with it.  With the default delta, keep = k: k = 1
   // and 8 are the top-8 network's narrowest and full widths, k = 9 is the
-  // heap tier's first keep.
+  // heap tier's first keep, and k = 2100 (keep 2102) puts the nth_element
+  // tier on planes full of ties.  For histograms the kSort side is the
+  // histogram loop's sorted-copy threshold, so this also checks that the
+  // sort and select thresholds feed the shared mark the same value.
   SetHardwareParallelismForTesting(8);
   std::vector<std::vector<double>> inputs;
   inputs.push_back(std::vector<double>(30'000, 1.0));  // constant
@@ -330,8 +332,7 @@ TEST(ThresholdSelectionTieBreakingMatchesSort) {
     inputs.push_back(std::move(blocks));
   }
   // Equal values on s support points, each ringed by zero runs: the rounds
-  // start at 2s + 1 atoms, just below (511) and just above (513) the
-  // engine's small-run cutoff (512), with every first-round error tied.
+  // start at 2s + 1 atoms, 511 and 513, with every first-round error tied.
   for (const size_t s : {size_t{255}, size_t{256}}) {
     std::vector<double> gapped(30'000, 0.0);
     for (size_t i = 0; i < s; ++i) gapped[2 * i + 1] = 1.0;
@@ -339,7 +340,7 @@ TEST(ThresholdSelectionTieBreakingMatchesSort) {
   }
   for (const std::vector<double>& data : inputs) {
     const SparseFunction q = SparseFunction::FromDense(data);
-    for (int64_t k : {1, 7, 8, 9, 32}) {
+    for (int64_t k : {1, 7, 8, 9, 32, 2100}) {
       MergingOptions serial;
       const auto reference = ConstructHistogram(q, k, serial);
       CHECK_OK(reference);

@@ -199,34 +199,6 @@ TEST(ParallelForCoversRangeExactlyOnce) {
   }
 }
 
-TEST(SimdKernelsMatchScalar) {
-  // The simd shim's kernels must agree bit-for-bit with their scalar
-  // definitions on every lane, including the unaligned tail — this is the
-  // foundation of the engine's serial == threaded == SIMD determinism.
-  Rng rng(29);
-  for (size_t n : {0, 1, 3, 4, 5, 31, 128}) {
-    std::vector<double> src(2 * n), sum(n), sumsq(n), len(n);
-    for (double& x : src) x = rng.Gaussian();
-    std::vector<double> pair_out(n, -1.0);
-    simd::PairwiseSum(src.data(), n, pair_out.data());
-    for (size_t i = 0; i < n; ++i) {
-      CHECK_NEAR(pair_out[i], src[2 * i] + src[2 * i + 1], 0.0);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      sum[i] = 10.0 * rng.Gaussian();
-      sumsq[i] = std::abs(10.0 * rng.Gaussian());
-      len[i] = 1.0 + static_cast<double>(rng.UniformInt(50));
-    }
-    std::vector<double> err(n, -1.0);
-    simd::ResidualError(sum.data(), sumsq.data(), len.data(), n, err.data());
-    for (size_t i = 0; i < n; ++i) {
-      const double r = sumsq[i] - sum[i] * sum[i] / len[i];
-      CHECK_NEAR(err[i], r > 0.0 ? r : 0.0, 0.0);
-      CHECK(err[i] >= 0.0);
-    }
-  }
-}
-
 TEST(PairwiseSpanMatchesScalar) {
   // The merged-pair span kernel: dst[i] = double(end[2i+1] - begin[2i]),
   // exact for any int64 difference a double can hold, including the
