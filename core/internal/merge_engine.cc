@@ -75,16 +75,7 @@ Status ValidateRoundArgs(int64_t domain_size, int64_t k,
     return Status::Invalid("merging: domain must be positive");
   }
   if (k < 1) return Status::Invalid("merging: k must be >= 1");
-  if (!(options.delta > 0.0)) {
-    return Status::Invalid("merging: delta must be positive");
-  }
-  if (!(options.gamma >= 1.0)) {
-    return Status::Invalid("merging: gamma must be >= 1");
-  }
-  if (options.num_threads < 1) {
-    return Status::Invalid("merging: num_threads must be >= 1");
-  }
-  return Status::Ok();
+  return ValidateMergingOptions(options);
 }
 
 // The oversubscription guard of the adaptive schedule: a request for more

@@ -48,6 +48,7 @@ StatusOr<StreamingHistogramBuilder> StreamingHistogramBuilder::Create(
   if (buffer_capacity == 0) {
     return Status::Invalid("StreamingHistogramBuilder: buffer must be >= 1");
   }
+  if (Status s = ValidateMergingOptions(options); !s.ok()) return s;
   return StreamingHistogramBuilder(domain_size, k, buffer_capacity, options);
 }
 

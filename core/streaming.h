@@ -30,7 +30,8 @@ namespace fasthist {
 class StreamingHistogramBuilder {
  public:
   // `options` (delta/gamma) is applied to every internal condense and
-  // merge.  Its num_threads changes nothing: histogram runs are serial.
+  // merge, and must pass ValidateMergingOptions.  Its num_threads changes
+  // nothing: histogram runs are serial.
   static StatusOr<StreamingHistogramBuilder> Create(
       int64_t domain_size, int64_t k, size_t buffer_capacity,
       const MergingOptions& options = MergingOptions());

@@ -21,7 +21,9 @@ struct IngestServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; the server's port() reports it
 
-  // The keyed store every accepted sample lands in (archetype 0).
+  // The shape of every key's summary: each partition's store is created
+  // with it, so Create refuses a config (merging knobs included) the store
+  // would refuse, before any sample is accepted.
   ArchetypeConfig archetype;
   // Identity stamped on snapshots this server exports.
   uint64_t shard_id = 0;

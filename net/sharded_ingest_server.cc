@@ -590,6 +590,35 @@ void ShardedIngestServer::HandleIngest(Worker& w, Connection& conn,
   w.ingest_latency->Record(MonotonicNanos() - start_ns);
 }
 
+template <typename Reply>
+void ShardedIngestServer::ServeFromOwner(Worker& w, Connection& conn,
+                                         uint64_t key, uint64_t start_ns,
+                                         Reply reply) {
+  Worker* owner = workers_[store_->partition_of(key)].get();
+  Worker* self = &w;
+  const int fd = conn.fd;
+  const uint64_t conn_id = conn.id;
+  conn.awaiting_reply = true;
+  owner->loop->Post([this, owner, self, fd, conn_id, key, start_ns, reply] {
+    DrainRings(*owner);
+    FlushPending(*owner);
+    const SummaryStore& part = store_->partition(owner->index);
+    FrameType type = FrameType::kError;
+    std::vector<uint8_t> payload;
+    if (!part.Contains(key)) {
+      payload = EncodeErrorReply(ErrorReply{ErrorCode::kUnknownKey,
+                                            "no such key"});
+    } else {
+      type = reply(part, &payload);
+    }
+    self->loop->Post([this, self, fd, conn_id, type,
+                      payload = std::move(payload), start_ns]() mutable {
+      DeliverReply(*self, fd, conn_id, type, std::move(payload), start_ns,
+                   /*is_query=*/true);
+    });
+  });
+}
+
 void ShardedIngestServer::HandleSnapshotPull(Worker& w, Connection& conn,
                                              const Frame& frame,
                                              uint64_t start_ns) {
@@ -598,40 +627,20 @@ void ShardedIngestServer::HandleSnapshotPull(Worker& w, Connection& conn,
     DropConnection(w, conn, ErrorCode::kMalformed, key.status().message());
     return;
   }
-  const uint64_t key_v = *key;
   const uint64_t shard_id = options_.base.shard_id;
-  Worker* owner = workers_[store_->partition_of(key_v)].get();
-  Worker* self = &w;
-  const int fd = conn.fd;
-  const uint64_t conn_id = conn.id;
-  conn.awaiting_reply = true;
-  // Hop to the key's owner loop: drain + flush for freshness (everything
-  // ACKed before this pull is in the rings by the push-before-ACK order),
-  // serve from the single-writer partition store, hop back to write.
-  owner->loop->Post([this, owner, self, fd, conn_id, key_v, shard_id,
-                     start_ns] {
-    DrainRings(*owner);
-    FlushPending(*owner);
-    const SummaryStore& part = store_->partition(owner->index);
-    FrameType type = FrameType::kError;
-    std::vector<uint8_t> payload;
-    if (!part.Contains(key_v)) {
-      payload = EncodeErrorReply(ErrorReply{ErrorCode::kUnknownKey,
-                                            "no such key"});
-    } else if (auto snapshot = part.ExportKeyedSnapshot(key_v, shard_id);
-               !snapshot.ok()) {
-      payload = EncodeErrorReply(
-          ErrorReply{ErrorCode::kInternal, snapshot.status().message()});
-    } else {
-      type = FrameType::kSnapshotPush;
-      payload = EncodeShardSnapshot(*snapshot);
-    }
-    self->loop->Post([this, self, fd, conn_id, type,
-                      payload = std::move(payload), start_ns]() mutable {
-      DeliverReply(*self, fd, conn_id, type, std::move(payload), start_ns,
-                   /*is_query=*/true);
-    });
-  });
+  ServeFromOwner(
+      w, conn, *key, start_ns,
+      [key = *key, shard_id](const SummaryStore& part,
+                             std::vector<uint8_t>* payload) {
+        auto snapshot = part.ExportKeyedSnapshot(key, shard_id);
+        if (!snapshot.ok()) {
+          *payload = EncodeErrorReply(
+              ErrorReply{ErrorCode::kInternal, snapshot.status().message()});
+          return FrameType::kError;
+        }
+        *payload = EncodeShardSnapshot(*snapshot);
+        return FrameType::kSnapshotPush;
+      });
 }
 
 void ShardedIngestServer::HandleQuantileQuery(Worker& w, Connection& conn,
@@ -642,43 +651,28 @@ void ShardedIngestServer::HandleQuantileQuery(Worker& w, Connection& conn,
     DropConnection(w, conn, ErrorCode::kMalformed, query.status().message());
     return;
   }
-  const QuantileQuery q = *query;
-  Worker* owner = workers_[store_->partition_of(q.key)].get();
-  Worker* self = &w;
-  const int fd = conn.fd;
-  const uint64_t conn_id = conn.id;
-  conn.awaiting_reply = true;
-  owner->loop->Post([this, owner, self, fd, conn_id, q, start_ns] {
-    DrainRings(*owner);
-    FlushPending(*owner);
-    const SummaryStore& part = store_->partition(owner->index);
-    FrameType type = FrameType::kError;
-    std::vector<uint8_t> payload;
-    if (!part.Contains(q.key)) {
-      payload = EncodeErrorReply(ErrorReply{ErrorCode::kUnknownKey,
-                                            "no such key"});
-    } else if (auto aggregator = part.QueryAggregator(q.key);
-               !aggregator.ok()) {
-      // The key exists, so the only Create-time rejection is zero samples.
-      payload = EncodeErrorReply(
-          ErrorReply{ErrorCode::kEmptyKey, aggregator.status().message()});
-    } else {
-      const double rank = std::min(1.0, std::max(0.0, q.q));
-      QuantileReply reply;
-      reply.value = aggregator->Quantile(rank);
-      reply.error_budget = aggregator->error_budget();
-      if (auto count = part.NumSamples(q.key); count.ok()) {
-        reply.num_samples = *count;
-      }
-      type = FrameType::kQuantileReply;
-      payload = EncodeQuantileReply(reply);
-    }
-    self->loop->Post([this, self, fd, conn_id, type,
-                      payload = std::move(payload), start_ns]() mutable {
-      DeliverReply(*self, fd, conn_id, type, std::move(payload), start_ns,
-                   /*is_query=*/true);
-    });
-  });
+  ServeFromOwner(
+      w, conn, query->key, start_ns,
+      [q = *query](const SummaryStore& part, std::vector<uint8_t>* payload) {
+        auto aggregator = part.QueryAggregator(q.key);
+        if (!aggregator.ok()) {
+          // The key exists and Create refused every merging knob a fold
+          // could reject, so the one failure left is a key with zero
+          // samples.
+          *payload = EncodeErrorReply(
+              ErrorReply{ErrorCode::kEmptyKey, aggregator.status().message()});
+          return FrameType::kError;
+        }
+        const double rank = std::min(1.0, std::max(0.0, q.q));
+        QuantileReply reply;
+        reply.value = aggregator->Quantile(rank);
+        reply.error_budget = aggregator->error_budget();
+        if (auto count = part.NumSamples(q.key); count.ok()) {
+          reply.num_samples = *count;
+        }
+        *payload = EncodeQuantileReply(reply);
+        return FrameType::kQuantileReply;
+      });
 }
 
 void ShardedIngestServer::HandleStats(Worker& w, Connection& conn) {

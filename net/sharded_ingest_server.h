@@ -162,6 +162,16 @@ class ShardedIngestServer {
   void HandleQuantileQuery(Worker& w, Connection& conn, const Frame& frame,
                            uint64_t start_ns);
   void HandleStats(Worker& w, Connection& conn);
+  // The read path's owner-loop hop, shared by queries and snapshot pulls.
+  // Marks `conn` as awaiting a reply and posts to `key`'s owner loop, which
+  // drains its rings and flushes its pending samples (the freshness rule:
+  // by the push-before-ACK order, everything ACKed before the request is in
+  // the rings), answers kUnknownKey for an absent key, else lets
+  // `reply(part, &payload)` fill the payload and return its frame type, and
+  // posts the reply back to the connection's loop (DeliverReply).
+  template <typename Reply>
+  void ServeFromOwner(Worker& w, Connection& conn, uint64_t key,
+                      uint64_t start_ns, Reply reply);
   // Runs on the connection's loop: deliver a reply built elsewhere, if the
   // connection is still the same one (fd reuse is id-checked), then resume
   // the connection's input.  Query and pull round trips (`is_query`) are

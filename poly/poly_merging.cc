@@ -7,6 +7,19 @@
 
 namespace fasthist {
 
+Status ValidateMergingOptions(const MergingOptions& options) {
+  if (!(options.delta > 0.0)) {
+    return Status::Invalid("merging: delta must be positive");
+  }
+  if (!(options.gamma >= 1.0)) {
+    return Status::Invalid("merging: gamma must be >= 1");
+  }
+  if (options.num_threads < 1) {
+    return Status::Invalid("merging: num_threads must be >= 1");
+  }
+  return Status::Ok();
+}
+
 StatusOr<PiecewisePolynomial> PiecewisePolynomial::Create(
     int64_t domain_size, std::vector<PolyFit> pieces) {
   if (domain_size <= 0) {

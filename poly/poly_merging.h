@@ -37,6 +37,13 @@ struct MergingOptions {
   int num_threads = 1;
 };
 
+// Invalid unless delta > 0, gamma >= 1 and num_threads >= 1 (a NaN knob is
+// refused too), with a message that names the knob.  Every merging run
+// checks its options here, and so does every builder that merges later
+// (StreamingHistogramBuilder, ArchetypePool) at its Create, so a bad knob
+// is refused before a sample is accepted rather than at the first condense.
+Status ValidateMergingOptions(const MergingOptions& options);
+
 // A function that is polynomial (degree <= d) on each of its pieces.
 class PiecewisePolynomial {
  public:

@@ -12,12 +12,6 @@
 
 namespace fasthist {
 
-bool SameArchetype(const ArchetypeConfig& a, const ArchetypeConfig& b) {
-  return a.domain_size == b.domain_size && a.k == b.k && a.degree == b.degree &&
-         a.window_capacity == b.window_capacity &&
-         a.options.delta == b.options.delta && a.options.gamma == b.options.gamma;
-}
-
 namespace {
 
 // Frees a window plane allocated as `new T[n]` (ArchetypePool::WindowPlane).
@@ -39,8 +33,7 @@ std::vector<int64_t>& WidenScratch() {
 // The streaming_ladder Storage adapter over one slot's plane slices.  All
 // slot state lives at fixed offsets inside the chunk's planes; the adapter
 // is just the arithmetic.  Mutating calls are only reached via non-const
-// pool entry points, and distinct slots touch disjoint slices — the
-// concurrency carve-out in the class comment.
+// pool entry points.
 struct ArchetypePool::SlotLadder {
   Chunk* chunk;
   size_t slot;
@@ -48,15 +41,13 @@ struct ArchetypePool::SlotLadder {
   int64_t piece_capacity;
 
   LevelPlane* plane(int level) const {
-    // The acquire in levels() ordered this pointer's publication.
-    return chunk->levels[static_cast<size_t>(level)].load(
-        std::memory_order_relaxed);
+    return chunk->levels[static_cast<size_t>(level)].get();
   }
 
   // Chunk-wide, not per-slot: a slot sees every level its chunk ever grew.
   // Vacant slots (count == 0) make Commit and Fold skip them, so the extra
   // levels are invisible to the computation — only to the loop bounds.
-  int levels() const { return chunk->num_levels.load(std::memory_order_acquire); }
+  int levels() const { return chunk->num_levels; }
 
   int64_t count(int level) const { return plane(level)->count[slot]; }
 
@@ -96,32 +87,17 @@ struct ArchetypePool::SlotLadder {
   void Clear(int level) { plane(level)->count[slot] = 0; }
 
   Status PushLevel() {
-    const int target = levels();
-    if (target >= kMaxLadderLevels) {
+    if (chunk->num_levels >= kMaxLadderLevels) {
       return Status::Invalid("ArchetypePool: ladder depth limit reached");
     }
-    auto& pointer = chunk->levels[static_cast<size_t>(target)];
-    if (pointer.load(std::memory_order_acquire) == nullptr) {
-      auto* fresh = new LevelPlane;
-      const size_t plane_pieces =
-          kSlotsPerChunk * static_cast<size_t>(piece_capacity);
-      fresh->ends.assign(plane_pieces, 0);
-      fresh->values.assign(plane_pieces, 0.0);
-      fresh->piece_count.assign(kSlotsPerChunk, 0);
-      fresh->count.assign(kSlotsPerChunk, 0);
-      LevelPlane* expected = nullptr;
-      // Concurrent deepeners (disjoint slots, same chunk) race to publish;
-      // the loser frees its copy and uses the winner's.
-      if (!pointer.compare_exchange_strong(expected, fresh,
-                                           std::memory_order_release,
-                                           std::memory_order_acquire)) {
-        delete fresh;
-      }
-    }
-    int expected_levels = target;
-    chunk->num_levels.compare_exchange_strong(expected_levels, target + 1,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed);
+    auto plane = std::make_unique<LevelPlane>();
+    const size_t plane_pieces =
+        kSlotsPerChunk * static_cast<size_t>(piece_capacity);
+    plane->ends.assign(plane_pieces, 0);
+    plane->values.assign(plane_pieces, 0.0);
+    plane->piece_count.assign(kSlotsPerChunk, 0);
+    plane->count.assign(kSlotsPerChunk, 0);
+    chunk->levels[static_cast<size_t>(chunk->num_levels++)] = std::move(plane);
     return Status::Ok();
   }
 };
@@ -145,10 +121,7 @@ StatusOr<ArchetypePool> ArchetypePool::Create(const ArchetypeConfig& config) {
                                    WindowValueBytes(config.domain_size)) {
     return Status::Invalid("ArchetypePool: window capacity too large");
   }
-  if (config.degree != 0) {
-    return Status::Invalid(
-        "ArchetypePool: only degree-0 (histogram) archetypes are implemented");
-  }
+  if (Status s = ValidateMergingOptions(config.options); !s.ok()) return s;
   return ArchetypePool(config);
 }
 
@@ -184,57 +157,21 @@ Status ArchetypePool::AddChunk() {
   chunk->window_len.assign(kSlotsPerChunk, 0);
   chunk->summarized.assign(kSlotsPerChunk, 0);
   chunk->key.assign(kSlotsPerChunk, 0);
-  chunk->live.assign(kSlotsPerChunk, 0);
   chunks_.push_back(std::move(chunk));
-  // The freelist can never hold more than every slot; reserving it here
-  // makes the pool's heap bytes a pure function of the chunk count, so
-  // key churn (erase/reinsert) provably allocates nothing (stress-tested).
-  free_slots_.reserve(chunks_.size() * kSlotsPerChunk);
   return Status::Ok();
 }
 
 StatusOr<uint64_t> ArchetypePool::AllocateSlot(uint64_t key) {
-  uint64_t ref;
-  if (!free_slots_.empty()) {
-    ref = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    if (next_unused_ == chunks_.size() * kSlotsPerChunk) {
-      if (Status s = AddChunk(); !s.ok()) return s;
-    }
-    ref = PackRef(next_unused_ / kSlotsPerChunk, next_unused_ % kSlotsPerChunk);
-    ++next_unused_;
+  if (next_unused_ == chunks_.size() * kSlotsPerChunk) {
+    if (Status s = AddChunk(); !s.ok()) return s;
   }
-  Chunk& chunk = *chunks_[ChunkOf(ref)];
-  const size_t slot = SlotOf(ref);
-  chunk.live[slot] = 1;
-  chunk.key[slot] = key;
-  chunk.window_len[slot] = 0;
-  chunk.summarized[slot] = 0;
-  ++num_live_;
+  // A fresh slot's planes are still as AddChunk zeroed them: empty window,
+  // no samples, every ladder level vacant.
+  const uint64_t ref =
+      PackRef(next_unused_ / kSlotsPerChunk, next_unused_ % kSlotsPerChunk);
+  ++next_unused_;
+  chunks_[ChunkOf(ref)]->key[SlotOf(ref)] = key;
   return ref;
-}
-
-Status ArchetypePool::ReleaseSlot(uint64_t ref) {
-  if (ChunkOf(ref) >= chunks_.size() || !chunks_[ChunkOf(ref)]->live[SlotOf(ref)]) {
-    return Status::Invalid("ArchetypePool: release of a slot not live");
-  }
-  Chunk& chunk = *chunks_[ChunkOf(ref)];
-  const size_t slot = SlotOf(ref);
-  chunk.live[slot] = 0;
-  chunk.window_len[slot] = 0;
-  chunk.summarized[slot] = 0;
-  // Vacate the slot's ladder slice in every level the chunk has grown;
-  // the planes themselves stay for the next occupant.
-  const int levels = chunk.num_levels.load(std::memory_order_acquire);
-  for (int level = 0; level < levels; ++level) {
-    chunk.levels[static_cast<size_t>(level)]
-        .load(std::memory_order_relaxed)
-        ->count[slot] = 0;
-  }
-  free_slots_.push_back(ref);
-  --num_live_;
-  return Status::Ok();
 }
 
 Span<const int64_t> ArchetypePool::WindowValues(const Chunk& chunk,
@@ -276,8 +213,8 @@ Status ArchetypePool::FlushWindow(Chunk& chunk, size_t slot) {
 }
 
 Status ArchetypePool::Append(uint64_t ref, Span<const KeyedSample> run) {
-  if (ChunkOf(ref) >= chunks_.size() || !chunks_[ChunkOf(ref)]->live[SlotOf(ref)]) {
-    return Status::Invalid("ArchetypePool: append to a slot not live");
+  if (!Allocated(ref)) {
+    return Status::Invalid("ArchetypePool: append to a slot not allocated");
   }
   return Append(Resolve(ref), run);
 }
@@ -323,8 +260,8 @@ Status ArchetypePool::Append(SlotHandle handle, Span<const KeyedSample> run) {
 }
 
 StatusOr<Histogram> ArchetypePool::Query(uint64_t ref) const {
-  if (ChunkOf(ref) >= chunks_.size() || !chunks_[ChunkOf(ref)]->live[SlotOf(ref)]) {
-    return Status::Invalid("ArchetypePool: query of a slot not live");
+  if (!Allocated(ref)) {
+    return Status::Invalid("ArchetypePool: query of a slot not allocated");
   }
   // Sound for the same reason as StreamingHistogramBuilder's const views:
   // the read-side fold only calls the adapter's const operations.
@@ -352,27 +289,20 @@ StatusOr<Histogram> ArchetypePool::Query(uint64_t ref) const {
 }
 
 int64_t ArchetypePool::NumSamples(uint64_t ref) const {
-  if (ChunkOf(ref) >= chunks_.size()) return 0;
+  if (!Allocated(ref)) return 0;
   const Chunk& chunk = *chunks_[ChunkOf(ref)];
   const size_t slot = SlotOf(ref);
-  if (!chunk.live[slot]) return 0;
   return chunk.summarized[slot] + chunk.window_len[slot];
 }
 
 int ArchetypePool::ErrorLevels(uint64_t ref) const {
-  if (ChunkOf(ref) >= chunks_.size()) return 0;
+  if (!Allocated(ref)) return 0;
   auto& chunk = const_cast<Chunk&>(*chunks_[ChunkOf(ref)]);
   const size_t slot = SlotOf(ref);
-  if (!chunk.live[slot]) return 0;
   SlotLadder ladder{&chunk, slot, config_.domain_size, piece_capacity_};
   return streaming_ladder::ErrorLevels(streaming_ladder::Depth(ladder),
                                        streaming_ladder::Slots(ladder),
                                        chunk.window_len[slot] > 0);
-}
-
-uint64_t ArchetypePool::KeyOf(uint64_t ref) const {
-  if (ChunkOf(ref) >= chunks_.size()) return 0;
-  return chunks_[ChunkOf(ref)]->key[SlotOf(ref)];
 }
 
 Status ArchetypePool::ReserveSlots(size_t num_slots) {
@@ -384,23 +314,18 @@ Status ArchetypePool::ReserveSlots(size_t num_slots) {
 
 ArchetypePool::MemoryStats ArchetypePool::memory() const {
   MemoryStats stats;
-  stats.total_bytes += chunks_.capacity() * sizeof(chunks_[0]) +
-                       free_slots_.capacity() * sizeof(uint64_t);
+  stats.total_bytes += chunks_.capacity() * sizeof(chunks_[0]);
   const size_t bytes_per_slice =
       static_cast<size_t>(piece_capacity_) * (sizeof(int64_t) + sizeof(double));
   const size_t bytes_per_window = config_.window_capacity * window_bytes_;
-  for (const auto& chunk_ptr : chunks_) {
-    const Chunk& chunk = *chunk_ptr;
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    const Chunk& chunk = *chunks_[c];
     stats.total_bytes += sizeof(Chunk) + kSlotsPerChunk * bytes_per_window +
                          chunk.window_len.capacity() * sizeof(int32_t) +
                          chunk.summarized.capacity() * sizeof(int64_t) +
-                         chunk.key.capacity() * sizeof(uint64_t) +
-                         chunk.live.capacity() * sizeof(uint8_t);
-    const int levels = chunk.num_levels.load(std::memory_order_acquire);
-    for (int level = 0; level < levels; ++level) {
-      const LevelPlane& plane =
-          *chunk.levels[static_cast<size_t>(level)].load(
-              std::memory_order_relaxed);
+                         chunk.key.capacity() * sizeof(uint64_t);
+    for (int level = 0; level < chunk.num_levels; ++level) {
+      const LevelPlane& plane = *chunk.levels[static_cast<size_t>(level)];
       stats.total_bytes += sizeof(LevelPlane) +
                            plane.ends.capacity() * sizeof(int64_t) +
                            plane.values.capacity() * sizeof(double) +
@@ -408,18 +333,19 @@ ArchetypePool::MemoryStats ArchetypePool::memory() const {
                            plane.count.capacity() * sizeof(int64_t);
     }
     // Payload: what a key's summary inherently costs — its sample window
-    // plus its occupied ladder slices at capacity.  A live slot's vacant
-    // slices of allocated planes are slack (carry-vacancy of the dyadic
-    // ladder, see MemoryStats).  Everything else — index, per-slot
-    // bookkeeping, dead slots' plane capacity — is the overhead the
-    // <= 150 bytes/key budget measures.
-    for (size_t slot = 0; slot < kSlotsPerChunk; ++slot) {
-      if (!chunk.live[slot]) continue;
+    // plus its occupied ladder slices at capacity.  An allocated slot's
+    // vacant slices of allocated planes are slack (carry-vacancy of the
+    // dyadic ladder, see MemoryStats).  Everything else — index, per-slot
+    // bookkeeping, the plane capacity of slots not yet handed out — is the
+    // overhead the <= 150 bytes/key budget measures.
+    const size_t first = c * kSlotsPerChunk;  // reserved chunks hold none
+    const size_t allocated =
+        next_unused_ > first ? std::min(kSlotsPerChunk, next_unused_ - first)
+                             : 0;
+    for (size_t slot = 0; slot < allocated; ++slot) {
       stats.payload_bytes += bytes_per_window;
-      for (int level = 0; level < levels; ++level) {
-        if (chunk.levels[static_cast<size_t>(level)]
-                .load(std::memory_order_relaxed)
-                ->count[slot] > 0) {
+      for (int level = 0; level < chunk.num_levels; ++level) {
+        if (chunk.levels[static_cast<size_t>(level)]->count[slot] > 0) {
           stats.payload_bytes += bytes_per_slice;
         } else {
           stats.slack_bytes += bytes_per_slice;

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -30,10 +29,6 @@ struct ArchetypeConfig {
   int64_t domain_size = 1024;
   // Pieces knob of every condense and merge (summaries have ~2k+1 pieces).
   int64_t k = 8;
-  // Piecewise-polynomial degree, reserved for the poly/ layer: only 0
-  // (flat histogram summaries) is implemented; the field exists so configs
-  // written today stay forward-compatible with a poly-backed pool.
-  int degree = 0;
   // Per-key buffer: samples accumulate here and are condensed into the
   // slot's dyadic ladder one full window at a time (the
   // StreamingHistogramBuilder buffer_capacity, per key).
@@ -43,21 +38,17 @@ struct ArchetypeConfig {
   MergingOptions options;
 };
 
-// Archetype identity: two configs that produce bit-identical summaries from
-// the same samples are the same archetype.  num_threads is deliberately
-// ignored — histogram runs ignore it too, so it is not an identity bit.
-bool SameArchetype(const ArchetypeConfig& a, const ArchetypeConfig& b);
-
 // A pool of fixed-shape summary slots for one archetype, laid out as
 // structure-of-arrays slabs (ECS style): a chunk owns kSlotsPerChunk slots,
 // and each logical field of "a streaming builder" lives in its own
 // contiguous plane — sample windows, window lengths, summarized counts,
-// liveness, and one (ends, values, piece_count, count) plane set per ladder
+// keys, and one (ends, values, piece_count, count) plane set per ladder
 // level, allocated lazily the first time any slot in the chunk carries that
 // deep.  Per-key state is therefore pure array slices: no Histogram, no
 // std::vector, no heap object per key — the entire per-key overhead beyond
 // the payload planes is one index entry plus this pool's amortized chunk
-// bookkeeping.
+// bookkeeping.  Slots are handed out by a bump cursor and live as long as
+// the pool (the store never erases a key).
 //
 // A window stores each value in 2 bytes when domain_size - 1 fits 16 bits,
 // else as an int64_t (WindowValueBytes).  The width is fixed per archetype
@@ -76,27 +67,23 @@ bool SameArchetype(const ArchetypeConfig& a, const ArchetypeConfig& b);
 // streaming_ladder hooks — so a slot's Query is bit-identical to a builder
 // fed the same per-key subsequence (property-tested).
 //
-// Concurrency: structurally serial, with one carve-out the summary store's
-// batched ingest contract relies on — concurrent Append/Query on *distinct
-// slots* is safe provided no slot is concurrently allocated or released.
-// Distinct slots touch disjoint plane slices, and the only shared mutation,
-// growing a chunk's lazy ladder by one level plane, is published by
-// compare-and-swap so concurrent deepeners agree on one plane.
+// Not thread-safe: one thread at a time, like the store that owns it.
 class ArchetypePool {
   struct Chunk;  // kSlotsPerChunk slots' planes, defined below
 
  public:
   static constexpr size_t kSlotsPerChunk = 256;
-  // A level ladder this deep summarizes 2^40 windows; the fixed array is an
-  // address-stability requirement (concurrent readers hold plane pointers),
-  // not a memory cost — vacant levels are null.
+  // A level ladder this deep summarizes 2^40 windows.  The levels sit in a
+  // fixed array, so a plane lookup on the read path is one load; vacant
+  // levels are null and cost a pointer each.
   static constexpr int kMaxLadderLevels = 40;
 
-  // Invalid unless domain_size >= 1, k >= 1, degree == 0 and
-  // 1 <= window_capacity <= INT32_MAX (window lengths are int32_t) with a
-  // chunk's window plane (kSlotsPerChunk * window_capacity values) sized
-  // within size_t.  A plane the heap cannot supply fails later, as an
-  // Invalid status from AllocateSlot or ReserveSlots.
+  // Invalid unless domain_size >= 1, k >= 1, the merging options pass
+  // ValidateMergingOptions and 1 <= window_capacity <= INT32_MAX (window
+  // lengths are int32_t) with a chunk's window plane (kSlotsPerChunk *
+  // window_capacity values) sized within size_t.  A plane the heap cannot
+  // supply fails later, as an Invalid status from AllocateSlot or
+  // ReserveSlots.
   static StatusOr<ArchetypePool> Create(const ArchetypeConfig& config);
 
   // Bytes one window value takes in a pool over `domain_size`: 2 when
@@ -106,28 +93,18 @@ class ArchetypePool {
   ArchetypePool(ArchetypePool&&) = default;
   ArchetypePool& operator=(ArchetypePool&&) = default;
 
-  const ArchetypeConfig& config() const { return config_; }
-  // Pieces capacity of one ladder-slot slice: every engine output fits
-  // (internal::MaxSurvivingPieces, clamped by the domain).
-  int64_t piece_capacity() const { return piece_capacity_; }
-
-  // Slot lifecycle (serial contexts only).  AllocateSlot reuses the
-  // youngest released slot first (LIFO keeps the hot end of the freelist
-  // cache-resident), else bump-allocates, growing by one chunk when full.
-  // The returned ref packs (chunk, slot); `key` is stamped into the slot's
-  // key plane for reverse lookup during sweeps.
+  // Bump-allocates the next slot, growing by one chunk when full, and
+  // stamps `key` into the slot's key plane for the bulk sweeps.  The
+  // returned ref is (chunk << 16) | slot; refs are handed out in order from
+  // 0, and a slot is never released.
   StatusOr<uint64_t> AllocateSlot(uint64_t key);
-  // Vacates the slot (window, ladder occupancy, counters) and recycles it.
-  // The planes stay allocated — a workload that churns keys reuses slabs
-  // instead of growing them (stress-tested).
-  Status ReleaseSlot(uint64_t ref);
 
-  // A live slot resolved to its chunk: a chunk pointer and a slot index.
-  // AddBatch resolves each present key's ref once, at its probe stage, and
-  // hands the handle to PrefetchSlot, PrefetchWindow and Append, so its
-  // window stage does no chunk lookup and its append unpacks no ref.
+  // An allocated slot resolved to its chunk: a chunk pointer and a slot
+  // index.  AddBatch resolves each present key's ref once, at its probe
+  // stage, and hands the handle to PrefetchSlot, PrefetchWindow and Append,
+  // so its window stage does no chunk lookup and its append unpacks no ref.
   // Opaque outside the pool.  Chunks never move and are never freed while
-  // the pool lives, so a handle stays valid until its slot is released.
+  // the pool lives, so a handle stays valid as long as the pool.
   class SlotHandle {
    public:
     SlotHandle() = default;
@@ -138,7 +115,7 @@ class ArchetypePool {
     Chunk* chunk_ = nullptr;
     size_t slot_ = 0;
   };
-  // `ref` must name a live slot of this pool.
+  // `ref` must name an allocated slot of this pool.
   SlotHandle Resolve(uint64_t ref) {
     return SlotHandle(chunks_[ChunkOf(ref)].get(), SlotOf(ref));
   }
@@ -146,7 +123,8 @@ class ArchetypePool {
   // Appends the values of `run` (samples of this slot's key) to the slot's
   // window, condensing into its ladder one full window at a time.  Same
   // semantics as StreamingHistogramBuilder::AddMany, per slot.  The ref form
-  // checks that the slot is live; the handle form trusts Resolve's contract.
+  // checks that the slot is allocated; the handle form trusts Resolve's
+  // contract.
   Status Append(uint64_t ref, Span<const KeyedSample> run);
   Status Append(SlotHandle slot, Span<const KeyedSample> run);
 
@@ -172,16 +150,16 @@ class ArchetypePool {
   }
 
   // The slot's current summary — the same read-side fold as
-  // StreamingHistogramBuilder::Peek (uniform when empty).
+  // StreamingHistogramBuilder::Peek (uniform when empty).  Invalid for a
+  // ref that names no allocated slot.
   StatusOr<Histogram> Query(uint64_t ref) const;
 
+  // 0 for a ref that names no allocated slot.
   int64_t NumSamples(uint64_t ref) const;
   // Lemma-4.2 error levels of the summary Query returns now (the
-  // streaming_ladder::ErrorLevels convention).
+  // streaming_ladder::ErrorLevels convention); 0 for a ref that names no
+  // allocated slot.
   int ErrorLevels(uint64_t ref) const;
-  uint64_t KeyOf(uint64_t ref) const;
-
-  size_t num_live_slots() const { return num_live_; }
 
   // Pre-allocates chunks for `num_slots` total slots.
   Status ReserveSlots(size_t num_slots);
@@ -191,25 +169,24 @@ class ArchetypePool {
   // piece_capacity ends and values.
   struct MemoryStats {
     size_t total_bytes = 0;    // all plane + bookkeeping heap bytes
-    size_t payload_bytes = 0;  // live slots' window + occupied ladder slices
-    // Vacant carry slices of live slots: levels a slot's ladder has grown
-    // past but holds no pieces in right now (16 windows = binary 10000
-    // occupies level 4 only, levels 0-3 sit empty between carries).  A
-    // structural cost of the dyadic ladder itself — it scales with depth,
+    size_t payload_bytes = 0;  // slots' windows + occupied ladder slices
+    // Vacant carry slices of allocated slots: levels a slot's ladder has
+    // grown past but holds no pieces in right now (16 windows = binary
+    // 10000 occupies level 4 only, levels 0-3 sit empty between carries).
+    // A structural cost of the dyadic ladder itself — it scales with depth,
     // not with key count — so it is accounted apart from both the payload
     // and the per-key store tax.
     size_t slack_bytes = 0;
   };
   MemoryStats memory() const;
 
-  // Enumerates live slots as (ref, key), chunk-major (= allocation order).
+  // Enumerates allocated slots as (ref, key), in allocation order.
   template <typename Fn>
-  void ForEachLiveSlot(Fn&& fn) const {
-    for (size_t c = 0; c < chunks_.size(); ++c) {
-      const Chunk& chunk = *chunks_[c];
-      for (size_t s = 0; s < kSlotsPerChunk; ++s) {
-        if (chunk.live[s]) fn(PackRef(c, s), chunk.key[s]);
-      }
+  void ForEachSlot(Fn&& fn) const {
+    for (size_t i = 0; i < next_unused_; ++i) {
+      const size_t c = i / kSlotsPerChunk;
+      const size_t s = i % kSlotsPerChunk;
+      fn(PackRef(c, s), chunks_[c]->key[s]);
     }
   }
 
@@ -235,16 +212,10 @@ class ArchetypePool {
     std::vector<int32_t> window_len;  // per slot
     std::vector<int64_t> summarized;  // per slot
     std::vector<uint64_t> key;        // per slot
-    std::vector<uint8_t> live;        // per slot
     // Lazily-deepened ladder: levels[L] is null until some slot commits at
-    // depth L.  Publication is CAS on the pointer, then a release bump of
-    // num_levels; readers acquire num_levels and only then dereference.
-    std::array<std::atomic<LevelPlane*>, kMaxLadderLevels> levels{};
-    std::atomic<int> num_levels{0};
-
-    ~Chunk() {
-      for (auto& level : levels) delete level.load(std::memory_order_relaxed);
-    }
+    // depth L, and levels [0, num_levels) are allocated.
+    std::array<std::unique_ptr<LevelPlane>, kMaxLadderLevels> levels;
+    int num_levels = 0;
   };
 
   struct SlotLadder;  // streaming_ladder Storage adapter, in the .cc
@@ -257,6 +228,12 @@ class ArchetypePool {
   static size_t ChunkOf(uint64_t ref) { return static_cast<size_t>(ref >> 16); }
   static size_t SlotOf(uint64_t ref) {
     return static_cast<size_t>(ref & 0xffff);
+  }
+  // Whether `ref` names a slot AllocateSlot has handed out: its slot bits
+  // are below kSlotsPerChunk and its index is below the bump cursor.
+  bool Allocated(uint64_t ref) const {
+    return SlotOf(ref) < kSlotsPerChunk &&
+           ChunkOf(ref) * kSlotsPerChunk + SlotOf(ref) < next_unused_;
   }
 
   // Calls fn(T{}) with T the pool's window value type: uint16_t when
@@ -284,14 +261,14 @@ class ArchetypePool {
   Status FlushWindow(Chunk& chunk, size_t slot);
 
   ArchetypeConfig config_;
+  // Pieces capacity of one ladder-slot slice: every engine output fits
+  // (internal::MaxSurvivingPieces, clamped by the domain).
   int64_t piece_capacity_ = 0;
   size_t window_bytes_ = sizeof(int64_t);  // WindowValueBytes(domain_size)
-  // unique_ptr per chunk: plane addresses must survive chunks_ growing
-  // (concurrent Appends to older chunks hold slices into them).
+  // unique_ptr per chunk: a SlotHandle resolved early in a batch must
+  // survive a chunk that a later key in the same batch adds.
   std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::vector<uint64_t> free_slots_;  // packed refs, LIFO
-  size_t next_unused_ = 0;            // bump cursor: slots never yet handed out
-  size_t num_live_ = 0;
+  size_t next_unused_ = 0;  // bump cursor: slots handed out so far
 };
 
 }  // namespace fasthist

@@ -10,16 +10,13 @@ size_t KeyIndex::Probe(const Stripe& stripe, uint64_t key, uint64_t hash,
                        bool* found) {
   const size_t mask = stripe.entries.size() - 1;
   size_t index = static_cast<size_t>(hash) & mask;
-  size_t first_tombstone = stripe.entries.size();  // "none seen"
   for (;;) {
     const Entry& entry = stripe.entries[index];
     if (entry.tagged == kEmptyTag) {
       *found = false;
-      return first_tombstone < stripe.entries.size() ? first_tombstone : index;
+      return index;
     }
-    if (entry.tagged == kTombstoneTag) {
-      if (first_tombstone == stripe.entries.size()) first_tombstone = index;
-    } else if (entry.key == key) {
+    if (entry.key == key) {
       *found = true;
       return index;
     }
@@ -27,18 +24,16 @@ size_t KeyIndex::Probe(const Stripe& stripe, uint64_t key, uint64_t hash,
   }
 }
 
-void KeyIndex::Grow(Stripe* stripe, size_t min_live_capacity) {
-  // Size for <= 2/3 live occupancy after the rehash (the probe-length /
-  // bytes-per-key sweet spot for the store's 16-byte entries); tombstones
-  // are dropped, so deletes never ratchet the table size upward.
+void KeyIndex::Grow(Stripe* stripe, size_t min_size) {
+  // Size for <= 2/3 occupancy after the rehash (the probe-length /
+  // bytes-per-key sweet spot for the store's 16-byte entries).
   size_t capacity = kMinStripeCapacity;
-  while (2 * capacity < 3 * min_live_capacity) capacity *= 2;
+  while (2 * capacity < 3 * min_size) capacity *= 2;
   std::vector<Entry> old = std::move(stripe->entries);
   stripe->entries.assign(capacity, Entry{});
-  stripe->used = stripe->live;
   const size_t mask = capacity - 1;
   for (const Entry& entry : old) {
-    if (entry.tagged < kPresentBit) continue;
+    if (entry.tagged == kEmptyTag) continue;
     size_t index = static_cast<size_t>(Hash(entry.key)) & mask;
     while (stripe->entries[index].tagged != kEmptyTag) {
       index = (index + 1) & mask;
@@ -59,43 +54,18 @@ uint64_t KeyIndex::FindHashed(uint64_t key, uint64_t hash) const {
 bool KeyIndex::Insert(uint64_t key, uint64_t value) {
   const uint64_t hash = Hash(key);
   Stripe& stripe = StripeOf(hash);
-  // Grow at 3/4 *used* (live + tombstones): the probe loop's termination
-  // and speed both depend on empty slots existing.
+  // Grow at 3/4 full: the probe loop's termination and speed both depend
+  // on empty entries existing.
   if (stripe.entries.empty() ||
-      4 * (stripe.used + 1) > 3 * stripe.entries.size()) {
-    Grow(&stripe, stripe.live + 1);
+      4 * (stripe.size + 1) > 3 * stripe.entries.size()) {
+    Grow(&stripe, stripe.size + 1);
   }
   bool found = false;
   const size_t index = Probe(stripe, key, hash, &found);
   if (found) return false;
-  if (stripe.entries[index].tagged == kEmptyTag) ++stripe.used;
   stripe.entries[index] = Entry{key, value | kPresentBit};
-  ++stripe.live;
-  ++num_live_;
-  return true;
-}
-
-bool KeyIndex::Assign(uint64_t key, uint64_t value) {
-  const uint64_t hash = Hash(key);
-  Stripe& stripe = StripeOf(hash);
-  if (stripe.entries.empty()) return false;
-  bool found = false;
-  const size_t index = Probe(stripe, key, hash, &found);
-  if (!found) return false;
-  stripe.entries[index].tagged = value | kPresentBit;
-  return true;
-}
-
-bool KeyIndex::Erase(uint64_t key) {
-  const uint64_t hash = Hash(key);
-  Stripe& stripe = StripeOf(hash);
-  if (stripe.entries.empty()) return false;
-  bool found = false;
-  const size_t index = Probe(stripe, key, hash, &found);
-  if (!found) return false;
-  stripe.entries[index].tagged = kTombstoneTag;
-  --stripe.live;
-  --num_live_;
+  ++stripe.size;
+  ++size_;
   return true;
 }
 

@@ -15,19 +15,16 @@ namespace fasthist {
 // selected by the top hash bits; level two is linear probing inside the
 // stripe's own power-of-two table.  Striping keeps every rehash local —
 // growing one stripe moves 1/64th of the keys, so insert latency stays flat
-// while the store fills — and gives concurrent *readers* of disjoint keys
-// unrelated cache lines to walk.
+// while the store fills.
 //
-// Concurrency contract (the store's, restated): Find is const and safe to
-// call from many threads only while no thread mutates; Insert/Erase/Reserve
-// require external serialization.  Entries are plain 16-byte structs — no
-// per-entry atomics, because the store's concurrent phase never mutates the
-// index (keys are created serially up front, see SummaryStore::AddBatch).
+// Insert-only: a key, once in, stays for the index's lifetime (the store
+// never erases), so a probe ends at the first empty entry.  Not
+// thread-safe: one thread at a time, like the store.
 class KeyIndex {
  public:
   // Returned by Find when the key is absent.  Valid stored values are
-  // < 2^63 (the top bit is the internal presence tag), which the packed
-  // (archetype, chunk, slot) refs satisfy by construction.
+  // < 2^63 (the top bit is the internal presence tag), which the pool's
+  // (chunk, slot) refs satisfy by construction.
   static constexpr uint64_t kNotFound = ~0ull;
 
   KeyIndex();
@@ -61,13 +58,7 @@ class KeyIndex {
   // already present; `value` must be < 2^63.
   bool Insert(uint64_t key, uint64_t value);
 
-  // Replaces the value of an existing key; returns false if absent.
-  bool Assign(uint64_t key, uint64_t value);
-
-  // Tombstones the key.  Returns false if absent.
-  bool Erase(uint64_t key);
-
-  size_t size() const { return num_live_; }
+  size_t size() const { return size_; }
 
   // Pre-sizes every stripe for `num_keys` total keys so the fill phase
   // never rehashes.
@@ -76,22 +67,11 @@ class KeyIndex {
   // Heap bytes held by the stripe tables (the index's whole footprint).
   size_t memory_bytes() const;
 
-  // Enumerates live (key, value) pairs in unspecified order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const Stripe& stripe : stripes_) {
-      for (const Entry& entry : stripe.entries) {
-        if (entry.tagged >= kPresentBit) fn(entry.key, entry.tagged - kPresentBit);
-      }
-    }
-  }
-
  private:
   // 16 bytes flat: the key plus the value with the entry state folded into
-  // `tagged` — 0 empty, 1 tombstone, bit 63 set means present and the low
-  // 63 bits are the stored value (hence the < 2^63 value contract).
+  // `tagged` — 0 empty, bit 63 set means present and the low 63 bits are
+  // the stored value (hence the < 2^63 value contract).
   static constexpr uint64_t kEmptyTag = 0;
-  static constexpr uint64_t kTombstoneTag = 1;
   static constexpr uint64_t kPresentBit = uint64_t{1} << 63;
 
   struct Entry {
@@ -101,8 +81,7 @@ class KeyIndex {
 
   struct Stripe {
     std::vector<Entry> entries;  // power-of-two size (or empty)
-    size_t live = 0;             // kPresent entries
-    size_t used = 0;             // kPresent + kTombstone entries
+    size_t size = 0;             // present entries
   };
 
   static constexpr int kStripeBits = 6;
@@ -115,14 +94,14 @@ class KeyIndex {
   const Stripe& StripeOf(uint64_t hash) const {
     return stripes_[hash >> (64 - kStripeBits)];
   }
-  // Index of the key's entry, or of the slot an insert should take
-  // (first tombstone on the probe path, else the empty that ended it).
+  // Index of the key's entry, or of the empty entry that ended the probe
+  // (where an insert goes).
   static size_t Probe(const Stripe& stripe, uint64_t key, uint64_t hash,
                       bool* found);
-  static void Grow(Stripe* stripe, size_t min_live_capacity);
+  static void Grow(Stripe* stripe, size_t min_size);
 
   std::vector<Stripe> stripes_;
-  size_t num_live_ = 0;
+  size_t size_ = 0;
 };
 
 }  // namespace fasthist

@@ -5,7 +5,7 @@
 namespace fasthist {
 
 StatusOr<PartitionedSummaryStore> PartitionedSummaryStore::Create(
-    const ArchetypeConfig& default_config, uint32_t num_partitions) {
+    const ArchetypeConfig& config, uint32_t num_partitions) {
   if (num_partitions == 0 ||
       (num_partitions & (num_partitions - 1)) != 0) {
     return Status::Invalid(
@@ -14,15 +14,14 @@ StatusOr<PartitionedSummaryStore> PartitionedSummaryStore::Create(
   std::vector<SummaryStore> partitions;
   partitions.reserve(num_partitions);
   for (uint32_t p = 0; p < num_partitions; ++p) {
-    StatusOr<SummaryStore> store = SummaryStore::Create(default_config);
+    StatusOr<SummaryStore> store = SummaryStore::Create(config);
     if (!store.ok()) return store.status();
     partitions.push_back(std::move(store).value());
   }
   return PartitionedSummaryStore(std::move(partitions));
 }
 
-Status PartitionedSummaryStore::AddBatch(Span<const KeyedSample> samples,
-                                         int archetype) {
+Status PartitionedSummaryStore::AddBatch(Span<const KeyedSample> samples) {
   // Stable partition of the span: each partition's subsequence keeps span
   // order, so a key's samples arrive at its store in original order — the
   // invariant the per-key bit-identity contract rides on.
@@ -33,8 +32,7 @@ Status PartitionedSummaryStore::AddBatch(Span<const KeyedSample> samples,
   for (uint32_t p = 0; p < num_partitions(); ++p) {
     if (buckets[p].empty()) continue;
     if (Status s = partitions_[p].AddBatch(
-            Span<const KeyedSample>(buckets[p].data(), buckets[p].size()),
-            archetype);
+            Span<const KeyedSample>(buckets[p].data(), buckets[p].size()));
         !s.ok()) {
       return s;
     }

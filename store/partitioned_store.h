@@ -38,14 +38,16 @@ inline uint32_t PartitionOfKey(uint64_t key, uint32_t num_partitions) {
 // (MergeAllMatching) fan in through the deterministic merge tree, which is
 // the paper's mergeability doing the horizontal-scaling work.
 //
-// The facade itself adds no locking — the caller owns the
-// one-writer-per-partition discipline (the sharded server enforces it by
-// construction: partition i is only touched from worker loop i).
+// The facade itself adds no locking, and a SummaryStore is not thread-safe:
+// the caller owns the one-thread-per-partition discipline (the sharded
+// server enforces it by construction: partition i is only touched from
+// worker loop i, for reads and writes alike).
 class PartitionedSummaryStore {
  public:
-  // `num_partitions` must be a power of two >= 1.
+  // `num_partitions` must be a power of two >= 1; every partition's store
+  // takes `config` (SummaryStore::Create).
   static StatusOr<PartitionedSummaryStore> Create(
-      const ArchetypeConfig& default_config, uint32_t num_partitions);
+      const ArchetypeConfig& config, uint32_t num_partitions);
 
   uint32_t num_partitions() const {
     return static_cast<uint32_t>(partitions_.size());
@@ -64,7 +66,7 @@ class PartitionedSummaryStore {
   // the split is a stable partition of the span).  The sharded server does
   // this routing itself across threads; this entry point exists for tests
   // and offline replay, where one thread plays both roles.
-  Status AddBatch(Span<const KeyedSample> samples, int archetype = 0);
+  Status AddBatch(Span<const KeyedSample> samples);
 
   bool Contains(uint64_t key) const {
     return partitions_[partition_of(key)].Contains(key);

@@ -4,63 +4,27 @@
 
 namespace fasthist {
 
-StatusOr<SummaryStore> SummaryStore::Create(
-    const ArchetypeConfig& default_config) {
-  auto pool = ArchetypePool::Create(default_config);
+StatusOr<SummaryStore> SummaryStore::Create(const ArchetypeConfig& config) {
+  auto pool = ArchetypePool::Create(config);
   if (!pool.ok()) return pool.status();
   return SummaryStore(std::move(pool).value());
 }
 
-SummaryStore::SummaryStore(ArchetypePool default_pool) {
-  pools_.push_back(std::move(default_pool));
-}
-
-StatusOr<int> SummaryStore::RegisterArchetype(const ArchetypeConfig& config) {
-  for (size_t i = 0; i < pools_.size(); ++i) {
-    if (SameArchetype(pools_[i].config(), config)) return static_cast<int>(i);
-  }
-  // 15 bits of archetype in the packed index value; a store with 32k
-  // distinct summary shapes has lost the plot anyway.
-  if (pools_.size() >= (size_t{1} << 15)) {
-    return Status::Invalid("SummaryStore: too many archetypes");
-  }
-  auto pool = ArchetypePool::Create(config);
-  if (!pool.ok()) return pool.status();
-  pools_.push_back(std::move(pool).value());
-  return static_cast<int>(pools_.size() - 1);
-}
-
-StatusOr<uint64_t> SummaryStore::FindValue(uint64_t key) const {
-  const uint64_t value = index_.Find(key);
-  if (value == KeyIndex::kNotFound) {
+StatusOr<uint64_t> SummaryStore::FindRef(uint64_t key) const {
+  const uint64_t ref = index_.Find(key);
+  if (ref == KeyIndex::kNotFound) {
     return Status::Invalid("SummaryStore: key not present");
   }
-  return value;
+  return ref;
 }
 
-Status SummaryStore::CheckArchetype(int archetype) const {
-  if (archetype < 0 || static_cast<size_t>(archetype) >= pools_.size()) {
-    return Status::Invalid("SummaryStore: unknown archetype");
-  }
-  return Status::Ok();
-}
-
-StatusOr<uint64_t> SummaryStore::FindOrCreateValue(uint64_t key,
-                                                   int archetype) {
-  if (Status s = CheckArchetype(archetype); !s.ok()) return s;
+StatusOr<uint64_t> SummaryStore::FindOrCreateRef(uint64_t key) {
   const uint64_t existing = index_.Find(key);
-  if (existing != KeyIndex::kNotFound) {
-    if (ArchetypeOf(existing) != archetype) {
-      return Status::Invalid(
-          "SummaryStore: key exists under a different archetype");
-    }
-    return existing;
-  }
-  auto ref = pools_[static_cast<size_t>(archetype)].AllocateSlot(key);
+  if (existing != KeyIndex::kNotFound) return existing;
+  auto ref = pool_.AllocateSlot(key);
   if (!ref.ok()) return ref.status();
-  const uint64_t value = PackValue(archetype, *ref);
-  index_.Insert(key, value);
-  return value;
+  index_.Insert(key, *ref);
+  return *ref;
 }
 
 namespace {
@@ -74,11 +38,9 @@ constexpr size_t kAhead = 16;
 
 }  // namespace
 
-Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
+Status SummaryStore::AddBatch(Span<const KeyedSample> samples) {
   const size_t n = samples.size();
   if (n == 0) return Status::Ok();
-  if (Status s = CheckArchetype(archetype); !s.ok()) return s;
-  ArchetypePool& pool = pools_[static_cast<size_t>(archetype)];
 
   // A rolling software pipeline over the span: each sample's dependent
   // misses (index line -> window length -> window line) are requested stage
@@ -88,11 +50,10 @@ Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
   // sample j from its hash stage to its append.
   struct InFlight {
     uint64_t hash = 0;
-    // Index value seen at the probe stage (kNotFound: absent then).  A
-    // present key's value cannot change before its append, because AddBatch
-    // never erases.
-    uint64_t value = KeyIndex::kNotFound;
-    // The slot of `value`, resolved at the probe stage; set only when the
+    // Pool ref seen at the probe stage (kNotFound: absent then).  A present
+    // key's ref cannot change before its append: keys are never erased.
+    uint64_t ref = KeyIndex::kNotFound;
+    // The slot of `ref`, resolved at the probe stage; set only when the
     // entry is hinted, so it is read only then.
     ArchetypePool::SlotHandle slot;
     // Same key as the sample before: it rides that sample's run, so it is
@@ -107,23 +68,22 @@ Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
     entry.hash = KeyIndex::Hash(samples[j].key);
     index_.Prefetch(entry.hash);
   };
-  // Hints go only to keys present (under the batch's archetype) when
-  // probed; everything else is resolved at its append, as before.
-  const auto hinted = [&](const InFlight& entry) {
-    return !entry.repeat && entry.value != KeyIndex::kNotFound &&
-           ArchetypeOf(entry.value) == archetype;
+  // Hints go only to keys present when probed; the others are created (or
+  // found, if an earlier sample created them since) at their append.
+  const auto hinted = [](const InFlight& entry) {
+    return !entry.repeat && entry.ref != KeyIndex::kNotFound;
   };
   const auto probe_stage = [&](size_t j) {
     InFlight& entry = ring[j % kAhead];
     if (entry.repeat) return;
-    entry.value = index_.FindHashed(samples[j].key, entry.hash);
+    entry.ref = index_.FindHashed(samples[j].key, entry.hash);
     if (!hinted(entry)) return;
-    entry.slot = pool.Resolve(PoolRefOf(entry.value));
-    pool.PrefetchSlot(entry.slot);
+    entry.slot = pool_.Resolve(entry.ref);
+    pool_.PrefetchSlot(entry.slot);
   };
   const auto window_stage = [&](size_t j) {
     const InFlight& entry = ring[j % kAhead];
-    if (hinted(entry)) pool.PrefetchWindow(entry.slot);
+    if (hinted(entry)) pool_.PrefetchWindow(entry.slot);
   };
 
   for (size_t j = 0; j < std::min(n, kAhead); ++j) hash_stage(j);
@@ -143,13 +103,11 @@ Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
     while (run_end < n && samples[run_end].key == key) ++run_end;
     ArchetypePool::SlotHandle slot = current.slot;
     if (!hinted(current)) {
-      // Absent when probed (maybe created by an earlier sample since), or
-      // under another archetype: the per-sample path creates or fails.
-      auto resolved = FindOrCreateValue(key, archetype);
-      if (!resolved.ok()) return resolved.status();
-      slot = pool.Resolve(PoolRefOf(*resolved));
+      auto ref = FindOrCreateRef(key);
+      if (!ref.ok()) return ref.status();
+      slot = pool_.Resolve(*ref);
     }
-    if (Status s = pool.Append(slot, samples.subspan(i, run_end - i));
+    if (Status s = pool_.Append(slot, samples.subspan(i, run_end - i));
         !s.ok()) {
       return s;
     }
@@ -157,87 +115,61 @@ Status SummaryStore::AddBatch(Span<const KeyedSample> samples, int archetype) {
   return Status::Ok();
 }
 
-Status SummaryStore::Add(uint64_t key, int64_t value, int archetype) {
+Status SummaryStore::Add(uint64_t key, int64_t value) {
   const KeyedSample sample[] = {{key, value}};
-  return AddBatch(sample, archetype);
-}
-
-Status SummaryStore::EnsureKeys(Span<const uint64_t> keys, int archetype) {
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (auto value = FindOrCreateValue(keys[i], archetype); !value.ok()) {
-      return value.status();
-    }
-  }
-  return Status::Ok();
-}
-
-Status SummaryStore::Erase(uint64_t key) {
-  auto value = FindValue(key);
-  if (!value.ok()) return value.status();
-  if (Status s = pools_[static_cast<size_t>(ArchetypeOf(*value))].ReleaseSlot(
-          PoolRefOf(*value));
-      !s.ok()) {
-    return s;
-  }
-  index_.Erase(key);
-  return Status::Ok();
+  return AddBatch(sample);
 }
 
 StatusOr<Histogram> SummaryStore::Query(uint64_t key) const {
-  auto value = FindValue(key);
-  if (!value.ok()) return value.status();
-  return pools_[static_cast<size_t>(ArchetypeOf(*value))].Query(
-      PoolRefOf(*value));
+  auto ref = FindRef(key);
+  if (!ref.ok()) return ref.status();
+  return pool_.Query(*ref);
 }
 
 StatusOr<int64_t> SummaryStore::NumSamples(uint64_t key) const {
-  auto value = FindValue(key);
-  if (!value.ok()) return value.status();
-  return pools_[static_cast<size_t>(ArchetypeOf(*value))].NumSamples(
-      PoolRefOf(*value));
+  auto ref = FindRef(key);
+  if (!ref.ok()) return ref.status();
+  return pool_.NumSamples(*ref);
 }
 
 StatusOr<int> SummaryStore::ErrorLevels(uint64_t key) const {
-  auto value = FindValue(key);
-  if (!value.ok()) return value.status();
-  return pools_[static_cast<size_t>(ArchetypeOf(*value))].ErrorLevels(
-      PoolRefOf(*value));
+  auto ref = FindRef(key);
+  if (!ref.ok()) return ref.status();
+  return pool_.ErrorLevels(*ref);
 }
 
 StatusOr<Aggregator> SummaryStore::QueryAggregator(
     uint64_t key, double per_level_error) const {
-  auto value = FindValue(key);
-  if (!value.ok()) return value.status();
-  const ArchetypePool& pool = pools_[static_cast<size_t>(ArchetypeOf(*value))];
-  const uint64_t ref = PoolRefOf(*value);
-  if (pool.NumSamples(ref) <= 0) {
+  auto found = FindRef(key);
+  if (!found.ok()) return found.status();
+  const uint64_t ref = *found;
+  if (pool_.NumSamples(ref) <= 0) {
     return Status::Invalid(
         "SummaryStore: key has no samples — nothing to serve");
   }
   if (!(per_level_error >= 0.0)) {
     return Status::Invalid("SummaryStore: per_level_error must be >= 0");
   }
-  auto histogram = pool.Query(ref);
+  auto histogram = pool_.Query(ref);
   if (!histogram.ok()) return histogram.status();
-  return Aggregator::Create(
-      std::move(histogram).value(),
-      per_level_error * static_cast<double>(std::max(1, pool.ErrorLevels(ref))));
+  const double error_levels = std::max(1, pool_.ErrorLevels(ref));
+  return Aggregator::Create(std::move(histogram).value(),
+                            per_level_error * error_levels);
 }
 
 StatusOr<ShardSnapshot> SummaryStore::ExportKeyedSnapshot(
     uint64_t key, uint64_t shard_id) const {
-  auto value = FindValue(key);
-  if (!value.ok()) return value.status();
-  const ArchetypePool& pool = pools_[static_cast<size_t>(ArchetypeOf(*value))];
-  const uint64_t ref = PoolRefOf(*value);
-  auto histogram = pool.Query(ref);
+  auto found = FindRef(key);
+  if (!found.ok()) return found.status();
+  const uint64_t ref = *found;
+  auto histogram = pool_.Query(ref);
   if (!histogram.ok()) return histogram.status();
   ShardSnapshot snapshot;
   snapshot.shard_id = shard_id;
   snapshot.keyed = true;
   snapshot.key_id = key;
-  snapshot.num_samples = pool.NumSamples(ref);
-  snapshot.error_levels = pool.ErrorLevels(ref);
+  snapshot.num_samples = pool_.NumSamples(ref);
+  snapshot.error_levels = pool_.ErrorLevels(ref);
   snapshot.encoded_histogram = EncodeHistogram(*histogram);
   return snapshot;
 }
@@ -246,23 +178,20 @@ Status SummaryStore::CollectSummaries(
     const std::function<bool(uint64_t)>& pred,
     std::vector<std::pair<uint64_t, ShardSummary>>* out) const {
   Status status = Status::Ok();
-  for (const ArchetypePool& pool : pools_) {
-    pool.ForEachLiveSlot([&](uint64_t ref, uint64_t key) {
-      if (!status.ok() || !pred(key)) return;
-      const int64_t num_samples = pool.NumSamples(ref);
-      if (num_samples == 0) return;  // empty summaries carry no mass
-      auto histogram = pool.Query(ref);
-      if (!histogram.ok()) {
-        status = histogram.status();
-        return;
-      }
-      out->emplace_back(
-          key, ShardSummary{std::move(histogram).value(),
-                            static_cast<double>(num_samples),
-                            std::max(1, pool.ErrorLevels(ref))});
-    });
-    if (!status.ok()) return status;
-  }
+  pool_.ForEachSlot([&](uint64_t ref, uint64_t key) {
+    if (!status.ok() || !pred(key)) return;
+    const int64_t num_samples = pool_.NumSamples(ref);
+    if (num_samples == 0) return;  // empty summaries carry no mass
+    auto histogram = pool_.Query(ref);
+    if (!histogram.ok()) {
+      status = histogram.status();
+      return;
+    }
+    out->emplace_back(key, ShardSummary{std::move(histogram).value(),
+                                        static_cast<double>(num_samples),
+                                        std::max(1, pool_.ErrorLevels(ref))});
+  });
+  if (!status.ok()) return status;
   // Canonical leaf order: the reduction must not depend on slab placement
   // (allocation history), only on the key set.
   std::sort(out->begin(), out->end(),
@@ -324,12 +253,10 @@ SummaryStore::GroupByRollup(const std::function<uint64_t(uint64_t)>& group_of,
 std::vector<std::pair<uint64_t, int64_t>> SummaryStore::TopKHeaviest(
     size_t n) const {
   std::vector<std::pair<uint64_t, int64_t>> weights;
-  for (const ArchetypePool& pool : pools_) {
-    pool.ForEachLiveSlot([&](uint64_t ref, uint64_t key) {
-      const int64_t num_samples = pool.NumSamples(ref);
-      if (num_samples > 0) weights.emplace_back(key, num_samples);
-    });
-  }
+  pool_.ForEachSlot([&](uint64_t ref, uint64_t key) {
+    const int64_t num_samples = pool_.NumSamples(ref);
+    if (num_samples > 0) weights.emplace_back(key, num_samples);
+  });
   const auto heavier = [](const std::pair<uint64_t, int64_t>& a,
                           const std::pair<uint64_t, int64_t>& b) {
     if (a.second != b.second) return a.second > b.second;
@@ -347,22 +274,17 @@ std::vector<std::pair<uint64_t, int64_t>> SummaryStore::TopKHeaviest(
 
 Status SummaryStore::ReserveKeys(size_t n) {
   index_.Reserve(n);
-  return pools_[0].ReserveSlots(n);
+  return pool_.ReserveSlots(n);
 }
 
 StoreMemoryStats SummaryStore::memory() const {
   StoreMemoryStats stats;
   stats.num_keys = index_.size();
   stats.index_bytes = index_.memory_bytes();
-  size_t pool_total = 0;
-  for (const ArchetypePool& pool : pools_) {
-    const ArchetypePool::MemoryStats pool_stats = pool.memory();
-    pool_total += pool_stats.total_bytes;
-    stats.payload_bytes += pool_stats.payload_bytes;
-    stats.ladder_slack_bytes += pool_stats.slack_bytes;
-  }
-  stats.total_bytes = stats.index_bytes + pool_total +
-                      pools_.capacity() * sizeof(ArchetypePool);
+  const ArchetypePool::MemoryStats pool_stats = pool_.memory();
+  stats.payload_bytes = pool_stats.payload_bytes;
+  stats.ladder_slack_bytes = pool_stats.slack_bytes;
+  stats.total_bytes = stats.index_bytes + pool_stats.total_bytes;
   stats.metadata_bytes = stats.total_bytes - stats.index_bytes -
                          stats.payload_bytes - stats.ladder_slack_bytes;
   return stats;

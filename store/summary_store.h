@@ -23,20 +23,20 @@ namespace fasthist {
 // bench's job to compare against).
 struct StoreMemoryStats {
   size_t total_bytes = 0;
-  size_t payload_bytes = 0;  // windows + occupied ladder slices (live keys)
-  // Vacant carry slices of live keys' allocated ladder planes — the dyadic
+  size_t payload_bytes = 0;  // keys' windows + occupied ladder slices
+  // Vacant carry slices of the keys' allocated ladder planes — the dyadic
   // ladder's between-carries emptiness (ArchetypePool::MemoryStats).  Scales
   // with ladder depth, not key count, so it is reported apart from the
   // per-key overhead the multi-tenancy budget gates.
   size_t ladder_slack_bytes = 0;
   size_t index_bytes = 0;     // key -> slot table
-  size_t metadata_bytes = 0;  // everything else: per-slot planes, freelists
+  size_t metadata_bytes = 0;  // everything else: per-slot planes, chunks
   size_t num_keys = 0;
 
   // The multi-tenancy budget (<= 150 at a million keys, bench-gated):
-  // bytes per live key beyond the summary payload and its ladder slack —
-  // i.e. what the *store* charges a key (index entry, slot bookkeeping,
-  // amortized chunk headers, freelist capacity).
+  // bytes per key beyond the summary payload and its ladder slack — i.e.
+  // what the *store* charges a key (index entry, slot bookkeeping,
+  // amortized chunk headers).
   double overhead_bytes_per_key() const {
     if (num_keys == 0) return 0.0;
     return static_cast<double>(total_bytes - payload_bytes -
@@ -45,13 +45,14 @@ struct StoreMemoryStats {
   }
 };
 
-// Millions of keyed streaming summaries behind one map: tenant/metric keys
-// index into archetype pools (store/archetype_pool.h) whose SoA slabs hold
-// every per-key ladder with no per-key heap objects at all.  Each key's
-// summary is bit-identical to a standalone StreamingHistogramBuilder fed
-// that key's subsequence — the store changes the *layout* of the
-// computation, never the computation (property-tested, serial and
-// threaded).
+// Millions of keyed streaming summaries of one shape behind one map:
+// tenant/metric keys index into one archetype pool (store/archetype_pool.h)
+// whose SoA slabs hold every per-key ladder with no per-key heap objects at
+// all.  Each key's summary is bit-identical to a standalone
+// StreamingHistogramBuilder fed that key's subsequence — the store changes
+// the *layout* of the computation, never the computation (property-tested
+// across shapes and thread counts).  A key lives as long as the store:
+// there is no erase.
 //
 // Ingest is batched: AddBatch walks a span of (key, value) pairs once, one
 // slab append per run of consecutive equal keys, as a rolling software
@@ -78,48 +79,26 @@ struct StoreMemoryStats {
 // deterministic merge tree, so their outputs are bit-identical regardless
 // of insertion history (canonical key order) and thread count.
 //
-// Concurrency: mutating entry points are serial by default, with one
-// carve-out for ingest — concurrent AddBatch calls are safe iff their key
-// sets are disjoint and every key already exists (created beforehand via
-// EnsureKeys, Add, or an earlier batch).  In that regime no index or slot
-// mutation happens; writers touch disjoint plane slices only (the pool's
-// carve-out), which TSan-backed tests exercise.  Reads (Query and friends)
-// require no concurrent writer of the same key.
+// Not thread-safe: one thread at a time.  The server gives each key-hash
+// partition's store exactly one writer, its owner loop, which also serves
+// the partition's reads (PartitionedSummaryStore).
 class SummaryStore {
  public:
-  // `default_config` becomes archetype 0, the one Add/AddBatch use unless
-  // told otherwise.
-  static StatusOr<SummaryStore> Create(const ArchetypeConfig& default_config);
-
-  // Registers (or finds, see SameArchetype) a summary shape; returns its
-  // archetype id.  Keys of different archetypes coexist in one store and
-  // one index — only their slabs are segregated.
-  StatusOr<int> RegisterArchetype(const ArchetypeConfig& config);
-  const ArchetypeConfig& archetype_config(int archetype) const {
-    return pools_[static_cast<size_t>(archetype)].config();
-  }
+  // Invalid unless ArchetypePool::Create accepts `config`.
+  static StatusOr<SummaryStore> Create(const ArchetypeConfig& config);
 
   // Batched keyed ingest, with exactly the effect of calling Add on each
-  // sample in span order: keys not yet present are created in
-  // `archetype`'s pool in first-seen order, and a failing sample (its key
-  // exists under a different archetype, or its value is out of domain)
-  // stops the batch with every sample before it ingested and none after.
-  // The span is walked once, pipelined (see the class comment); each run of
-  // consecutive equal keys costs one index probe and one slab append, so
-  // batches that arrive grouped by key pay per key, not per sample.
-  Status AddBatch(Span<const KeyedSample> samples, int archetype = 0);
+  // sample in span order: keys not yet present are created in first-seen
+  // order, and a sample whose value is out of domain stops the batch with
+  // every sample before it ingested and none after (its key is created
+  // all the same).  The span is walked once, pipelined (see the class
+  // comment); each run of consecutive equal keys costs one index probe and
+  // one slab append, so batches that arrive grouped by key pay per key, not
+  // per sample.
+  Status AddBatch(Span<const KeyedSample> samples);
 
   // Single-sample convenience (same semantics as a one-element batch).
-  Status Add(uint64_t key, int64_t value, int archetype = 0);
-
-  // Creates any missing keys (empty summaries) in `archetype`'s pool — the
-  // serial set-up step that makes subsequent disjoint-key AddBatch calls
-  // safe to run concurrently.
-  Status EnsureKeys(Span<const uint64_t> keys, int archetype = 0);
-
-  // Drops the key and recycles its slab slot (LIFO, so churn reuses warm
-  // slots instead of growing the slabs — stress-tested).
-  Status Erase(uint64_t key);
+  Status Add(uint64_t key, int64_t value);
 
   bool Contains(uint64_t key) const {
     return index_.Find(key) != KeyIndex::kNotFound;
@@ -166,33 +145,19 @@ class SummaryStore {
   // first, so the answer is insertion-order invariant).
   std::vector<std::pair<uint64_t, int64_t>> TopKHeaviest(size_t n) const;
 
-  // Pre-sizes the index and archetype-0 slabs so a bulk load of `n` keys
-  // never rehashes or chunk-allocates mid-ingest.
+  // Pre-sizes the index and the slabs so a bulk load of `n` keys never
+  // rehashes or chunk-allocates mid-ingest.
   Status ReserveKeys(size_t n);
 
   StoreMemoryStats memory() const;
 
  private:
-  explicit SummaryStore(ArchetypePool default_pool);
+  explicit SummaryStore(ArchetypePool pool) : pool_(std::move(pool)) {}
 
-  // Index values pack (archetype, pool ref): archetype in bits [48, 63),
-  // the pool's (chunk, slot) ref below.
-  static uint64_t PackValue(int archetype, uint64_t pool_ref) {
-    return (static_cast<uint64_t>(archetype) << 48) | pool_ref;
-  }
-  static int ArchetypeOf(uint64_t value) {
-    return static_cast<int>(value >> 48);
-  }
-  static uint64_t PoolRefOf(uint64_t value) {
-    return value & ((uint64_t{1} << 48) - 1);
-  }
-
-  // Invalid unless `archetype` is registered.
-  Status CheckArchetype(int archetype) const;
-  // (archetype, ref) of an existing key, or Invalid.
-  StatusOr<uint64_t> FindValue(uint64_t key) const;
-  // Finds or creates the key in `archetype`'s pool.
-  StatusOr<uint64_t> FindOrCreateValue(uint64_t key, int archetype);
+  // The pool ref of an existing key (the index stores it), or Invalid.
+  StatusOr<uint64_t> FindRef(uint64_t key) const;
+  // The pool ref of the key, creating the key if absent.
+  StatusOr<uint64_t> FindOrCreateRef(uint64_t key);
 
   // Canonically-ordered (key, summary) sweep of keys passing `pred`.
   Status CollectSummaries(
@@ -200,7 +165,7 @@ class SummaryStore {
       std::vector<std::pair<uint64_t, ShardSummary>>* out) const;
 
   KeyIndex index_;
-  std::vector<ArchetypePool> pools_;  // index = archetype id
+  ArchetypePool pool_;
 };
 
 }  // namespace fasthist

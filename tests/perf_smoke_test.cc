@@ -111,10 +111,14 @@ TEST(WarmMergeHistogramsAllocatesOnlyItsOutput) {
 // else — no sort scratch in AddBatch, no engine buffers, no store vectors.
 // A warm-up key in the same slab chunk first grows the chunk's ladder
 // planes (and the per-thread scratch) so the measured key pays none of it.
+// The store is reserved for both keys, and the measured key is created
+// inside the counted batch, so creating a key in a reserved store must
+// allocate nothing either.
 TEST(WarmAddBatchAllocatesPerWindowAndPerCarry) {
   ArchetypeConfig config;  // domain 1024, k 8, window 64: the served shape
   auto store = SummaryStore::Create(config);
   CHECK_OK(store);
+  CHECK(store->ReserveKeys(2).ok());
   constexpr int64_t kWindows = 128;
   const auto window = static_cast<int64_t>(config.window_capacity);
   std::vector<KeyedSample> batch(static_cast<size_t>(kWindows * window));
@@ -122,8 +126,8 @@ TEST(WarmAddBatchAllocatesPerWindowAndPerCarry) {
     batch[i] = {1, static_cast<int64_t>((i * 2654435761u) % 1024)};
   }
   const uint64_t measured_key = 2;
-  CHECK(store->EnsureKeys({uint64_t{1}, measured_key}).ok());
   CHECK(store->AddBatch(batch).ok());  // warm-up: key 1
+  CHECK(!store->Contains(measured_key));
   for (KeyedSample& sample : batch) sample.key = measured_key;
   const long long count =
       CountAllocations([&] { CHECK(store->AddBatch(batch).ok()); });

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -287,6 +288,19 @@ TEST(ShardedCreateRejectsInvalidOptions) {
     rejects([ring_capacity](Options& o) { o.ring_capacity = ring_capacity; },
             "ring_capacity");
   }
+
+  // Merging knobs a condense would reject are refused here, before any
+  // sample is ACKed, not at the first flush.
+  rejects([](Options& o) { o.base.archetype.options.delta = 0.0; }, "delta");
+  rejects(
+      [](Options& o) {
+        o.base.archetype.options.delta =
+            std::numeric_limits<double>::quiet_NaN();
+      },
+      "delta");
+  rejects([](Options& o) { o.base.archetype.options.gamma = 0.5; }, "gamma");
+  rejects([](Options& o) { o.base.archetype.options.num_threads = 0; },
+          "num_threads");
 }
 
 // --- End to end -------------------------------------------------------------

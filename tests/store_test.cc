@@ -1,8 +1,8 @@
 // The keyed summary store's contracts: per-key summaries bit-identical to
 // standalone streaming builders (the store changes layout, never the
-// computation), slab reuse under key churn, the two-level key index against
-// a reference map under collision-heavy fuzz, and bulk cross-key reductions
-// against hand-built merge trees.
+// computation), the pool's refusal of refs it never handed out, the
+// two-level key index against a reference map under collision-heavy fuzz,
+// and bulk cross-key reductions against hand-built merge trees.
 
 #include <algorithm>
 #include <functional>
@@ -46,8 +46,9 @@ std::vector<KeyedSample> MakeKeyedStream(size_t num_keys, size_t num_samples,
 
 // Every key's summary, sample count, and error levels must be bit-for-bit
 // what a standalone StreamingHistogramBuilder produces from that key's
-// subsequence — across archetypes (k, delta, window) and thread counts
-// (the engine is thread-invariant, so num_threads must not change bytes).
+// subsequence — across shapes (k, delta, window), one store per shape, and
+// thread counts (the engine is thread-invariant, so num_threads must not
+// change bytes).
 TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
   const int64_t domain = 512;
   struct Shape {
@@ -56,56 +57,40 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
     size_t window;
   };
   const Shape shapes[] = {{4, 1000.0, 32}, {8, 50.0, 64}, {12, 1000.0, 48}};
+  constexpr size_t kNumShapes = sizeof(shapes) / sizeof(shapes[0]);
   for (int num_threads : {1, 2, 8}) {
-    ArchetypeConfig base;
-    base.domain_size = domain;
-    base.k = shapes[0].k;
-    base.window_capacity = shapes[0].window;
-    base.options.delta = shapes[0].delta;
-    base.options.num_threads = num_threads;
-    auto store = SummaryStore::Create(base);
-    CHECK_OK(store);
-
-    std::vector<int> archetypes = {0};
-    for (size_t i = 1; i < 3; ++i) {
-      ArchetypeConfig config = base;
-      config.k = shapes[i].k;
-      config.window_capacity = shapes[i].window;
-      config.options.delta = shapes[i].delta;
-      auto id = store->RegisterArchetype(config);
-      CHECK_OK(id);
-      archetypes.push_back(*id);
-    }
-    // Registering the same shape again dedupes, num_threads ignored.
-    {
-      ArchetypeConfig again = base;
-      again.options.num_threads = num_threads + 1;
-      auto id = store->RegisterArchetype(again);
-      CHECK_OK(id);
-      CHECK(*id == 0);
+    std::vector<ArchetypeConfig> configs;
+    std::vector<SummaryStore> stores;
+    for (const Shape& shape : shapes) {
+      ArchetypeConfig config;
+      config.domain_size = domain;
+      config.k = shape.k;
+      config.window_capacity = shape.window;
+      config.options.delta = shape.delta;
+      config.options.num_threads = num_threads;
+      auto store = SummaryStore::Create(config);
+      CHECK_OK(store);
+      configs.push_back(config);
+      stores.push_back(std::move(store).value());
     }
 
     const std::vector<KeyedSample> stream =
         MakeKeyedStream(24, 20000, domain, 0xfeed + num_threads);
-    // Keys are spread over the three archetypes by residue; ingest in a
-    // few batches so mid-stream window states are exercised too.
-    std::unordered_map<uint64_t, int> archetype_of;
-    for (const KeyedSample& sample : stream) {
-      archetype_of.emplace(sample.key,
-                           archetypes[sample.key % archetypes.size()]);
-    }
+    // Keys are spread over the three shapes' stores by residue; ingest in
+    // a few batches so mid-stream window states are exercised too.
+    const auto shape_of = [](uint64_t key) { return key % kNumShapes; };
     const size_t batch = stream.size() / 3 + 1;
     for (size_t begin = 0; begin < stream.size(); begin += batch) {
       const size_t len = std::min(batch, stream.size() - begin);
       std::vector<KeyedSample> slice(stream.begin() + begin,
                                      stream.begin() + begin + len);
-      // Split the slice per archetype (AddBatch takes one target pool).
-      for (int archetype : archetypes) {
+      // Split the slice per shape (each store holds one shape).
+      for (size_t shape = 0; shape < kNumShapes; ++shape) {
         std::vector<KeyedSample> part;
         for (const KeyedSample& sample : slice) {
-          if (archetype_of[sample.key] == archetype) part.push_back(sample);
+          if (shape_of(sample.key) == shape) part.push_back(sample);
         }
-        if (!part.empty()) CHECK(store->AddBatch(part, archetype).ok());
+        if (!part.empty()) CHECK(stores[shape].AddBatch(part).ok());
       }
     }
 
@@ -114,8 +99,7 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
     for (const KeyedSample& sample : stream) {
       auto it = builders.find(sample.key);
       if (it == builders.end()) {
-        const ArchetypeConfig& config =
-            store->archetype_config(archetype_of[sample.key]);
+        const ArchetypeConfig& config = configs[shape_of(sample.key)];
         auto builder = StreamingHistogramBuilder::Create(
             config.domain_size, config.k, config.window_capacity,
             config.options);
@@ -125,8 +109,11 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
       CHECK(it->second.Add(sample.value).ok());
     }
 
-    CHECK(store->num_keys() == builders.size());
+    size_t num_keys = 0;
+    for (const SummaryStore& store : stores) num_keys += store.num_keys();
+    CHECK(num_keys == builders.size());
     for (auto& [key, builder] : builders) {
+      const SummaryStore* store = &stores[shape_of(key)];
       auto stored = store->Query(key);
       CHECK_OK(stored);
       auto reference = builder.Peek();
@@ -224,9 +211,8 @@ TEST(StoreBitIdenticalAtWindowWidthBoundary) {
 // count, error levels and summary bits.  Summaries are compared for every
 // key every `full_check_every` rounds and after the last, and for the keys
 // the batch touched in between (counts are compared for all keys every
-// round).  Both stores' archetypes are over `domain`.  Keys 100-103 live
-// under archetype 1; batches target archetype 0, so a batch carrying one of
-// them fails there.  Returns the number of failed batches.
+// round).  Both stores are over `domain`.  Returns the number of failed
+// batches.
 int CheckAddBatchMatchesAddLoop(
     int64_t domain, int rounds, const std::vector<uint64_t>& keys,
     int full_check_every,
@@ -235,18 +221,10 @@ int CheckAddBatchMatchesAddLoop(
   config.domain_size = domain;
   config.k = 4;
   config.window_capacity = 8;
-  ArchetypeConfig other = config;
-  other.k = 3;
-  other.window_capacity = 5;
   auto batched = SummaryStore::Create(config);
   auto looped = SummaryStore::Create(config);
   CHECK_OK(batched);
   CHECK_OK(looped);
-  CHECK(batched->RegisterArchetype(other).value() == 1);
-  CHECK(looped->RegisterArchetype(other).value() == 1);
-  const std::vector<uint64_t> foreign = {100, 101, 102, 103};
-  CHECK(batched->EnsureKeys(foreign, 1).ok());
-  CHECK(looped->EnsureKeys(foreign, 1).ok());
 
   const auto check_key = [&](uint64_t key, bool summaries) {
     CHECK(batched->Contains(key) == looped->Contains(key));
@@ -292,8 +270,8 @@ int CheckAddBatchMatchesAddLoop(
 // chunks; keys first seen mid-batch and seen again a few samples later,
 // before the first sighting is appended; and one failing sample in every
 // other batch, at each offset 0..39 from the batch's start or end in turn.
-// The failing sample cycles through `bad_values`, then a key of the other
-// archetype.  Returns the number of failed batches.
+// The failing sample's value cycles through `bad_values`.  Returns the
+// number of failed batches.
 int CheckPipelineShapedBatches(int64_t domain,
                                const std::vector<int64_t>& bad_values) {
   constexpr uint64_t kBase = uint64_t{1} << 20;
@@ -342,27 +320,21 @@ int CheckPipelineShapedBatches(int64_t domain,
           if (position < size) (*batch)[position].key = key;
         }
         // Every odd round fails once, at offset 0, 1, ... from the start,
-        // then from the end, cycling through the failure kinds.
+        // then from the end, cycling through the bad values.
         if (round % 2 == 1) {
           const auto cycle = static_cast<size_t>(round / 2);
           const size_t offset = std::min(cycle % kReach, size - 1);
           const size_t position =
               (cycle / kReach) % 2 == 0 ? offset : size - 1 - offset;
-          KeyedSample& bad = (*batch)[position];
-          const size_t kind = cycle % (bad_values.size() + 1);
-          if (kind < bad_values.size()) {
-            bad.value = bad_values[kind];
-          } else {
-            bad.key = 100 + cycle % 4;
-          }
+          (*batch)[position].value = bad_values[cycle % bad_values.size()];
         }
       });
 }
 
 // AddBatch's contract is the per-sample Add loop, failures included: a
-// batch that hits an out-of-domain value or a key of another archetype
-// stops there, with every earlier sample ingested (keys created on first
-// sight) and nothing after.
+// batch that hits an out-of-domain value stops there, with every earlier
+// sample ingested (keys created on first sight, the failing sample's too)
+// and nothing after.
 //
 // The first set mixes runs of one key with interleaved keys over 40 keys,
 // so both the run walk and its boundaries are exercised.  The second is
@@ -394,11 +366,7 @@ TEST(StoreAddBatchMatchesPerSampleAddLoop) {
           if (rng.UniformInt(5) == 0) {
             KeyedSample& bad = (*batch)[static_cast<size_t>(
                 rng.UniformInt(static_cast<int64_t>(batch->size())))];
-            if (rng.UniformInt(2) == 0) {
-              bad.value = rng.UniformInt(2) == 0 ? -1 : domain;
-            } else {
-              bad.key = 100 + static_cast<uint64_t>(rng.UniformInt(4));
-            }
+            bad.value = rng.UniformInt(2) == 0 ? -1 : domain;
           }
         });
     CHECK(failures > 20);  // the failure paths really ran
@@ -469,75 +437,46 @@ TEST(StoreMemoryCountsWindowsAtDomainWidth) {
   }
 }
 
-// Key churn must recycle slab slots, not grow the slabs: erase half the
-// keys, insert as many new ones, and the pool's total bytes stay flat.  A
-// recycled slot must behave exactly like a fresh one (no state bleed from
-// the previous occupant).
-TEST(StoreEraseReinsertReusesSlabs) {
-  ArchetypeConfig config;
-  config.domain_size = 256;
-  config.k = 6;
-  config.window_capacity = 16;
-  auto store = SummaryStore::Create(config);
-  CHECK_OK(store);
+// A pool ref names a slot only if AllocateSlot handed it out: refs are
+// (chunk << 16) | slot, handed out in order from 0.  With two slots
+// allocated, a ref past the bump cursor, one in a chunk never allocated and
+// one whose slot bits (300) exceed a chunk's 256 slots must each be refused:
+// Append and Query are Invalid, NumSamples and ErrorLevels are 0.  None of
+// them may read a plane entry out of bounds (the assertions and ASan builds
+// check that).
+TEST(StorePoolRejectsRefsNotAllocated) {
+  auto pool = ArchetypePool::Create(ArchetypeConfig());
+  CHECK_OK(pool);
+  const auto first = pool->AllocateSlot(11);
+  const auto second = pool->AllocateSlot(12);
+  CHECK_OK(first);
+  CHECK_OK(second);
+  CHECK(*first == 0 && *second == 1);
+  const KeyedSample run[] = {{12, 3}, {12, 4}};
+  CHECK(pool->Append(*second, run).ok());
+  CHECK(pool->NumSamples(*second) == 2);
+  CHECK_OK(pool->Query(*second));
 
-  const size_t num_keys = 1500;  // ~6 chunks of 256
-  Rng rng(77);
-  for (uint64_t key = 0; key < num_keys; ++key) {
-    for (int i = 0; i < 40; ++i) {
-      CHECK(store->Add(key, rng.UniformInt(config.domain_size)).ok());
-    }
+  const uint64_t past_cursor = 2;
+  const uint64_t unallocated_chunk = uint64_t{1} << 16;
+  const uint64_t slot_bits_300 = 300;
+  for (const uint64_t ref : {past_cursor, unallocated_chunk, slot_bits_300}) {
+    CHECK(!pool->Append(ref, run).ok());
+    CHECK(!pool->Query(ref).ok());
+    CHECK(pool->NumSamples(ref) == 0);
+    CHECK(pool->ErrorLevels(ref) == 0);
   }
-  const StoreMemoryStats stats_full = store->memory();
-  const size_t bytes_full = stats_full.total_bytes - stats_full.index_bytes;
-
-  std::vector<uint64_t> live_keys;
-  for (uint64_t key = 0; key < num_keys; ++key) live_keys.push_back(key);
-  uint64_t next_id = 10'000'000;  // never collides with anything live
-  for (int round = 0; round < 4; ++round) {
-    // Erase half the live keys, then insert the same number of fresh ids.
-    const size_t half = live_keys.size() / 2;
-    for (size_t i = 0; i < half; ++i) {
-      CHECK(store->Erase(live_keys[i]).ok());
-    }
-    live_keys.erase(live_keys.begin(),
-                    live_keys.begin() + static_cast<ptrdiff_t>(half));
-    for (size_t i = 0; i < half; ++i) {
-      const uint64_t fresh = next_id++;
-      live_keys.push_back(fresh);
-      for (int j = 0; j < 40; ++j) {
-        CHECK(store->Add(fresh, rng.UniformInt(config.domain_size)).ok());
-      }
-    }
-    CHECK(store->num_keys() == num_keys);
-    // The slab planes did not grow: churn reuses released slots (LIFO
-    // freelist).  The index may rehash (fresh ids hash elsewhere), so the
-    // comparison is against pool bytes = total - index.
-    const StoreMemoryStats stats = store->memory();
-    CHECK(stats.total_bytes - stats.index_bytes == bytes_full);
-  }
-
-  // A recycled slot is indistinguishable from a fresh builder.
-  CHECK(store->Erase(live_keys.back()).ok());
-  const uint64_t reborn = 0xdeadbeefull;
-  std::vector<int64_t> replay;
-  for (int i = 0; i < 100; ++i) {
-    replay.push_back(rng.UniformInt(config.domain_size));
-    CHECK(store->Add(reborn, replay.back()).ok());
-  }
-  auto builder = StreamingHistogramBuilder::Create(
-      config.domain_size, config.k, config.window_capacity, config.options);
-  CHECK_OK(builder);
-  CHECK(builder->AddMany(replay).ok());
-  auto stored = store->Query(reborn);
-  CHECK_OK(stored);
-  CHECK(BitIdentical(*stored, *builder->Peek()));
+  // The refused appends wrote nothing.
+  CHECK(pool->NumSamples(*first) == 0);
+  CHECK(pool->NumSamples(*second) == 2);
 }
 
 // The two-level index against a reference map under a fuzz mix biased
-// toward collisions: a small dense id range (heavy probe chains and
-// tombstone churn in a few stripes) plus keys differing only in high bits.
-// Every operation's return value and the final enumeration must match.
+// toward collisions: a small dense id range (heavy probe chains in a few
+// stripes) plus keys differing only in high bits.  Half the operations
+// insert, half only look up (absent keys included); every insert's return
+// value and every lookup must match, and at the end every reference key
+// is found with its value.
 TEST(StoreKeyIndexFuzzCollisionHeavyKeys) {
   Rng rng(0xc011);
   KeyIndex index;
@@ -557,15 +496,7 @@ TEST(StoreKeyIndexFuzzCollisionHeavyKeys) {
       default:
         key = rng.NextUint64();
     }
-    const int action = static_cast<int>(rng.UniformInt(4));
-    if (action == 0) {  // erase
-      CHECK(index.Erase(key) == (reference.erase(key) > 0));
-    } else if (action == 1) {  // reassign
-      const uint64_t value = rng.NextUint64() & value_mask;
-      const auto it = reference.find(key);
-      if (it != reference.end()) it->second = value;
-      CHECK(index.Assign(key, value) == (it != reference.end()));
-    } else {  // insert
+    if (rng.UniformInt(2) == 0) {  // insert
       const uint64_t value = rng.NextUint64() & value_mask;
       const bool fresh = reference.emplace(key, value).second;
       CHECK(index.Insert(key, value) == fresh);
@@ -580,14 +511,7 @@ TEST(StoreKeyIndexFuzzCollisionHeavyKeys) {
     CHECK(index.size() == reference.size());
   }
 
-  size_t enumerated = 0;
-  index.ForEach([&](uint64_t key, uint64_t value) {
-    const auto it = reference.find(key);
-    CHECK(it != reference.end());
-    CHECK(it->second == value);
-    ++enumerated;
-  });
-  CHECK(enumerated == reference.size());
+  for (const auto& [key, value] : reference) CHECK(index.Find(key) == value);
 }
 
 // Bulk ops against hand-built references: MergeAllMatching and
@@ -607,9 +531,12 @@ TEST(StoreBulkOpsMatchReferenceReduction) {
       MakeKeyedStream(40, 30000, config.domain_size, 0xb01d);
   CHECK(store->AddBatch(stream).ok());
   // A keyed but sample-less key: bulk ops must skip it, not crash or merge
-  // a fabricated uniform into the aggregate.
+  // a fabricated uniform into the aggregate.  Add creates the key, then
+  // rejects the out-of-domain value (the per-sample Add contract).
   const uint64_t empty_key = 0xeeeeeeeeull;
-  CHECK(store->EnsureKeys({empty_key}).ok());
+  CHECK(!store->Add(empty_key, -1).ok());
+  CHECK(store->Contains(empty_key));
+  CHECK(store->NumSamples(empty_key).value() == 0);
 
   // Reference per-key summaries in canonical (sorted key) order.
   std::vector<uint64_t> keys;

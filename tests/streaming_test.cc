@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/merging.h"
@@ -90,6 +92,24 @@ TEST(StreamingBuilderEdgeCases) {
   CHECK(!StreamingHistogramBuilder::Create(0, 3, 16).ok());
   CHECK(!StreamingHistogramBuilder::Create(100, 0, 16).ok());
   CHECK(!StreamingHistogramBuilder::Create(100, 3, 0).ok());
+
+  // Merging knobs the first condense would reject are refused at Create,
+  // with a message that names the knob.
+  const auto rejects = [](const auto& edit, const std::string& knob) {
+    MergingOptions options;
+    edit(options);
+    auto refused = StreamingHistogramBuilder::Create(100, 3, 16, options);
+    CHECK(!refused.ok());
+    CHECK(refused.status().message().find(knob) != std::string::npos);
+  };
+  rejects([](MergingOptions& o) { o.delta = 0.0; }, "delta");
+  rejects(
+      [](MergingOptions& o) {
+        o.delta = std::numeric_limits<double>::quiet_NaN();
+      },
+      "delta");
+  rejects([](MergingOptions& o) { o.gamma = 0.5; }, "gamma");
+  rejects([](MergingOptions& o) { o.num_threads = 0; }, "num_threads");
 }
 
 using ::fasthist::testing::BitIdentical;
