@@ -1,10 +1,10 @@
 // Google-benchmark microbenchmarks of the library's kernels: merging at
 // several input sizes (sample-linear time, Theorem 3.4), the served
 // 64-sample window condense and ladder carry, the store's batched ingest
-// at few and many keys, the hierarchical builder, Gram evaluation
-// (O(d) per point), the projection oracle, alias sampling (O(1)),
-// empirical-distribution construction, selection, and the exact DP for
-// context.
+// at few and many keys, the ingest payload codec, the hierarchical
+// builder, Gram evaluation (O(d) per point), the projection oracle, alias
+// sampling (O(1)), empirical-distribution construction, selection, and the
+// exact DP for context.
 //
 // Invoked with --merge-grid the binary instead runs the size scaling grid
 // of the merge engine (serial histogram constructions at 2^20 .. 2^26
@@ -43,6 +43,9 @@
 #include "data/generators.h"
 #include "dist/alias_sampler.h"
 #include "dist/empirical.h"
+#if defined(FASTHIST_HAVE_NET)
+#include "net/frame.h"
+#endif
 #include "poly/fit_poly.h"
 #include "poly/gram.h"
 #include "poly/poly_merging.h"
@@ -252,6 +255,52 @@ void BM_StoreAddBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kFlush));
 }
 BENCHMARK(BM_StoreAddBatch)->Arg(64)->Arg(131072);
+
+#if defined(FASTHIST_HAVE_NET)
+// The kIngest payload codec at query_mix's batch (64 samples) and the
+// ingest workloads' (1024): what a client pays to encode a batch and the
+// server to decode it.  Samples are served-window values under 64 random
+// keys.  ns per sample = Time / Arg.
+std::vector<KeyedSample> IngestBatch(size_t size) {
+  const std::vector<int64_t> values =
+      ServedWindowSamples((size + kServedWindow - 1) / kServedWindow);
+  Rng rng(12);
+  std::vector<KeyedSample> batch(size);
+  for (size_t i = 0; i < size; ++i) {
+    const auto slot = static_cast<uint64_t>(rng.UniformInt(64));
+    batch[i] = {(uint64_t{1} << 40) | slot, values[i]};
+  }
+  return batch;
+}
+
+void BM_IngestPayloadEncode(benchmark::State& state) {
+  const std::vector<KeyedSample> batch =
+      IngestBatch(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    std::vector<uint8_t> payload = EncodeIngestPayload(batch);
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_IngestPayloadEncode)->Arg(64)->Arg(1024);
+
+void BM_IngestPayloadDecode(benchmark::State& state) {
+  const std::vector<uint8_t> payload =
+      EncodeIngestPayload(IngestBatch(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    auto samples = DecodeIngestPayload(payload);
+    if (!samples.ok()) {
+      state.SkipWithError("DecodeIngestPayload failed");
+      break;
+    }
+    benchmark::DoNotOptimize(samples->data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_IngestPayloadDecode)->Arg(64)->Arg(1024);
+#endif  // FASTHIST_HAVE_NET
 
 void BM_Hierarchical(benchmark::State& state) {
   const SparseFunction q = SparseFunction::FromDense(Signal(state.range(0)));

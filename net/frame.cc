@@ -1,12 +1,18 @@
 #include "net/frame.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "store/partitioned_store.h"
+#include "util/wire_bytes.h"
 
 namespace fasthist {
 namespace {
+
+using wire::AppendDouble;
+using wire::AppendI64;
+using wire::AppendU32;
+using wire::AppendU64;
+using wire::WireReader;
 
 // Caps on the variable-length tails of the extended ack/stats codecs: a
 // hostile count field can cost at most this many fixed-size entries of
@@ -19,85 +25,16 @@ constexpr uint32_t kFrameMagic = 0x316e4846;
 constexpr uint32_t kMinFrameType = static_cast<uint32_t>(FrameType::kIngest);
 constexpr uint32_t kMaxFrameType = static_cast<uint32_t>(FrameType::kError);
 
+// A kIngest sample on the wire: key (u64) then value (i64).
+constexpr size_t kBytesPerSample = 16;
+
+// The widest stride an ACK may record: ReconstructAccepted computes
+// 1 << keep_shift in 64 bits, so a larger shift would be undefined.
+constexpr uint32_t kMaxKeepShift = 63;
+
 // Error messages ride in kError payloads verbatim; cap them so a hostile
 // peer cannot make "decode the error" itself expensive.
 constexpr size_t kMaxErrorMessageBytes = 4096;
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<uint8_t>(value >> shift));
-  }
-}
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<uint8_t>(value >> shift));
-  }
-}
-
-void AppendI64(std::vector<uint8_t>* out, int64_t value) {
-  AppendU64(out, static_cast<uint64_t>(value));
-}
-
-void AppendDouble(std::vector<uint8_t>* out, double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  AppendU64(out, bits);
-}
-
-// The same bounds-checked cursor idiom as service/wire_format.cc: every
-// read checks what remains first, so hostile input yields `false`, not UB.
-class PayloadReader {
- public:
-  explicit PayloadReader(Span<const uint8_t> bytes)
-      : data_(bytes.data()), size_(bytes.size()) {}
-
-  size_t remaining() const { return size_ - pos_; }
-
-  bool ReadU32(uint32_t* out) {
-    if (remaining() < 4) return false;
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    *out = value;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* out) {
-    if (remaining() < 8) return false;
-    uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    *out = value;
-    return true;
-  }
-
-  bool ReadI64(int64_t* out) {
-    uint64_t bits;
-    if (!ReadU64(&bits)) return false;
-    *out = static_cast<int64_t>(bits);
-    return true;
-  }
-
-  bool ReadDouble(double* out) {
-    uint64_t bits;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(out, &bits, sizeof(bits));
-    return true;
-  }
-
-  const uint8_t* cursor() const { return data_ + pos_; }
-  void Skip(size_t count) { pos_ += count; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 Status TrailingBytes(const char* where) {
   return Status::Invalid(std::string(where) + ": trailing bytes");
@@ -105,6 +42,10 @@ Status TrailingBytes(const char* where) {
 
 Status Truncated(const char* where) {
   return Status::Invalid(std::string(where) + ": truncated payload");
+}
+
+Status KeepShiftOutOfRange() {
+  return Status::Invalid("DecodeIngestAck: keep_shift above 63");
 }
 
 }  // namespace
@@ -130,16 +71,9 @@ FrameParser::Result FrameParser::Next(Frame* out) {
   if (available < kFrameHeaderBytes) return Result::kNeedMore;
   const uint8_t* head = buffer_.data() + consumed_;
 
-  uint32_t magic = 0;
-  uint32_t type = 0;
-  uint64_t payload_length = 0;
-  for (int i = 0; i < 4; ++i) {
-    magic |= static_cast<uint32_t>(head[i]) << (8 * i);
-    type |= static_cast<uint32_t>(head[4 + i]) << (8 * i);
-  }
-  for (int i = 0; i < 8; ++i) {
-    payload_length |= static_cast<uint64_t>(head[8 + i]) << (8 * i);
-  }
+  const uint32_t magic = wire::LoadU32(head);
+  const uint32_t type = wire::LoadU32(head + 4);
+  const uint64_t payload_length = wire::LoadU64(head + 8);
 
   // Header validation happens before any payload is awaited, so a hostile
   // header poisons the stream immediately — the parser never waits for (or
@@ -167,35 +101,43 @@ FrameParser::Result FrameParser::Next(Frame* out) {
 
 // --- Typed payload codecs ---------------------------------------------------
 
+// The one codec with thousands of fields per frame: the buffer is sized
+// once and each sample is two word stores, key then value.
 std::vector<uint8_t> EncodeIngestPayload(Span<const KeyedSample> samples) {
-  std::vector<uint8_t> out;
-  out.reserve(8 + 16 * samples.size());
-  AppendU64(&out, static_cast<uint64_t>(samples.size()));
+  std::vector<uint8_t> out(8 + kBytesPerSample * samples.size());
+  uint8_t* cursor = out.data();
+  wire::StoreU64(cursor, static_cast<uint64_t>(samples.size()));
+  cursor += 8;
   for (const KeyedSample& sample : samples) {
-    AppendU64(&out, sample.key);
-    AppendI64(&out, sample.value);
+    wire::StoreU64(cursor, sample.key);
+    wire::StoreU64(cursor + 8, static_cast<uint64_t>(sample.value));
+    cursor += kBytesPerSample;
   }
   return out;
 }
 
 StatusOr<std::vector<KeyedSample>> DecodeIngestPayload(
     Span<const uint8_t> payload) {
-  PayloadReader reader(payload);
+  WireReader reader(payload.data(), payload.size());
   uint64_t count = 0;
   if (!reader.ReadU64(&count)) return Truncated("DecodeIngestPayload");
   // Overflow-safe sizing: check the count against the bytes actually
-  // present before allocating anything from it.
-  if (count > reader.remaining() / 16) {
+  // present before allocating anything from it, and only then multiply
+  // (count * 16 wraps for a count above 2^60).  Together the two checks
+  // prove the payload holds exactly `count` samples, so the loop below
+  // loads them without a per-field check.
+  if (count > reader.remaining() / kBytesPerSample) {
     return Status::Invalid("DecodeIngestPayload: sample count overruns frame");
   }
-  if (reader.remaining() != static_cast<size_t>(count) * 16) {
+  if (reader.remaining() != static_cast<size_t>(count) * kBytesPerSample) {
     return TrailingBytes("DecodeIngestPayload");
   }
   std::vector<KeyedSample> samples(static_cast<size_t>(count));
+  const uint8_t* cursor = reader.cursor();
   for (KeyedSample& sample : samples) {
-    if (!reader.ReadU64(&sample.key) || !reader.ReadI64(&sample.value)) {
-      return Truncated("DecodeIngestPayload");
-    }
+    sample.key = wire::LoadU64(cursor);
+    sample.value = static_cast<int64_t>(wire::LoadU64(cursor + 8));
+    cursor += kBytesPerSample;
   }
   return samples;
 }
@@ -218,12 +160,13 @@ std::vector<uint8_t> EncodeIngestAck(const IngestAck& ack) {
 }
 
 StatusOr<IngestAck> DecodeIngestAck(Span<const uint8_t> payload) {
-  PayloadReader reader(payload);
+  WireReader reader(payload.data(), payload.size());
   IngestAck ack;
   if (!reader.ReadU64(&ack.accepted) || !reader.ReadU64(&ack.shed) ||
       !reader.ReadU32(&ack.keep_shift) || !reader.ReadU64(&ack.rejected)) {
     return Truncated("DecodeIngestAck");
   }
+  if (ack.keep_shift > kMaxKeepShift) return KeepShiftOutOfRange();
   uint32_t count = 0;
   if (!reader.ReadU32(&count)) return Truncated("DecodeIngestAck");
   // Entries are 32 bytes each; bound the count against the bytes actually
@@ -238,6 +181,7 @@ StatusOr<IngestAck> DecodeIngestAck(Span<const uint8_t> payload) {
         !reader.ReadU64(&p.rejected)) {
       return Truncated("DecodeIngestAck");
     }
+    if (p.keep_shift > kMaxKeepShift) return KeepShiftOutOfRange();
   }
   if (reader.remaining() != 0) return TrailingBytes("DecodeIngestAck");
   return ack;
@@ -251,7 +195,7 @@ std::vector<uint8_t> EncodeRejectedInfo(const RejectedInfo& info) {
 }
 
 StatusOr<RejectedInfo> DecodeRejectedInfo(Span<const uint8_t> payload) {
-  PayloadReader reader(payload);
+  WireReader reader(payload.data(), payload.size());
   RejectedInfo info;
   if (!reader.ReadU64(&info.queue_depth) ||
       !reader.ReadU64(&info.hard_watermark)) {
@@ -268,7 +212,7 @@ std::vector<uint8_t> EncodeKeyPayload(uint64_t key) {
 }
 
 StatusOr<uint64_t> DecodeKeyPayload(Span<const uint8_t> payload) {
-  PayloadReader reader(payload);
+  WireReader reader(payload.data(), payload.size());
   uint64_t key = 0;
   if (!reader.ReadU64(&key)) return Truncated("DecodeKeyPayload");
   if (reader.remaining() != 0) return TrailingBytes("DecodeKeyPayload");
@@ -283,7 +227,7 @@ std::vector<uint8_t> EncodeQuantileQuery(const QuantileQuery& query) {
 }
 
 StatusOr<QuantileQuery> DecodeQuantileQuery(Span<const uint8_t> payload) {
-  PayloadReader reader(payload);
+  WireReader reader(payload.data(), payload.size());
   QuantileQuery query;
   if (!reader.ReadU64(&query.key) || !reader.ReadDouble(&query.q)) {
     return Truncated("DecodeQuantileQuery");
@@ -307,7 +251,7 @@ std::vector<uint8_t> EncodeQuantileReply(const QuantileReply& reply) {
 }
 
 StatusOr<QuantileReply> DecodeQuantileReply(Span<const uint8_t> payload) {
-  PayloadReader reader(payload);
+  WireReader reader(payload.data(), payload.size());
   QuantileReply reply;
   if (!reader.ReadI64(&reply.value) || !reader.ReadDouble(&reply.error_budget) ||
       !reader.ReadI64(&reply.num_samples)) {
@@ -354,7 +298,7 @@ std::vector<uint8_t> EncodeServerStats(const ServerStats& stats) {
 }
 
 StatusOr<ServerStats> DecodeServerStats(Span<const uint8_t> payload) {
-  PayloadReader reader(payload);
+  WireReader reader(payload.data(), payload.size());
   ServerStats stats;
   if (!reader.ReadU64(&stats.frames_received) ||
       !reader.ReadU64(&stats.connections_accepted) ||
@@ -411,7 +355,7 @@ std::vector<uint8_t> EncodeErrorReply(const ErrorReply& error) {
 }
 
 StatusOr<ErrorReply> DecodeErrorReply(Span<const uint8_t> payload) {
-  PayloadReader reader(payload);
+  WireReader reader(payload.data(), payload.size());
   uint32_t code = 0;
   uint64_t length = 0;
   if (!reader.ReadU32(&code) || !reader.ReadU64(&length)) {

@@ -22,12 +22,14 @@ namespace fasthist {
 //   | 8      | 8    | payload_length (u64, <= the reader's cap)      |
 //   | 16     | ...  | payload (typed codecs below)                   |
 //
-// Everything is little-endian, matching service/wire_format.h.  Decoding is
-// bounds-checked end to end in the WireReader spirit: a truncated or hostile
-// byte stream can only produce a non-OK Status (or "need more bytes") —
-// never an out-of-bounds access, an allocation sized by attacker-controlled
-// arithmetic, or a crash.  The payload-length cap is enforced *before* any
-// payload is buffered, so a hostile length field cannot balloon memory.
+// Everything is little-endian: this codec and service/wire_format.h share
+// one byte-order helper (util/wire_bytes.h) and move each field as one
+// word.  Decoding is bounds-checked end to end: a truncated or hostile byte
+// stream can only produce a non-OK Status (or "need more bytes") — never an
+// out-of-bounds access, an allocation sized by attacker-controlled
+// arithmetic, undefined behaviour, or a crash.  The payload-length cap is
+// enforced *before* any payload is buffered, so a hostile length field
+// cannot balloon memory.
 
 enum class FrameType : uint32_t {
   kIngest = 1,         // client -> server: a batch of KeyedSamples
@@ -46,7 +48,9 @@ enum class FrameType : uint32_t {
 // server).  `keep_shift` is that partition's degrade-to-sampling stride:
 // within the partition's subsequence of the batch (samples with
 // PartitionOfKey(key, N) == partition, in batch order), subsequence index j
-// was kept iff rejected == 0 and j % (1 << keep_shift) == 0.  `rejected`
+// was kept iff rejected == 0 and j % (1 << keep_shift) == 0.  DecodeIngestAck
+// refuses a keep_shift above 63 here and in the totals, so the 64-bit
+// stride ReconstructAccepted computes is always defined.  `rejected`
 // counts samples refused outright (hard watermark or full hand-off ring) —
 // all-or-nothing per partition per batch, so replay reconstruction stays a
 // pure function of the ACK.

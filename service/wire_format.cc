@@ -1,11 +1,17 @@
 #include "service/wire_format.h"
 
 #include <cmath>
-#include <cstring>
 #include <utility>
+
+#include "util/wire_bytes.h"
 
 namespace fasthist {
 namespace {
+
+using wire::AppendI64;
+using wire::AppendU32;
+using wire::AppendU64;
+using wire::WireReader;
 
 // "FHh1" / "FHs1" as they appear on the wire (little-endian u32).
 constexpr uint32_t kHistogramMagic = 0x31684846;
@@ -13,107 +19,32 @@ constexpr uint32_t kSnapshotMagic = 0x31734846;
 constexpr uint32_t kHistogramVersion = 1;
 constexpr uint32_t kSnapshotVersion = 2;       // v2 added error_levels
 constexpr uint32_t kSnapshotVersionKeyed = 3;  // v3 added key_id (keyed)
+constexpr size_t kHistogramHeaderBytes = 24;  // magic, version, domain, P
 constexpr size_t kBytesPerPiece = 16;  // one int64 end + one double value
 
 // Any honest error_levels is tiny (ladder depth + reconcile + tree depth);
 // a huge value is a corrupt or hostile envelope, not a deep pipeline.
 constexpr int64_t kMaxErrorLevels = 1 << 20;
 
-void AppendU32(std::vector<uint8_t>* out, uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<uint8_t>(value >> shift));
-  }
-}
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<uint8_t>(value >> shift));
-  }
-}
-
-void AppendI64(std::vector<uint8_t>* out, int64_t value) {
-  AppendU64(out, static_cast<uint64_t>(value));
-}
-
-void AppendDouble(std::vector<uint8_t>* out, double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  AppendU64(out, bits);
-}
-
-// Cursor over an untrusted buffer: every read is bounds-checked, so a
-// truncated or hostile input can only produce a `false` return, never an
-// out-of-bounds access.
-class WireReader {
- public:
-  WireReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-
-  bool ReadU32(uint32_t* out) {
-    if (remaining() < 4) return false;
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    *out = value;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* out) {
-    if (remaining() < 8) return false;
-    uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    *out = value;
-    return true;
-  }
-
-  bool ReadI64(int64_t* out) {
-    uint64_t bits;
-    if (!ReadU64(&bits)) return false;
-    *out = static_cast<int64_t>(bits);
-    return true;
-  }
-
-  bool ReadDouble(double* out) {
-    uint64_t bits;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(out, &bits, sizeof(bits));
-    return true;
-  }
-
-  bool ReadBytes(size_t count, std::vector<uint8_t>* out) {
-    if (remaining() < count) return false;
-    out->assign(data_ + pos_, data_ + pos_ + count);
-    pos_ += count;
-    return true;
-  }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::vector<uint8_t> EncodeHistogram(const Histogram& histogram) {
-  const size_t num_pieces = histogram.pieces().size();
-  std::vector<uint8_t> out;
-  out.reserve(24 + kBytesPerPiece * num_pieces);
-  AppendU32(&out, kHistogramMagic);
-  AppendU32(&out, kHistogramVersion);
-  AppendI64(&out, histogram.domain_size());
-  AppendI64(&out, static_cast<int64_t>(num_pieces));
-  for (const HistogramPiece& piece : histogram.pieces()) {
-    AppendI64(&out, piece.interval.end);
-  }
-  for (const HistogramPiece& piece : histogram.pieces()) {
-    AppendDouble(&out, piece.value);
+  const std::vector<HistogramPiece>& pieces = histogram.pieces();
+  const size_t num_pieces = pieces.size();
+  std::vector<uint8_t> out(kHistogramHeaderBytes +
+                           kBytesPerPiece * num_pieces);
+  wire::StoreU32(out.data(), kHistogramMagic);
+  wire::StoreU32(out.data() + 4, kHistogramVersion);
+  wire::StoreU64(out.data() + 8,
+                 static_cast<uint64_t>(histogram.domain_size()));
+  wire::StoreU64(out.data() + 16, static_cast<uint64_t>(num_pieces));
+  // The ends plane, then the values plane, one word per field.
+  uint8_t* ends = out.data() + kHistogramHeaderBytes;
+  uint8_t* values = ends + 8 * num_pieces;
+  for (size_t i = 0; i < num_pieces; ++i) {
+    wire::StoreU64(ends + 8 * i,
+                   static_cast<uint64_t>(pieces[i].interval.end));
+    wire::StoreDouble(values + 8 * i, pieces[i].value);
   }
   return out;
 }
@@ -158,26 +89,28 @@ StatusOr<Histogram> DecodeHistogram(const uint8_t* data, size_t size) {
     return Status::Invalid("DecodeHistogram: trailing bytes");
   }
 
-  std::vector<HistogramPiece> pieces(static_cast<size_t>(num_pieces));
+  // The two checks above prove both planes are present in full, so each
+  // field is loaded as a word with no per-field bounds check; every piece
+  // still gets its own value checks.
+  const size_t count = static_cast<size_t>(num_pieces);
+  const uint8_t* ends = reader.cursor();
+  const uint8_t* values = ends + 8 * count;
+  std::vector<HistogramPiece> pieces(count);
   int64_t begin = 0;
-  for (HistogramPiece& piece : pieces) {
-    int64_t end = 0;
-    if (!reader.ReadI64(&end)) {
-      return Status::Invalid("DecodeHistogram: truncated piece planes");
-    }
+  for (size_t i = 0; i < count; ++i) {
+    const int64_t end = static_cast<int64_t>(wire::LoadU64(ends + 8 * i));
     if (end <= begin || end > domain_size) {
       return Status::Invalid("DecodeHistogram: piece ends must be increasing");
     }
-    piece.interval = {begin, end};
+    pieces[i].interval = {begin, end};
     begin = end;
   }
   if (begin != domain_size) {
     return Status::Invalid("DecodeHistogram: pieces must cover the domain");
   }
-  for (HistogramPiece& piece : pieces) {
-    if (!reader.ReadDouble(&piece.value)) {
-      return Status::Invalid("DecodeHistogram: truncated piece planes");
-    }
+  for (size_t i = 0; i < count; ++i) {
+    HistogramPiece& piece = pieces[i];
+    piece.value = wire::LoadDouble(values + 8 * i);
     // Value-plane validation: densities are finite and non-negative by
     // construction, so NaN/Inf/negative here is corruption (or hostility),
     // caught at the trust boundary instead of deep inside a later merge.

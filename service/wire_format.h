@@ -14,6 +14,8 @@ namespace fasthist {
 // snapshot envelope the reduction layer consumes.  This is the service
 // layer's interchange format: every byte layout is explicit (no struct
 // dumping), so encodings are identical across platforms and compilers.
+// Fields move a word at a time through the byte-order helper net/frame.cc
+// shares (util/wire_bytes.h).
 //
 // Encoded histogram layout (version 1):
 //

@@ -11,6 +11,7 @@
 // riding along in the catch-all run.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -40,6 +41,19 @@ struct Registrar {
 struct Failure : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+// Lowercase hex of a byte string, two digits per byte: how tests pin exact
+// wire bytes, so a codec that changes a byte order fails by name.
+inline std::string ToHex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  hex.reserve(2 * bytes.size());
+  for (const uint8_t byte : bytes) {
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  return hex;
+}
 
 [[noreturn]] inline void FailCheck(const char* file, int line,
                                    const std::string& what) {

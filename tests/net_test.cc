@@ -124,6 +124,43 @@ TEST(NetFrameRoundTripsAndParserReassembles) {
   append(EncodeFrame(FrameType::kStatsReply, EncodeServerStats(stats)));
   append(EncodeFrame(FrameType::kError, EncodeErrorReply(error)));
 
+  // The exact wire bytes, every field little-endian: a round trip alone
+  // cannot see an encoder and a decoder that agree on the wrong byte
+  // order.  Each frame is its header (magic "FHn1", type u32, payload
+  // length u64), then its payload.
+  const char* const kPinnedStream =
+      // kIngest: count 3, then (key, value) pairs.
+      "46486e3101000000380000000000000003000000000000002a00000000000000"
+      "07000000000000002a000000000000002c010000000000002923000000000000"
+      "0c00000000000000"
+      // kIngestAck: totals, 2 partition entries.
+      "46486e3102000000600000000000000002000000000000000100000000000000"
+      "0100000004000000000000000200000000000000000000000200000000000000"
+      "0000000000000000000000000000000003000000010000000000000000000000"
+      "01000000000000000400000000000000"
+      // kRejected
+      "46486e3103000000100000000000000000100000000000000004000000000000"
+      // kSnapshotPull
+      "46486e310400000008000000000000002a00000000000000"
+      // kQuantileQuery: key 42, q 0.99 (IEEE-754 bits).
+      "46486e310600000010000000000000002a00000000000000ae47e17a14aeef3f"
+      // kQuantileReply
+      "46486e310700000018000000000000007b00000000000000000000000000a03f"
+      "8813000000000000"
+      // kStatsReply: counters, latencies, num_loops, 1 partition entry.
+      "46486e3109000000dc0000000000000011000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000030000000000000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000000506f400000000000000000"
+      "0c00000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000040000000100000002000000600000000000000000100000"
+      "0000000064000000000000000300000000000000070000000000000005000000"
+      "000000000100000000000000"
+      // kError: code 2, length 11, "no such key".
+      "46486e310a0000001700000000000000020000000b000000000000006e6f2073"
+      "756368206b6579";
+  CHECK(testing::ToHex(stream) == kPinnedStream);
+
   // Feed the stream in awkward 7-byte chunks: the parser must reassemble
   // frames across arbitrary TCP segmentation.
   FrameParser parser;
@@ -251,6 +288,19 @@ TEST(NetFrameDecodeRejectsCorruptInput) {
     CHECK(!DecodeIngestPayload(hostile).ok());
   }
 
+  // A count whose byte size wraps: (2^60 + 1) * 16 is 16 mod 2^64, which
+  // is exactly the bytes present.  Only the ordered check (count against
+  // remaining / 16 first, then the exact length) refuses it; the decode
+  // loop trusts those two checks and has no per-field check of its own.
+  {
+    std::vector<uint8_t> wrapping(8 + 16, 0x01);
+    const uint64_t count = (uint64_t{1} << 60) + 1;
+    for (size_t i = 0; i < 8; ++i) {
+      wrapping[i] = static_cast<uint8_t>(count >> (8 * i));
+    }
+    CHECK(!DecodeIngestPayload(wrapping).ok());
+  }
+
   // Same for the ACK's per-partition disposition count (bytes 28..31, after
   // accepted + shed + keep_shift + rejected): a huge count with one actual
   // entry present must fail the bytes-present check, not allocate.
@@ -263,6 +313,27 @@ TEST(NetFrameDecodeRejectsCorruptInput) {
     hostile[30] = 0xFF;
     hostile[31] = 0xFF;
     CHECK(!DecodeIngestAck(hostile).ok());
+  }
+
+  // ReconstructAccepted strides by 1 << keep_shift in 64 bits, so a shift
+  // of 64 or more is refused at decode, in the totals and in any entry.
+  {
+    CHECK(!DecodeIngestAck(EncodeIngestAck(IngestAck{1, 0, 64})).ok());
+    IngestAck entry_ack{1, 0, 0};
+    entry_ack.partitions.push_back(PartitionDisposition{0, 64, 1, 0, 0});
+    CHECK(!DecodeIngestAck(EncodeIngestAck(entry_ack)).ok());
+    // 63, the widest stride, decodes, and only the partition's first
+    // sample (subsequence index 0) is reconstructed as accepted.
+    IngestAck widest{1, 7, 63};
+    widest.partitions.push_back(PartitionDisposition{0, 63, 1, 7, 0});
+    auto decoded = DecodeIngestAck(EncodeIngestAck(widest));
+    CHECK_OK(decoded);
+    const std::vector<KeyedSample> batch = {
+        {5, 10}, {6, 11}, {5, 12}, {7, 13}, {8, 14}, {5, 15}, {9, 16}, {6, 17}};
+    const std::vector<KeyedSample> kept =
+        ReconstructAccepted(batch, *decoded, 1);
+    CHECK(kept.size() == 1);
+    CHECK(kept[0].key == 5 && kept[0].value == 10);
   }
 
   // Every typed decoder rejects every strict prefix and one trailing byte.

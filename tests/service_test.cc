@@ -276,6 +276,36 @@ TEST(SnapshotEnvelopeVersionedDecodeV1V2V3) {
   CHECK(v3_decoded->encoded_histogram == snapshot.encoded_histogram);
   CHECK(EncodeShardSnapshot(*v3_decoded) == v3);
 
+  // The exact v3 bytes of a keyed snapshot around a three-piece histogram,
+  // every field little-endian: a round trip cannot see an encoder and a
+  // decoder that agree on the wrong byte order.
+  {
+    auto small = Histogram::Create(
+        1000, {{{0, 10}, 0.125}, {{10, 400}, 0.001}, {{400, 1000}, 0.0}});
+    CHECK_OK(small);
+    ShardSnapshot pinned = snapshot;
+    pinned.encoded_histogram = EncodeHistogram(*small);
+    const std::vector<uint8_t> bytes = EncodeShardSnapshot(pinned);
+    CHECK(testing::ToHex(bytes) ==
+          // Envelope: magic "FHs1", version 3, shard_id, key_id,
+          // num_samples 9999, error_levels 4, blob size 72.
+          "4648733103000000" "8877665544332211" "efbefecacefaedfe"
+          "0f27000000000000" "0400000000000000" "4800000000000000"
+          // Histogram: magic "FHh1", version 1, domain 1000, 3 pieces,
+          // ends 10, 400, 1000, values 0.125, 0.001, 0.0.
+          "4648683101000000" "e803000000000000" "0300000000000000"
+          "0a00000000000000" "9001000000000000" "e803000000000000"
+          "000000000000c03f" "fca9f1d24d62503f" "0000000000000000");
+    auto decoded = DecodeShardSnapshot(bytes);
+    CHECK_OK(decoded);
+    CHECK(decoded->keyed && decoded->key_id == snapshot.key_id);
+    CHECK(decoded->shard_id == snapshot.shard_id);
+    CHECK(decoded->num_samples == 9999 && decoded->error_levels == 4);
+    auto decoded_histogram = DecodeHistogram(decoded->encoded_histogram);
+    CHECK_OK(decoded_histogram);
+    CHECK(BitIdentical(*small, *decoded_histogram));
+  }
+
   // Truncating v3 at any length fails cleanly (the key_id field widened
   // the header; every prefix must still be a hard error, not a misparse).
   for (size_t len = 0; len < v3.size(); ++len) {
