@@ -7,17 +7,14 @@
 // exact DP for context.
 //
 // Invoked with --merge-grid the binary instead runs the size scaling grid
-// of the merge engine (serial histogram constructions at 2^20 .. 2^26
-// domains, plus a polynomial row at 1/2/4/8 threads) and writes the
-// machine-readable perf trajectory to BENCH_merge.json — plus an
-// allocation sanity check asserting the engine's round-persistent buffers
-// really keep the per-construction allocation count independent of the
-// round count.  Every cell is timed min-of-R (R >= 3, --reps=<R> to raise
-// it), with the polynomial row's repetitions interleaved across thread
-// counts, so a single noisy run can never enter the committed trajectory
-// and machine-state drift (huge-page promotion, frequency) cannot bias one
-// cell against another.  --smoke shrinks the grid for CI; --out=<path>
-// redirects the JSON.
+// of the merge engine (histogram constructions at 2^20 .. 2^26 domains,
+// plus one polynomial row) and writes the machine-readable perf trajectory
+// to BENCH_merge.json — plus an allocation sanity check asserting the
+// engine's round-persistent buffers really keep the per-construction
+// allocation count independent of the round count.  Every cell is timed
+// min-of-R (R >= 3, --reps=<R> to raise it), so a single noisy run can
+// never enter the committed trajectory.  --smoke shrinks the grid for CI;
+// --out=<path> redirects the JSON.
 
 #include <benchmark/benchmark.h>
 
@@ -50,7 +47,6 @@
 #include "poly/gram.h"
 #include "poly/poly_merging.h"
 #include "store/summary_store.h"
-#include "util/parallel.h"
 #include "util/random.h"
 #include "util/selection.h"
 #include "util/span.h"
@@ -60,7 +56,7 @@
 // Global allocation counter for the grid's sanity check.  Counting every
 // operator new in the binary is crude but exactly what we need: a
 // construction on an already-warm engine should allocate O(1) vectors plus
-// O(1) per round (the ParallelFor closure), never O(support).
+// O(1) per round, never O(support).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -447,35 +443,20 @@ BENCHMARK(BM_SelectKthMedianOfMedians)->Range(1 << 10, 1 << 18)->Complexity();
 
 // ---------------------------------------------------------------------------
 // The size scaling grid (--merge-grid): the perf trajectory of the merge
-// engine.  One warm serial histogram construction per domain size (the
-// histogram loop ignores num_threads) plus a degree-2 piecewise-polynomial
-// row per thread count, written as BENCH_merge.json via
+// engine.  One warm histogram construction per domain size plus one
+// degree-2 piecewise-polynomial row, written as BENCH_merge.json via
 // bench_util::JsonBenchWriter.
 // ---------------------------------------------------------------------------
 
-// Min-of-R per thread count with thread-count-interleaved, rotated
-// repetitions: every rep times each thread count once (so machine-state
-// drift — page faulting, huge-page promotion, frequency — hits all cells
-// alike), the starting cell rotates each rep (so any within-pass position
-// bias is sampled by every cell), and the per-cell minimum discards what
-// noise remains.  The first pass is an untimed warm-up.
-std::vector<double> MinOfInterleavedReps(
-    const std::vector<int>& threads, int reps,
-    const std::function<void(const MergingOptions&)>& run_cell) {
-  std::vector<double> best(threads.size(), 0.0);
-  std::vector<bool> timed(threads.size(), false);
+// The minimum of `reps` timed runs of run_cell, after one untimed warm-up.
+double MinOfReps(int reps, const std::function<void()>& run_cell) {
+  double best = 0.0;
   for (int rep = -1; rep < reps; ++rep) {
-    for (size_t j = 0; j < threads.size(); ++j) {
-      const size_t ti = (static_cast<size_t>(rep + 1) + j) % threads.size();
-      MergingOptions options;
-      options.num_threads = threads[ti];
-      WallTimer timer;
-      run_cell(options);
-      const double ms = timer.ElapsedMillis();
-      if (rep < 0) continue;
-      if (!timed[ti] || ms < best[ti]) best[ti] = ms;
-      timed[ti] = true;
-    }
+    WallTimer timer;
+    run_cell();
+    const double ms = timer.ElapsedMillis();
+    if (rep < 0) continue;  // the warm-up
+    if (rep == 0 || ms < best) best = ms;
   }
   return best;
 }
@@ -498,15 +479,10 @@ int RunMergeScalingGrid(int argc, char** argv) {
   std::vector<int64_t> sizes = smoke
       ? std::vector<int64_t>{1 << 14, 1 << 16}
       : std::vector<int64_t>{1 << 20, 1 << 22, 1 << 24, 1 << 26};
-  std::vector<int> threads = smoke ? std::vector<int>{1, 2}
-                                   : std::vector<int>{1, 2, 4, 8};
 
   bench_util::JsonBenchWriter writer("merge_scaling");
   writer.AddContext("k", static_cast<double>(k));
-  // hardware_threads is what the oversubscription clamp sees: on a 1-core
-  // container every poly_fast row with threads > 1 degrades to the serial
-  // path by design (threads_effective = 1 in the records), so flat rows
-  // there are the clamp working, not missing parallelism.
+  // The machine's cores, for context: every cell runs on one thread.
   writer.AddContext("hardware_threads",
                     static_cast<double>(std::thread::hardware_concurrency()));
   writer.AddContext("timing_min_of_reps", static_cast<double>(reps));
@@ -518,15 +494,14 @@ int RunMergeScalingGrid(int argc, char** argv) {
     const SparseFunction q =
         SparseFunction::FromDense(MakePolyDataset(data_options));
 
-    // Allocation sanity check (serial, warm): the SoA engine's buffers are
+    // Allocation sanity check (warm): the SoA engine's buffers are
     // round-persistent, so a construction allocates a constant number of
     // vectors plus O(1) per round — if allocations scaled with the support
     // size the SoA refactor regressed.
-    MergingOptions serial;
-    auto warm = ConstructHistogramFast(q, k, serial);
+    auto warm = ConstructHistogramFast(q, k);
     const long long rounds = warm->num_rounds;
     const long long before = g_allocations.load(std::memory_order_relaxed);
-    auto probe = ConstructHistogramFast(q, k, serial);
+    auto probe = ConstructHistogramFast(q, k);
     const long long allocs =
         g_allocations.load(std::memory_order_relaxed) - before;
     const long long alloc_budget = 64 + 8 * rounds;
@@ -539,11 +514,10 @@ int RunMergeScalingGrid(int argc, char** argv) {
       allocation_check_ok = false;
     }
 
-    const double ms = MinOfInterleavedReps(
-        {1}, reps, [&](const MergingOptions& options) {
-          auto result = ConstructHistogramFast(q, k, options);
-          benchmark::DoNotOptimize(result);
-        })[0];
+    const double ms = MinOfReps(reps, [&] {
+      auto result = ConstructHistogramFast(q, k);
+      benchmark::DoNotOptimize(result);
+    });
     writer.Add("hist_fast",
                {{"n", static_cast<double>(n)},
                 {"threads_effective", 1.0},
@@ -556,8 +530,8 @@ int RunMergeScalingGrid(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  // One polynomial row per thread count: the refit pass is compute-bound
-  // and data-parallel, the one place the engine uses threads.
+  // One polynomial row: the refit pass is compute-bound, a different
+  // profile from the histogram loop's.
   {
     const int64_t n = smoke ? (1 << 13) : (1 << 20);
     const int degree = 2;
@@ -565,29 +539,18 @@ int RunMergeScalingGrid(int argc, char** argv) {
     data_options.domain_size = n;
     const SparseFunction q =
         SparseFunction::FromDense(MakePolyDataset(data_options));
-    const std::vector<double> best = MinOfInterleavedReps(
-        threads, reps, [&](const MergingOptions& options) {
-          auto result = ConstructPiecewisePolynomialFast(q, k, degree, options);
-          benchmark::DoNotOptimize(result);
-        });
-    const double serial_ms = best[0];
-    for (size_t ti = 0; ti < threads.size(); ++ti) {
-      const int num_threads = threads[ti];
-      const double ms = best[ti];
-      writer.Add("poly_fast",
-                 {{"n", static_cast<double>(n)},
-                  {"degree", static_cast<double>(degree)},
-                  {"threads", static_cast<double>(num_threads)},
-                  {"threads_effective",
-                   static_cast<double>(EffectiveParallelism(num_threads))},
-                  {"ms", ms},
-                  {"reps", static_cast<double>(reps)},
-                  {"speedup_vs_serial", ms > 0.0 ? serial_ms / ms : 1.0}});
-      std::printf("poly_fast n=%lld degree=%d threads=%d: %.2f ms (%.2fx)\n",
-                  static_cast<long long>(n), degree, num_threads, ms,
-                  ms > 0.0 ? serial_ms / ms : 1.0);
-      std::fflush(stdout);
-    }
+    const double ms = MinOfReps(reps, [&] {
+      auto result = ConstructPiecewisePolynomialFast(q, k, degree);
+      benchmark::DoNotOptimize(result);
+    });
+    writer.Add("poly_fast", {{"n", static_cast<double>(n)},
+                             {"degree", static_cast<double>(degree)},
+                             {"threads_effective", 1.0},
+                             {"ms", ms},
+                             {"reps", static_cast<double>(reps)}});
+    std::printf("poly_fast n=%lld degree=%d: %.2f ms\n",
+                static_cast<long long>(n), degree, ms);
+    std::fflush(stdout);
   }
 
   if (!writer.WriteFile(out_path)) {

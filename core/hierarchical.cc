@@ -4,8 +4,6 @@
 #include <cmath>
 #include <queue>
 
-#include "util/parallel.h"
-
 namespace fasthist {
 
 double HierarchicalHistogram::IntervalError(int64_t begin, int64_t end) const {
@@ -27,12 +25,9 @@ double HierarchicalHistogram::IntervalMean(int64_t begin, int64_t end) const {
 }
 
 StatusOr<HierarchicalHistogram> HierarchicalHistogram::Build(
-    const SparseFunction& q, int num_threads) {
+    const SparseFunction& q) {
   if (q.domain_size() <= 0) {
     return Status::Invalid("HierarchicalHistogram: empty domain");
-  }
-  if (num_threads < 1) {
-    return Status::Invalid("HierarchicalHistogram: num_threads must be >= 1");
   }
   HierarchicalHistogram h;
   h.domain_size_ = q.domain_size();
@@ -55,63 +50,22 @@ StatusOr<HierarchicalHistogram> HierarchicalHistogram::Build(
   }
 
   // Per-level error of the uniform dyadic partition (intervals clipped to
-  // the real domain).  The work is geometric in the level — level 0 alone
-  // is half of it — so parallelizing across levels cannot balance; instead
-  // every level is cut into fixed-size blocks of intervals (uniform cost,
-  // so contiguous static chunks balance across threads) whose partial sums
-  // are accumulated in block order.  The block decomposition depends only
-  // on the domain, never on num_threads, so level_err_ is identical for
-  // every thread count — and bit-identical to the plain serial sum whenever
-  // a level fits in one block (every test-sized domain does).
-  constexpr int64_t kLevelBlock = 4096;  // intervals per partial-sum block
-  struct Block {
-    int64_t level = 0;
-    int64_t first = 0;  // index of the block's first interval in the level
-  };
-  std::vector<Block> blocks;
-  std::vector<int64_t> level_first_block(
-      static_cast<size_t>(h.num_levels_) + 1, 0);
+  // the real domain).  Each level is summed in blocks of kLevelBlock
+  // intervals, and the block sums are added in block order, so a level
+  // that fits in one block gets the plain running sum.
+  constexpr int64_t kLevelBlock = 4096;
+  h.level_err_.resize(static_cast<size_t>(h.num_levels_));
   for (int64_t level = 0; level < h.num_levels_; ++level) {
     const int64_t width = int64_t{1} << level;
     const int64_t num_intervals = (h.domain_size_ + width - 1) / width;
-    level_first_block[static_cast<size_t>(level)] =
-        static_cast<int64_t>(blocks.size());
-    for (int64_t first = 0; first < num_intervals; first += kLevelBlock) {
-      blocks.push_back({level, first});
-    }
-  }
-  level_first_block[static_cast<size_t>(h.num_levels_)] =
-      static_cast<int64_t>(blocks.size());
-
-  std::vector<double> partials(blocks.size(), 0.0);
-  // Clamped to the hardware like every pool call site: oversubscribing a
-  // small container would only add context switching (util/parallel.h).
-  const int effective_threads = EffectiveParallelism(num_threads);
-  ThreadPool* pool =
-      effective_threads > 1 ? &ThreadPool::Shared(effective_threads) : nullptr;
-  ParallelFor(pool, 0, static_cast<int64_t>(blocks.size()), 1,
-              [&](int64_t block_begin, int64_t block_end) {
-                for (int64_t b = block_begin; b < block_end; ++b) {
-                  const Block& block = blocks[static_cast<size_t>(b)];
-                  const int64_t width = int64_t{1} << block.level;
-                  const int64_t last = std::min(
-                      block.first + kLevelBlock,
-                      (h.domain_size_ + width - 1) / width);
-                  double err_squared = 0.0;
-                  for (int64_t j = block.first; j < last; ++j) {
-                    err_squared +=
-                        h.IntervalError(j * width, (j + 1) * width);
-                  }
-                  partials[static_cast<size_t>(b)] = err_squared;
-                }
-              });
-
-  h.level_err_.resize(static_cast<size_t>(h.num_levels_));
-  for (int64_t level = 0; level < h.num_levels_; ++level) {
     double err_squared = 0.0;
-    for (int64_t b = level_first_block[static_cast<size_t>(level)];
-         b < level_first_block[static_cast<size_t>(level) + 1]; ++b) {
-      err_squared += partials[static_cast<size_t>(b)];
+    for (int64_t first = 0; first < num_intervals; first += kLevelBlock) {
+      const int64_t last = std::min(first + kLevelBlock, num_intervals);
+      double block_err_squared = 0.0;
+      for (int64_t j = first; j < last; ++j) {
+        block_err_squared += h.IntervalError(j * width, (j + 1) * width);
+      }
+      err_squared += block_err_squared;
     }
     h.level_err_[static_cast<size_t>(level)] = std::sqrt(err_squared);
   }

@@ -29,16 +29,10 @@ class HierarchicalHistogram {
     Histogram histogram;
   };
 
-  // The per-level error pass is data-parallel over fixed-size blocks of
-  // intervals (4096 per block) whose partial sums are combined in block
-  // order — a decomposition that depends only on the domain, so level_err_
-  // is identical for every num_threads.  Note the within-level summation is
-  // block-associated even at num_threads = 1: on levels wider than one
-  // block it can differ from a plain serial sum in the last float bits.
-  // Threads come from the shared util/parallel pool; 1 means fully serial
-  // execution.
-  static StatusOr<HierarchicalHistogram> Build(const SparseFunction& q,
-                                               int num_threads = 1);
+  // The per-level error pass sums each level in blocks of 4096 intervals
+  // and adds the block sums in block order.  On levels wider than one block
+  // that can differ from a single running sum in the last float bits.
+  static StatusOr<HierarchicalHistogram> Build(const SparseFunction& q);
 
   int num_levels() const { return num_levels_; }
 

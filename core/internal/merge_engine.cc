@@ -10,15 +10,14 @@
 #include <utility>
 
 #include "poly/fit_poly.h"
-#include "util/parallel.h"
 #include "util/simd.h"
 
 namespace fasthist {
 namespace internal {
 
 EngineCounters& EngineCountersForTesting() {
-  // Thread-local so concurrent constructions (merge-tree groups running on
-  // pool workers) never race; tests reset and read on one thread.
+  // Thread-local so constructions running at the same time on the server's
+  // event loops never race; tests reset and read on one thread.
   thread_local EngineCounters counters;
   return counters;
 }
@@ -29,13 +28,6 @@ void ResetEngineCountersForTesting() {
 
 namespace {
 
-// Chunk-size floors for the polynomial engine's data-parallel passes:
-// refits scan their support, so small chunks already pay off, while the
-// selection mark pass is a byte-wide scan and needs large chunks.
-// ParallelFor's scheduling rule (util/parallel.h) guarantees at least one
-// full grain of work per task and stays serial below two grains.
-constexpr int64_t kPolyGrain = 64;
-constexpr int64_t kSelectGrain = 32768;
 // The selection threshold's three tiers (SelectThreshold): up to
 // kNetworkSelectWidth kept pairs it comes from a sorted top-8 register
 // buffer (TopEightThreshold), up to kHeapSelectCutoff from a sequential
@@ -44,10 +36,6 @@ constexpr int64_t kSelectGrain = 32768;
 // partition, so the two scan tiers touch the error plane exactly once.
 constexpr size_t kNetworkSelectWidth = 8;
 constexpr size_t kHeapSelectCutoff = 2048;
-// Interior chunk boundaries of the parallel mark pass are rounded down to
-// a cache line's worth of marks, so adjacent chunks never write the same
-// line at a seam.
-constexpr int64_t kByteAlign = 64;    // keep_split is a char plane
 
 // Clamp bound applied before double -> int64 casts of the keep/stop
 // schedule.  k * (1 + 1/delta) overflows int64 for huge k and tiny delta,
@@ -76,18 +64,6 @@ Status ValidateRoundArgs(int64_t domain_size, int64_t k,
   }
   if (k < 1) return Status::Invalid("merging: k must be >= 1");
   return ValidateMergingOptions(options);
-}
-
-// The oversubscription guard of the adaptive schedule: a request for more
-// threads than the machine has cores used to put 8 workers on 1 core and
-// run 10x *slower* than serial (the committed BENCH_merge.json trajectory
-// caught this at n=64M).  Requests are clamped to the hardware before a
-// pool is chosen, and a clamp to 1 means no pool at all — the fully serial
-// path.  Output is unaffected: the engine is bit-identical at any thread
-// count by construction.
-ThreadPool* PoolFor(const MergingOptions& options) {
-  const int effective = EffectiveParallelism(options.num_threads);
-  return effective > 1 ? &ThreadPool::Shared(effective) : nullptr;
 }
 
 // The support partition of q, in order: fn(interval, &value) for the
@@ -198,12 +174,12 @@ StatusOr<MergingResult> FinishPartition(const PlaneView& planes, size_t n,
 // only resize()s within capacity reserved up front, so the steady state
 // allocates nothing.  The store supplies
 //   size_t size();                       current number of atoms
-//   void EvaluatePairs(n, pool, err);    refits + errors of the n adjacent
+//   void EvaluatePairs(n, err);          refits + errors of the n adjacent
 //                                        pairs into the candidate planes
 //                                        (the cold start: only the first
 //                                        round needs a stand-alone
 //                                        evaluation pass)
-//   void CommitAndEvaluate(keep_split, n, pool, err);
+//   void CommitAndEvaluate(keep_split, n, err);
 //                                        THE fused round kernel: build the
 //                                        next generation (kept pairs stay
 //                                        split, the rest become their
@@ -222,14 +198,6 @@ StatusOr<MergingResult> FinishPartition(const PlaneView& planes, size_t n,
 // strict (error desc, index asc) total order, the keep/stop schedule, and
 // the round recursion s -> ceil(s/2) + keep (strictly decreasing while
 // s > stop >= 2*keep + 1, so termination is structural).
-//
-// Threading: the fused kernel self-schedules.  It plans chunks of pairs
-// (ChunkBoundary/ChunkCount, so the plan is a pure function of the sizes),
-// writes the next generation and in-chunk candidates data-parallel, and
-// finishes the few candidates that straddle chunk seams (plus the odd
-// tail's pair) serially.  Every coefficient and error is produced by the
-// same double operations whichever path computes it, so serial and
-// threaded rounds are bit-identical.
 // ---------------------------------------------------------------------------
 
 // Piecewise-polynomial store: merging refits the degree-d least-squares
@@ -238,20 +206,14 @@ StatusOr<MergingResult> FinishPartition(const PlaneView& planes, size_t n,
 // from q's support — O(support-in-interval * degree) per merge, which keeps
 // the whole construction sample-near-linear).  Coefficients live in a flat
 // plane of stride degree+1, zero-padded past each interval's effective
-// degree; bases are length-keyed cache entries shared by pointer.  The
-// fused round here is two-phase when threaded: interval/basis/error planes
-// and the per-length basis pre-warm are serial (GramBasisCache mutates on
-// first use of a length), then the expensive part — coefficient plane
-// copies and candidate refits — runs data-parallel.
+// degree; bases are length-keyed cache entries shared by pointer.
 class PolyStore {
  public:
   PolyStore(const SparseFunction& q, GramBasisCache* cache, int degree)
       : q_(&q), cache_(cache), stride_(static_cast<size_t>(degree) + 1) {}
 
-  // Fits the support partition of q.  The refits are data-parallel; bases
-  // are fetched (and so built) serially first, because GramBasisCache
-  // mutates on first use of a length.
-  void InitFromSupportPartition(ThreadPool* pool) {
+  // Fits the support partition of q.
+  void InitFromSupportPartition() {
     const std::vector<Interval> initial = SupportPartition(*q_);
     const size_t n = initial.size();
     begin_.resize(n);
@@ -263,16 +225,8 @@ class PolyStore {
       begin_[i] = initial[i].begin;
       end_[i] = initial[i].end;
       basis_[i] = &cache_->For(initial[i].length());
+      err_[i] = Refit(begin_[i], end_[i], *basis_[i], &coeff_[i * stride_]);
     }
-    ParallelFor(pool, 0, static_cast<int64_t>(n), kPolyGrain,
-                [this](int64_t chunk_begin, int64_t chunk_end) {
-                  std::vector<double> scratch;
-                  for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-                    err_[i] = Refit(begin_[i], end_[i], *basis_[i],
-                                    &coeff_[static_cast<size_t>(i) * stride_],
-                                    scratch);
-                  }
-                });
     cand_coeff_.reserve((n / 2) * stride_);
     cand_basis_.reserve(n / 2);
     span_scratch_.reserve(n / 2);
@@ -285,49 +239,63 @@ class PolyStore {
 
   size_t size() const { return begin_.size(); }
 
-  void EvaluatePairs(size_t num_pairs, ThreadPool* pool,
-                     std::vector<double>& err) {
+  void EvaluatePairs(size_t num_pairs, std::vector<double>& err) {
     ++EngineCountersForTesting().evaluate_passes;
     err.resize(num_pairs);
     cand_coeff_.resize(num_pairs * stride_);
     cand_basis_.resize(num_pairs);
     span_scratch_.resize(num_pairs);
-    // Serial pre-warm: the merged spans come from one streaming kernel
-    // sweep, then every merged length gets a cache entry, so the parallel
-    // refits below only read the cache (std::map nodes are stable,
-    // concurrent reads are safe).
+    // The merged spans come from one streaming kernel sweep; each merged
+    // length then gets its cache entry and the pair its refit.
     simd::PairwiseSpan(begin_.data(), end_.data(), num_pairs,
                        span_scratch_.data());
     for (size_t p = 0; p < num_pairs; ++p) {
       cand_basis_[p] = &cache_->For(static_cast<int64_t>(span_scratch_[p]));
+      err[p] = Refit(begin_[2 * p], end_[2 * p + 1], *cand_basis_[p],
+                     &cand_coeff_[p * stride_]);
     }
-    err_out_ = err.data();
-    ParallelFor(pool, 0, static_cast<int64_t>(num_pairs), kPolyGrain,
-                [this](int64_t chunk_begin, int64_t chunk_end) {
-                  std::vector<double> scratch;
-                  for (int64_t p = chunk_begin; p < chunk_end; ++p) {
-                    err_out_[p] =
-                        Refit(begin_[2 * p], end_[2 * p + 1], *cand_basis_[p],
-                              &cand_coeff_[static_cast<size_t>(p) * stride_],
-                              scratch);
-                  }
-                });
   }
 
+  // The fused sweep: commit pair p, and refit each output pair's candidate
+  // as soon as both atoms exist.  Candidate writes land at index i <= p
+  // (equality only for kept pairs, whose candidate slot is dead), so the
+  // candidate planes and error vector are reused in place.
   void CommitAndEvaluate(const std::vector<char>& keep_split,
-                         size_t num_pairs, ThreadPool* pool,
-                         std::vector<double>& err) {
+                         size_t num_pairs, std::vector<double>& err) {
     ++EngineCountersForTesting().fused_passes;
-    const int64_t chunks =
-        pool == nullptr
-            ? 1
-            : ChunkCount(static_cast<int64_t>(num_pairs), kPolyGrain,
-                         pool->num_threads());
-    if (chunks <= 1) {
-      CommitAndEvaluateSerial(keep_split, num_pairs, err);
-    } else {
-      CommitAndEvaluateParallel(keep_split, num_pairs, pool, chunks, err);
+    next_begin_.clear();
+    next_end_.clear();
+    next_err_.clear();
+    next_basis_.clear();
+    next_coeff_.clear();
+    size_t ci = 0;
+    const auto emit_ready = [&] {
+      const size_t ready = next_begin_.size() / 2;
+      for (; ci < ready; ++ci) {
+        const int64_t b = next_begin_[2 * ci];
+        const int64_t e = next_end_[2 * ci + 1];
+        const GramBasis& basis = cache_->For(e - b);
+        cand_basis_[ci] = &basis;
+        err[ci] = Refit(b, e, basis, &cand_coeff_[ci * stride_]);
+      }
+    };
+    for (size_t p = 0; p < num_pairs; ++p) {
+      if (keep_split[p]) {
+        AppendAtom(2 * p);
+        AppendAtom(2 * p + 1);
+      } else {
+        AppendMerged(p, err[p]);
+      }
+      emit_ready();
     }
+    if (size() % 2 == 1) {
+      AppendAtom(size() - 1);
+      emit_ready();
+    }
+    err.resize(ci);
+    cand_basis_.resize(ci);
+    cand_coeff_.resize(ci * stride_);
+    SwapInNextGeneration();
   }
 
   void Commit(const std::vector<char>& keep_split, size_t num_pairs,
@@ -374,158 +342,11 @@ class PolyStore {
   }
 
  private:
-  // The serial fused sweep: commit pair p, and refit each output pair's
-  // candidate as soon as both atoms exist.  Candidate writes land at index
-  // i <= p (equality only for kept pairs, whose candidate slot is dead), so
-  // the candidate planes and error vector are reused in place; the basis
-  // cache is safely mutated because everything here is one thread.
-  void CommitAndEvaluateSerial(const std::vector<char>& keep_split,
-                               size_t num_pairs, std::vector<double>& err) {
-    next_begin_.clear();
-    next_end_.clear();
-    next_err_.clear();
-    next_basis_.clear();
-    next_coeff_.clear();
-    size_t ci = 0;
-    const auto emit_ready = [&] {
-      const size_t ready = next_begin_.size() / 2;
-      for (; ci < ready; ++ci) {
-        const int64_t b = next_begin_[2 * ci];
-        const int64_t e = next_end_[2 * ci + 1];
-        const GramBasis& basis = cache_->For(e - b);
-        cand_basis_[ci] = &basis;
-        err[ci] = Refit(b, e, basis, &cand_coeff_[ci * stride_], scratch_);
-      }
-    };
-    for (size_t p = 0; p < num_pairs; ++p) {
-      if (keep_split[p]) {
-        AppendAtom(2 * p);
-        AppendAtom(2 * p + 1);
-      } else {
-        AppendMerged(p, err[p]);
-      }
-      emit_ready();
-    }
-    if (size() % 2 == 1) {
-      AppendAtom(size() - 1);
-      emit_ready();
-    }
-    err.resize(ci);
-    cand_basis_.resize(ci);
-    cand_coeff_.resize(ci * stride_);
-    SwapInNextGeneration();
-  }
-
-  // The threaded fused round.  Phase A (serial, cheap): interval, error and
-  // basis planes of the next generation, chunk output offsets recorded at
-  // each pair-chunk boundary, and the candidate basis pre-warm (the cache
-  // mutates, so this cannot be parallel).  Phase B (parallel, the expensive
-  // part): coefficient-plane copies by output index and candidate refits
-  // wholly inside each chunk's output slice — refit coefficients go to a
-  // double-buffered plane because candidate indices can overlap earlier
-  // chunks' still-unread slots.  Phase C: seam/tail candidates, serial.
-  void CommitAndEvaluateParallel(const std::vector<char>& keep_split,
-                                 size_t num_pairs, ThreadPool* pool,
-                                 int64_t chunks, std::vector<double>& err) {
-    chunk_bounds_.resize(static_cast<size_t>(chunks) + 1);
-    chunk_out_.resize(static_cast<size_t>(chunks) + 1);
-    for (int64_t c = 0; c <= chunks; ++c) {
-      chunk_bounds_[static_cast<size_t>(c)] =
-          ChunkBoundary(0, static_cast<int64_t>(num_pairs), chunks, c, 1);
-    }
-    next_begin_.clear();
-    next_end_.clear();
-    next_err_.clear();
-    next_basis_.clear();
-    int64_t next_chunk = 0;
-    for (size_t p = 0; p < num_pairs; ++p) {
-      while (next_chunk <= chunks &&
-             chunk_bounds_[static_cast<size_t>(next_chunk)] ==
-                 static_cast<int64_t>(p)) {
-        chunk_out_[static_cast<size_t>(next_chunk++)] = next_begin_.size();
-      }
-      if (keep_split[p]) {
-        AppendAtomPlanes(2 * p);
-        AppendAtomPlanes(2 * p + 1);
-      } else {
-        next_begin_.push_back(begin_[2 * p]);
-        next_end_.push_back(end_[2 * p + 1]);
-        next_err_.push_back(err[p]);
-        next_basis_.push_back(cand_basis_[p]);
-      }
-    }
-    while (next_chunk <= chunks) {
-      chunk_out_[static_cast<size_t>(next_chunk++)] = next_begin_.size();
-    }
-    const size_t from_pairs = next_begin_.size();
-    if (size() % 2 == 1) AppendAtomPlanes(size() - 1);
-    const size_t next_size = next_begin_.size();
-    const size_t next_num_pairs = next_size / 2;
-    pcand_basis_.resize(next_num_pairs);
-    for (size_t i = 0; i < next_num_pairs; ++i) {  // serial cache pre-warm
-      pcand_basis_[i] =
-          &cache_->For(next_end_[2 * i + 1] - next_begin_[2 * i]);
-    }
-    next_coeff_.resize(next_size * stride_);
-    pcand_coeff_.resize(next_num_pairs * stride_);
-    err.resize(next_num_pairs);  // disjoint writes; phase A consumed err
-    err_out_ = err.data();
-    keep_in_ = keep_split.data();
-    pool->ParallelFor(0, chunks, 1, [this](int64_t cb, int64_t ce) {
-      std::vector<double> scratch;
-      for (int64_t c = cb; c < ce; ++c) {
-        const size_t out_end = chunk_out_[static_cast<size_t>(c) + 1];
-        size_t o = chunk_out_[static_cast<size_t>(c)];
-        for (int64_t p = chunk_bounds_[static_cast<size_t>(c)];
-             p < chunk_bounds_[static_cast<size_t>(c) + 1]; ++p) {
-          if (keep_in_[p]) {
-            CopyCoeff(&coeff_[2 * static_cast<size_t>(p) * stride_], o, 2);
-            o += 2;
-          } else {
-            CopyCoeff(&cand_coeff_[static_cast<size_t>(p) * stride_], o, 1);
-            o += 1;
-          }
-        }
-        for (size_t i = (chunk_out_[static_cast<size_t>(c)] + 1) / 2;
-             2 * i + 1 < out_end; ++i) {
-          RefitCandidate(i, scratch);
-        }
-      }
-    });
-    if (size() % 2 == 1) {  // tail coefficient copy
-      CopyCoeff(&coeff_[(size() - 1) * stride_], next_size - 1, 1);
-    }
-    for (int64_t c = 1; c < chunks; ++c) {  // seam candidates
-      const size_t off = chunk_out_[static_cast<size_t>(c)];
-      if (off & 1) RefitCandidate((off - 1) / 2, scratch_);
-    }
-    if (2 * next_num_pairs > from_pairs) {  // tail-closing candidate
-      RefitCandidate(next_num_pairs - 1, scratch_);
-    }
-    cand_basis_.swap(pcand_basis_);
-    cand_coeff_.swap(pcand_coeff_);
-    SwapInNextGeneration();
-  }
-
-  void RefitCandidate(size_t i, std::vector<double>& scratch) {
-    err_out_[i] = Refit(next_begin_[2 * i], next_end_[2 * i + 1],
-                        *pcand_basis_[i], &pcand_coeff_[i * stride_], scratch);
-  }
-
-  void CopyCoeff(const double* src, size_t out_index, size_t atoms) {
-    std::copy(src, src + atoms * stride_,
-              next_coeff_.begin() + static_cast<ptrdiff_t>(out_index * stride_));
-  }
-
-  void AppendAtomPlanes(size_t i) {
+  void AppendAtom(size_t i) {
     next_begin_.push_back(begin_[i]);
     next_end_.push_back(end_[i]);
     next_err_.push_back(err_[i]);
     next_basis_.push_back(basis_[i]);
-  }
-
-  void AppendAtom(size_t i) {
-    AppendAtomPlanes(i);
     next_coeff_.insert(
         next_coeff_.end(),
         coeff_.begin() + static_cast<ptrdiff_t>(i * stride_),
@@ -558,12 +379,12 @@ class PolyStore {
   // effective degree are zeroed here so plane copies never carry stale
   // values.
   double Refit(int64_t begin, int64_t end, const GramBasis& basis,
-               double* coeff, std::vector<double>& scratch) const {
+               double* coeff) {
     for (size_t j = static_cast<size_t>(basis.degree()) + 1; j < stride_;
          ++j) {
       coeff[j] = 0.0;
     }
-    return ProjectOntoBasis(*q_, {begin, end}, basis, coeff, &scratch);
+    return ProjectOntoBasis(*q_, {begin, end}, basis, coeff, &scratch_);
   }
 
   const SparseFunction* q_;
@@ -584,17 +405,7 @@ class PolyStore {
   std::vector<double> next_err_;
   std::vector<const GramBasis*> next_basis_;
   std::vector<double> next_coeff_;
-  // Parallel-only candidate double buffers + chunk plan (grown lazily).
-  std::vector<double> pcand_coeff_;
-  std::vector<const GramBasis*> pcand_basis_;
-  std::vector<int64_t> chunk_bounds_;
-  std::vector<size_t> chunk_out_;
-  std::vector<double> scratch_;
-  // Raw views stashed for the <=16-byte [this] lambda captures (libstdc++'s
-  // std::function small-buffer limit, which keeps the serial-dispatch path
-  // allocation-free).
-  const char* keep_in_ = nullptr;
-  double* err_out_ = nullptr;
+  std::vector<double> scratch_;  // Refit's basis evaluations
 };
 
 }  // namespace
@@ -607,23 +418,8 @@ int64_t MaxSurvivingPieces(int64_t k, const MergingOptions& options) {
 // histogram loop (HistogramRun) below.  Both selection strategies rank
 // under the same strict (error desc, index asc) total order, so they pick
 // identical pair sets and the engine's two speeds are bit-for-bit
-// interchangeable — as are the polynomial loop's serial and threaded
-// modes, because pair evaluation writes disjoint slots and selection only
-// reads the finished error plane.
+// interchangeable.
 namespace {
-
-// Round-persistent scratch of the threshold-select mark pass: the chunk
-// plan and per-chunk tie accounting, plus raw views and the threshold so
-// the dispatch lambdas can capture a single reference (within
-// std::function's small-buffer limit — no per-round closure allocation).
-struct ThresholdMarkScratch {
-  std::vector<int64_t> bounds;
-  std::vector<size_t> above, ties, ties_before;
-  const double* err = nullptr;
-  char* marks = nullptr;
-  double threshold = 0.0;
-  size_t tie_quota = 0;
-};
 
 // RunRounds' scratch: sized once per run, then only resized downward as
 // the partition shrinks.
@@ -631,7 +427,6 @@ struct RoundScratch {
   std::vector<double> candidate_err;
   std::vector<size_t> order;   // kSort ranking permutation
   std::vector<double> select;  // kSelect threshold scratch
-  ThresholdMarkScratch mark;   // kSelect parallel mark-pass scratch
   std::vector<char> keep_split;
 };
 
@@ -735,15 +530,13 @@ double SortThreshold(const double* err, size_t num_pairs, size_t num_keep,
 // value-based: after SelectThreshold, a sequential mark pass keeps
 // everything strictly above the threshold plus the first
 // (num_keep - #above) threshold ties in index order — the same set the
-// sorted prefix contains, without ever chasing an index indirection.
-// Serially the mark pass is branch-free; it is data-parallel when a pool
-// is available: per-chunk above/tie counts, a serial prefix over the (few)
-// chunks, then disjoint marking with each chunk's global tie rank in hand.
+// sorted prefix contains, without ever chasing an index indirection.  The
+// mark pass is branch-free.
 void MarkKeepSplit(SelectionStrategy strategy,
                    const std::vector<double>& candidate_err, size_t num_pairs,
-                   size_t num_keep, ThreadPool* pool,
-                   std::vector<size_t>& order, std::vector<double>& scratch,
-                   ThresholdMarkScratch& mark, std::vector<char>& keep_split) {
+                   size_t num_keep, std::vector<size_t>& order,
+                   std::vector<double>& scratch,
+                   std::vector<char>& keep_split) {
   keep_split.resize(num_pairs);
   if (num_keep >= num_pairs) {
     std::fill(keep_split.begin(), keep_split.end(), 1);
@@ -767,91 +560,35 @@ void MarkKeepSplit(SelectionStrategy strategy,
   const double threshold = SelectThreshold(candidate_err.data(), num_pairs,
                                            num_keep, scratch.data());
 
-  const int64_t chunks =
-      pool == nullptr ? 1
-                      : ChunkCount(static_cast<int64_t>(num_pairs),
-                                   kSelectGrain, pool->num_threads());
-  if (chunks <= 1) {
-    // Raw views: a char store may alias any object, so through the vectors
-    // every iteration would reload both data pointers.
-    const double* err = candidate_err.data();
-    char* marks = keep_split.data();
-    size_t above = 0, at_least = 0;
-    for (size_t p = 0; p < num_pairs; ++p) {
-      above += err[p] > threshold;
-      at_least += err[p] >= threshold;
-    }
-    // Every flag below comes from comparisons, not branches: on tiny
-    // partitions each keep decision is a coin flip for the predictor.
-    // Every slot is written, so no zero-fill sweep is needed.
-    if (at_least == num_keep) {  // all threshold ties kept, the usual case
-      for (size_t p = 0; p < num_pairs; ++p) marks[p] = err[p] >= threshold;
-      return;
-    }
-    // More ties than slots: keep the first tie_quota of them in index order.
-    const size_t tie_quota = num_keep - above;  // >= 1: the threshold ties
-    size_t tie_rank = 0;
-    for (size_t p = 0; p < num_pairs; ++p) {
-      const bool gt = err[p] > threshold;
-      const bool eq = err[p] == threshold;
-      marks[p] = static_cast<char>(gt | (eq & (tie_rank < tie_quota)));
-      tie_rank += eq;
-    }
+  // Raw views: a char store may alias any object, so through the vectors
+  // every iteration would reload both data pointers.
+  const double* err = candidate_err.data();
+  char* marks = keep_split.data();
+  size_t above = 0, at_least = 0;
+  for (size_t p = 0; p < num_pairs; ++p) {
+    above += err[p] > threshold;
+    at_least += err[p] >= threshold;
+  }
+  // Every flag below comes from comparisons, not branches: on tiny
+  // partitions each keep decision is a coin flip for the predictor.
+  // Every slot is written, so no zero-fill sweep is needed.
+  if (at_least == num_keep) {  // all threshold ties kept, the usual case
+    for (size_t p = 0; p < num_pairs; ++p) marks[p] = err[p] >= threshold;
     return;
   }
-
-  mark.bounds.resize(static_cast<size_t>(chunks) + 1);
-  for (int64_t c = 0; c <= chunks; ++c) {
-    mark.bounds[static_cast<size_t>(c)] = ChunkBoundary(
-        0, static_cast<int64_t>(num_pairs), chunks, c, kByteAlign);
+  // More ties than slots: keep the first tie_quota of them in index order.
+  const size_t tie_quota = num_keep - above;  // >= 1: the threshold ties
+  size_t tie_rank = 0;
+  for (size_t p = 0; p < num_pairs; ++p) {
+    const bool gt = err[p] > threshold;
+    const bool eq = err[p] == threshold;
+    marks[p] = static_cast<char>(gt | (eq & (tie_rank < tie_quota)));
+    tie_rank += eq;
   }
-  mark.above.assign(static_cast<size_t>(chunks), 0);
-  mark.ties.assign(static_cast<size_t>(chunks), 0);
-  mark.ties_before.assign(static_cast<size_t>(chunks), 0);
-  mark.err = candidate_err.data();
-  mark.marks = keep_split.data();
-  mark.threshold = threshold;
-  pool->ParallelFor(0, chunks, 1, [&mark](int64_t cb, int64_t ce) {
-    for (int64_t c = cb; c < ce; ++c) {
-      size_t a = 0, t = 0;
-      for (int64_t p = mark.bounds[static_cast<size_t>(c)];
-           p < mark.bounds[static_cast<size_t>(c) + 1]; ++p) {
-        a += mark.err[p] > mark.threshold;
-        t += mark.err[p] == mark.threshold;
-      }
-      mark.above[static_cast<size_t>(c)] = a;
-      mark.ties[static_cast<size_t>(c)] = t;
-    }
-  });
-  size_t total_above = 0;
-  size_t tie_cursor = 0;
-  for (int64_t c = 0; c < chunks; ++c) {
-    total_above += mark.above[static_cast<size_t>(c)];
-    mark.ties_before[static_cast<size_t>(c)] = tie_cursor;
-    tie_cursor += mark.ties[static_cast<size_t>(c)];
-  }
-  mark.tie_quota = num_keep - total_above;
-  pool->ParallelFor(0, chunks, 1, [&mark](int64_t cb, int64_t ce) {
-    for (int64_t c = cb; c < ce; ++c) {
-      size_t tie_rank = mark.ties_before[static_cast<size_t>(c)];
-      for (int64_t p = mark.bounds[static_cast<size_t>(c)];
-           p < mark.bounds[static_cast<size_t>(c) + 1]; ++p) {
-        char mark_p = 0;  // every slot written: no zero-fill sweep needed
-        if (mark.err[p] > mark.threshold) {
-          mark_p = 1;
-        } else if (mark.err[p] == mark.threshold) {
-          if (tie_rank < mark.tie_quota) mark_p = 1;
-          ++tie_rank;
-        }
-        mark.marks[p] = mark_p;
-      }
-    }
-  });
 }
 
 long long RunRounds(PolyStore& store, int64_t k, const MergingOptions& options,
-                    SelectionStrategy strategy, ThreadPool* pool,
-                    RoundScratch& scratch) {
+                    SelectionStrategy strategy, RoundScratch& scratch) {
   const int64_t keep = PairsKeptPerRound(k, options);
   const int64_t stop = StopThreshold(keep, options);
   long long num_rounds = 0;
@@ -875,12 +612,12 @@ long long RunRounds(PolyStore& store, int64_t k, const MergingOptions& options,
   // in advance from the output-size recursion next = pairs + kept + tail)
   // skips the dead evaluation.
   size_t num_pairs = store.size() / 2;
-  store.EvaluatePairs(num_pairs, pool, candidate_err);
+  store.EvaluatePairs(num_pairs, candidate_err);
   while (true) {
     const size_t num_keep =
         std::min(static_cast<size_t>(keep), num_pairs);
-    MarkKeepSplit(strategy, candidate_err, num_pairs, num_keep, pool,
-                  scratch.order, scratch.select, scratch.mark, keep_split);
+    MarkKeepSplit(strategy, candidate_err, num_pairs, num_keep, scratch.order,
+                  scratch.select, keep_split);
     ++num_rounds;
     ++EngineCountersForTesting().rounds;
     const size_t next_size = num_pairs + num_keep + (store.size() & 1);
@@ -888,7 +625,7 @@ long long RunRounds(PolyStore& store, int64_t k, const MergingOptions& options,
       store.Commit(keep_split, num_pairs, candidate_err);
       break;
     }
-    store.CommitAndEvaluate(keep_split, num_pairs, pool, candidate_err);
+    store.CommitAndEvaluate(keep_split, num_pairs, candidate_err);
     num_pairs = next_size / 2;
   }
   return num_rounds;
@@ -942,8 +679,7 @@ void EvaluateHistogramPairs(const double* __restrict len,
 // differ only in the threshold, where the paper's Algorithm 1 and
 // Theorem 3.4 differ: SortThreshold or SelectThreshold.  The pairing,
 // (error desc, index asc) order, keep/stop schedule and tie rule are the
-// polynomial loop's, so both strategies produce the same bits.  The loop
-// is serial: histograms ignore MergingOptions::num_threads.
+// polynomial loop's, so both strategies produce the same bits.
 //
 // The planes are one buffer per thread (ThreadWorkspace), grown to the
 // largest run the thread has seen, so a warm run allocates only its
@@ -1177,7 +913,7 @@ StatusOr<PiecewisePolyResult> RunPolyMergingRounds(
   if (degree < 0) {
     return Status::Invalid("poly merging: degree must be >= 0");
   }
-  // The candidate basis pre-warm keys the per-length cache through a
+  // The first candidate pass keys the per-length cache through a
   // double-valued span plane (simd::PairwiseSpan), exact only up to 2^53 —
   // the same explicit limit as the histogram path's length planes.
   if (q.domain_size() > (int64_t{1} << 53)) {
@@ -1186,13 +922,12 @@ StatusOr<PiecewisePolyResult> RunPolyMergingRounds(
         "tracked as exact doubles)");
   }
 
-  ThreadPool* pool = PoolFor(options);
   GramBasisCache cache(degree);
   PolyStore store(q, &cache, degree);
-  store.InitFromSupportPartition(pool);
+  store.InitFromSupportPartition();
   RoundScratch scratch;
   const long long num_rounds =
-      RunRounds(store, k, options, strategy, pool, scratch);
+      RunRounds(store, k, options, strategy, scratch);
   return store.Finish(num_rounds);
 }
 

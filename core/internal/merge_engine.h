@@ -34,20 +34,19 @@ enum class SelectionStrategy { kSort, kSelect };
 // closed-form len[]/sum[]/sumsq[] planes in one per-thread buffer, and
 // rounds of three loops each: evaluate every pair, find the keep-th
 // largest error (kSort sorts a copy of the errors, kSelect selects it as
-// above), then count the pairs above it and commit without a branch.  It
-// is serial: histograms ignore MergingOptions::num_threads.
+// above), then count the pairs above it and commit without a branch.
 //
 // The piecewise-polynomial store runs on RunRounds, whose rounds past the
 // first are one fused streaming pass (CommitAndEvaluate): committing round
 // r's survivors produces round r+1's candidate refits and errors while the
 // planes are still hot, so a round reads and writes every plane exactly
 // once.  Candidate and next-generation buffers persist across rounds (no
-// per-round allocation), and the fused pass is data-parallel over
-// MergingOptions::num_threads (util/parallel.h, clamped to the hardware by
-// EffectiveParallelism) with bit-identical output at any thread count.
+// per-round allocation).
+//
+// Both loops run on the calling thread.
 
-// Test-only visibility into the engine (thread-local, so concurrent
-// constructions — e.g. merge-tree groups on pool workers — never race).
+// Test-only visibility into the engine (thread-local, so constructions
+// running at the same time on the server's event loops never race).
 //
 // The pass fields count the polynomial loop (RunRounds) only; histogram
 // runs touch none of them.  A "plane pass" is one sweep over the partition

@@ -34,9 +34,7 @@ StatusOr<MergingResult> ConstructHistogram(
 // by a fresh ~2k+1-piece histogram, by running the merging algorithm over
 // the boundary-union pieces.  h1 and h2 must share a domain.  This is the
 // primitive behind the streaming builder and any distributed merge tree.
-// `options` carries the usual delta/gamma knobs; its num_threads is
-// validated but ignored, because histogram runs are serial (see
-// MergingOptions).
+// `options` carries the usual delta/gamma knobs.
 StatusOr<Histogram> MergeHistograms(const Histogram& h1, double weight1,
                                     const Histogram& h2, double weight2,
                                     int64_t k,

@@ -150,15 +150,6 @@ StatusOr<Histogram> StreamingHistogramBuilder::FoldedView() const {
                                domain_size_, k_, options_);
 }
 
-void StreamingHistogramBuilder::Reset() {
-  buffer_.clear();  // keeps the reserved capacity
-  // Vacate every level in place: the slot vector (and the pieces each
-  // retired summary held) stays allocated for the next occupant.
-  for (LadderSlot& slot : ladder_) slot.count = 0;
-  summarized_count_ = 0;
-  generation_ = 0;
-}
-
 Status StreamingHistogramBuilder::Flush() {
   if (buffer_.empty()) return Status::Ok();
   // Condense the buffer to a level-0 summary, then carry it upward through

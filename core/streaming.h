@@ -30,29 +30,17 @@ namespace fasthist {
 class StreamingHistogramBuilder {
  public:
   // `options` (delta/gamma) is applied to every internal condense and
-  // merge, and must pass ValidateMergingOptions.  Its num_threads changes
-  // nothing: histogram runs are serial.
+  // merge, and must pass ValidateMergingOptions.
   static StatusOr<StreamingHistogramBuilder> Create(
       int64_t domain_size, int64_t k, size_t buffer_capacity,
       const MergingOptions& options = MergingOptions());
 
-  // Copyable (tests snapshot builder state by value) and movable: pools
-  // that recycle builders can move-assign into an existing slot without
-  // reallocating the destination's buffers.
+  // Copyable (tests snapshot builder state by value) and movable.
   StreamingHistogramBuilder(const StreamingHistogramBuilder&) = default;
   StreamingHistogramBuilder& operator=(const StreamingHistogramBuilder&) =
       default;
   StreamingHistogramBuilder(StreamingHistogramBuilder&&) = default;
   StreamingHistogramBuilder& operator=(StreamingHistogramBuilder&&) = default;
-
-  // Reuse without reallocation: drops every ingested sample (buffer, ladder
-  // occupancy, counters, generation) but keeps the buffer's reserved
-  // capacity and the ladder's level slots, so recycling a warm builder
-  // skips the construction allocations a fresh Create would pay again.
-  // After Reset() the builder is observationally identical to a freshly
-  // created one with the same arguments (asserted by streaming_test;
-  // perf_smoke_test pins the warm-reuse allocation count).
-  void Reset();
 
   // Samples must lie in [0, domain_size).
   Status Add(int64_t sample);

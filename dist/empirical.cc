@@ -42,17 +42,6 @@ double Distribution::L2DistanceTo(const Histogram& h) const {
   return std::sqrt(total);
 }
 
-double Distribution::L2DistanceTo(const std::vector<double>& q) const {
-  const size_t n = std::max(pmf_.size(), q.size());
-  double total = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double a = i < pmf_.size() ? pmf_[i] : 0.0;
-    const double b = i < q.size() ? q[i] : 0.0;
-    total += (a - b) * (a - b);
-  }
-  return std::sqrt(total);
-}
-
 StatusOr<Distribution> NormalizeToDistribution(
     const std::vector<double>& data) {
   std::vector<double> clamped(data.size());

@@ -22,8 +22,6 @@ class Distribution {
 
   // ||p - h||_2 (not squared), evaluated over the whole domain.
   double L2DistanceTo(const Histogram& h) const;
-  // ||p - q||_2 against another dense function of the same size.
-  double L2DistanceTo(const std::vector<double>& q) const;
 
  private:
   std::vector<double> pmf_;

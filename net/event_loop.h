@@ -59,9 +59,6 @@ class EventLoop {
   // True when this build can construct a kEpoll loop (Linux).
   static bool EpollSupported();
 
-  // The backend this loop actually runs (kDefault is resolved at Create).
-  EventLoopBackend backend() const { return backend_; }
-
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 

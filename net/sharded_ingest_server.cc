@@ -217,10 +217,6 @@ StatusOr<std::unique_ptr<ShardedIngestServer>> ShardedIngestServer::Create(
   return server;
 }
 
-EventLoopBackend ShardedIngestServer::backend() const {
-  return workers_[0]->loop->backend();
-}
-
 Status ShardedIngestServer::Bind() {
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {

@@ -103,7 +103,6 @@ class ShardedIngestServer {
 
   uint16_t port() const { return port_; }
   uint32_t num_loops() const { return static_cast<uint32_t>(workers_.size()); }
-  EventLoopBackend backend() const;
 
   // Spawns the worker threads and begins accepting.
   Status Start();

@@ -1,6 +1,5 @@
 #include "poly/poly_merging.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/internal/merge_engine.h"
@@ -13,9 +12,6 @@ Status ValidateMergingOptions(const MergingOptions& options) {
   }
   if (!(options.gamma >= 1.0)) {
     return Status::Invalid("merging: gamma must be >= 1");
-  }
-  if (options.num_threads < 1) {
-    return Status::Invalid("merging: num_threads must be >= 1");
   }
   return Status::Ok();
 }
@@ -40,17 +36,6 @@ StatusOr<PiecewisePolynomial> PiecewisePolynomial::Create(
   f.domain_size_ = domain_size;
   f.pieces_ = std::move(pieces);
   return f;
-}
-
-double PiecewisePolynomial::EvaluateAt(int64_t x) const {
-  const auto it = std::upper_bound(
-      pieces_.begin(), pieces_.end(), x,
-      [](int64_t value, const PolyFit& piece) {
-        return value < piece.interval.begin;
-      });
-  if (it == pieces_.begin()) return 0.0;
-  const PolyFit& piece = *(it - 1);
-  return piece.interval.Contains(x) ? piece.EvaluateAt(x) : 0.0;
 }
 
 std::vector<double> PiecewisePolynomial::ToDense() const {

@@ -22,24 +22,15 @@ namespace fasthist {
 //   gamma — running time vs output pieces (Theorem 3.4 / Corollary 3.1):
 //           larger gamma stops the rounds earlier, saving the tail of the
 //           merging at the cost of proportionally more pieces.
-//   num_threads — for piecewise polynomials only: data-parallelism of the
-//           per-round candidate refits.  Selection already orders pairs
-//           under a strict (error, index) total order, so evaluation order
-//           cannot affect which pairs survive: any thread count produces
-//           bit-identical output to num_threads = 1 (asserted by
-//           tests/property_test.cc).  Threads come from the shared
-//           util/parallel pool; 1 means fully serial with no pool touch.
-//           Histogram runs validate it (>= 1) and ignore it: their rounds
-//           are a few flops per pair and run serially.
+// Every merging run executes on the calling thread.
 struct MergingOptions {
   double delta = 1000.0;
   double gamma = 1.0;
-  int num_threads = 1;
 };
 
-// Invalid unless delta > 0, gamma >= 1 and num_threads >= 1 (a NaN knob is
-// refused too), with a message that names the knob.  Every merging run
-// checks its options here, and so does every builder that merges later
+// Invalid unless delta > 0 and gamma >= 1 (a NaN knob is refused too), with
+// a message that names the knob.  Every merging run checks its options
+// here, and so does every builder that merges later
 // (StreamingHistogramBuilder, ArchetypePool) at its Create, so a bad knob
 // is refused before a sample is accepted rather than at the first condense.
 Status ValidateMergingOptions(const MergingOptions& options);
@@ -56,7 +47,6 @@ class PiecewisePolynomial {
   int64_t num_pieces() const { return static_cast<int64_t>(pieces_.size()); }
   const std::vector<PolyFit>& pieces() const { return pieces_; }
 
-  double EvaluateAt(int64_t x) const;
   std::vector<double> ToDense() const;
 
  private:

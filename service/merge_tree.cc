@@ -4,8 +4,6 @@
 #include <tuple>
 #include <utility>
 
-#include "util/parallel.h"
-
 namespace fasthist {
 
 StatusOr<MergeTreeResult> ReduceSummaries(std::vector<ShardSummary> summaries,
@@ -16,9 +14,6 @@ StatusOr<MergeTreeResult> ReduceSummaries(std::vector<ShardSummary> summaries,
   }
   if (options.fan_in < 2) {
     return Status::Invalid("ReduceSummaries: fan_in must be >= 2");
-  }
-  if (options.num_threads < 1) {
-    return Status::Invalid("ReduceSummaries: num_threads must be >= 1");
   }
   if (k < 1) {
     return Status::Invalid("ReduceSummaries: k must be >= 1");
@@ -35,44 +30,27 @@ StatusOr<MergeTreeResult> ReduceSummaries(std::vector<ShardSummary> summaries,
     max_input_levels = std::max(max_input_levels, summary.error_levels);
   }
 
-  // Same oversubscription guard as the merge engine: more threads than
-  // cores never helps, and the tree shape (hence the output) does not
-  // depend on the pool size.
-  const int effective_threads = EffectiveParallelism(options.num_threads);
-  ThreadPool* pool =
-      effective_threads > 1 ? &ThreadPool::Shared(effective_threads) : nullptr;
   MergeTreeResult result;
   std::vector<ShardSummary> current = std::move(summaries);
   while (current.size() > 1) {
     const size_t fan_in = static_cast<size_t>(options.fan_in);
     const size_t num_groups = (current.size() + fan_in - 1) / fan_in;
     std::vector<ShardSummary> next(num_groups);
-    std::vector<Status> group_status(num_groups);
-    // Each group folds serially left-to-right and writes only its own slot,
-    // so the partitioning of groups over threads cannot affect any value.
-    ParallelFor(pool, 0, static_cast<int64_t>(num_groups), 1,
-                [&](int64_t group_begin, int64_t group_end) {
-                  for (int64_t g = group_begin; g < group_end; ++g) {
-                    const size_t first = static_cast<size_t>(g) * fan_in;
-                    const size_t last =
-                        std::min(first + fan_in, current.size());
-                    ShardSummary acc = std::move(current[first]);
-                    for (size_t i = first + 1; i < last; ++i) {
-                      auto merged = MergeHistograms(
-                          acc.histogram, acc.weight, current[i].histogram,
-                          current[i].weight, k, options.merging);
-                      if (!merged.ok()) {
-                        group_status[static_cast<size_t>(g)] = merged.status();
-                        break;
-                      }
-                      acc.histogram = std::move(merged).value();
-                      acc.weight += current[i].weight;
-                    }
-                    next[static_cast<size_t>(g)] = std::move(acc);
-                  }
-                });
-    for (const Status& status : group_status) {
-      if (!status.ok()) return status;
+    // Each group folds left-to-right into its own slot; the first failing
+    // merge fails the reduction.
+    for (size_t g = 0; g < num_groups; ++g) {
+      const size_t first = g * fan_in;
+      const size_t last = std::min(first + fan_in, current.size());
+      ShardSummary acc = std::move(current[first]);
+      for (size_t i = first + 1; i < last; ++i) {
+        auto merged = MergeHistograms(acc.histogram, acc.weight,
+                                      current[i].histogram, current[i].weight,
+                                      k, options.merging);
+        if (!merged.ok()) return merged.status();
+        acc.histogram = std::move(merged).value();
+        acc.weight += current[i].weight;
+      }
+      next[g] = std::move(acc);
     }
     result.num_merges +=
         static_cast<int64_t>(current.size()) -
@@ -100,9 +78,6 @@ StatusOr<MergeTreeResult> ReduceSnapshots(std::vector<ShardSnapshot> snapshots,
   // shards empty) still reject a bad fan_in instead of short-circuiting.
   if (options.fan_in < 2) {
     return Status::Invalid("ReduceSnapshots: fan_in must be >= 2");
-  }
-  if (options.num_threads < 1) {
-    return Status::Invalid("ReduceSnapshots: num_threads must be >= 1");
   }
   if (k < 1) {
     return Status::Invalid("ReduceSnapshots: k must be >= 1");

@@ -18,15 +18,13 @@ namespace fasthist {
 //
 // Determinism is the load-bearing contract.  The tree shape is a pure
 // function of (N, fan_in): level by level, consecutive groups of `fan_in`
-// summaries fold serially left-to-right into one node, until one summary
-// remains.  Groups at a level are independent, so they run on
-// util/parallel.h's statically-partitioned pool — and because each merge
-// is a serial, deterministic histogram run, the aggregate is bit-identical
-// at any `num_threads`.  ReduceSnapshots additionally canonicalizes input order
-// (by shard id), so the aggregate is bit-identical regardless of the order
-// snapshots arrived in.  Different `fan_in` values produce different (all
-// valid) tree shapes and therefore different — but equally accurate, see
-// `error_levels` — aggregates.
+// summaries fold left-to-right into one node, until one summary remains,
+// and each merge is a deterministic histogram run on the calling thread.
+// ReduceSnapshots additionally canonicalizes input order (by shard id), so
+// the aggregate is bit-identical regardless of the order snapshots arrived
+// in.  Different `fan_in` values produce different (all valid) tree shapes
+// and therefore different — but equally accurate, see `error_levels` —
+// aggregates.
 
 // A decoded shard summary: the histogram plus its merge weight (the
 // number of samples it condenses) and the Lemma-4.2 error levels already
@@ -40,14 +38,9 @@ struct ShardSummary {
 
 struct MergeTreeOptions {
   // Children folded into each internal node; >= 2.  Larger fan-in means a
-  // shallower tree (fewer lossy condensations, see error_levels) but less
-  // available parallelism per level.
+  // shallower tree (fewer lossy condensations, see error_levels).
   int fan_in = 2;
-  // Tree-level parallelism: independent groups of one level reduce
-  // concurrently on the shared pool.  Output is bit-identical at any value.
-  int num_threads = 1;
-  // Knobs (delta/gamma) for every internal MergeHistograms; their
-  // num_threads is ignored, as for every histogram run.
+  // Knobs (delta/gamma) for every internal MergeHistograms.
   MergingOptions merging;
 };
 

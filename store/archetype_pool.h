@@ -33,8 +33,7 @@ struct ArchetypeConfig {
   // slot's dyadic ladder one full window at a time (the
   // StreamingHistogramBuilder buffer_capacity, per key).
   size_t window_capacity = 64;
-  // delta/gamma applied to every condense and merge (num_threads is
-  // ignored: histogram runs are serial).
+  // delta/gamma applied to every condense and merge.
   MergingOptions options;
 };
 

@@ -117,9 +117,6 @@ TEST(MergingRejectsBadArguments) {
   CHECK(!ConstructHistogram(q, 0).ok());
   CHECK(!ConstructHistogram(q, 2, MergingOptions{0.0, 1.0}).ok());
   CHECK(!ConstructHistogram(q, 2, MergingOptions{1.0, 0.5}).ok());
-  MergingOptions no_threads;
-  no_threads.num_threads = 0;
-  CHECK(!ConstructHistogram(q, 2, no_threads).ok());
   // Domains beyond 2^53 are rejected explicitly: the engine tracks interval
   // lengths as exact integral doubles, which stop being exact there.
   const SparseFunction huge =

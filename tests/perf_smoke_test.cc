@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <type_traits>
 #include <vector>
 
 #include "core/fast_merging.h"
@@ -19,14 +18,11 @@
 #include "poly/poly_merging.h"
 #include "store/summary_store.h"
 #include "tests/fasthist_test.h"
-#include "util/parallel.h"
 
 // Global allocation counter, the same crude-but-exact instrument
 // bench_micro's --merge-grid check uses: every operator new in the binary
-// bumps it, so a warm construction's count is the number of vector (and
-// closure) allocations the engine performs — no sampling, no estimates.
-// Atomic because the forced-parallel case below runs genuine pool workers,
-// any of which may allocate.
+// bumps it, so a warm construction's count is the number of vector
+// allocations the engine performs — no sampling, no estimates.
 namespace {
 std::atomic<long long> g_allocations{0};
 }  // namespace
@@ -170,71 +166,18 @@ TEST(EngineWorkspaceReleasesCapacityAboveCap) {
 // round), and a fused commit+evaluate for every round in between:
 // total plane sweeps == rounds + 1, where the pre-fusion engine spent
 // 2 * rounds.  The counters count the polynomial loop, whose fused kernel
-// this is.  The pass structure is thread-invariant, so the forced-parallel
-// run must report the identical shape.
+// this is.
 TEST(FusedRoundMakesOneSweepOverThePlanes) {
   const SparseFunction q = Signal(1 << 12);
-  const auto check_passes = [](long long expected_rounds) {
-    const internal::EngineCounters& c = internal::EngineCountersForTesting();
-    CHECK(c.rounds == expected_rounds);
-    CHECK(c.evaluate_passes == 1);
-    CHECK(c.commit_passes == 1);
-    CHECK(c.fused_passes == expected_rounds - 1);
-  };
-
   internal::ResetEngineCountersForTesting();
   auto poly = ConstructPiecewisePolynomial(q, 8, 2, MergingOptions());
   CHECK_OK(poly);
   CHECK(poly->num_rounds > 2);
-  check_passes(poly->num_rounds);
-
-  SetHardwareParallelismForTesting(4);
-  MergingOptions threaded;
-  threaded.num_threads = 4;
-  internal::ResetEngineCountersForTesting();
-  auto threaded_poly = ConstructPiecewisePolynomial(q, 8, 2, threaded);
-  CHECK_OK(threaded_poly);
-  CHECK(threaded_poly->num_rounds == poly->num_rounds);
-  check_passes(threaded_poly->num_rounds);
-  SetHardwareParallelismForTesting(0);
-}
-
-// Reset() is the recycling contract the keyed store's slab design leans on:
-// a warm builder re-fed after Reset() must not pay the construction
-// allocations again (buffer reserve, ladder growth), and two warm runs must
-// land on the identical allocation count — if a Reset leaked state into
-// the next run, the counts would drift.
-TEST(StreamingBuilderResetReusesWithoutReallocation) {
-  static_assert(
-      std::is_move_assignable<StreamingHistogramBuilder>::value &&
-          std::is_move_constructible<StreamingHistogramBuilder>::value,
-      "pools recycle builders by move");
-
-  const int64_t domain = 4096;
-  const int64_t k = 16;
-  const size_t buffer = 512;
-  std::vector<int64_t> samples(20 * buffer);
-  for (size_t i = 0; i < samples.size(); ++i) {
-    samples[i] = static_cast<int64_t>((i * 2654435761u) % domain);
-  }
-
-  auto builder = StreamingHistogramBuilder::Create(domain, k, buffer);
-  CHECK_OK(builder);
-  const auto run = [&]() {
-    const long long before = g_allocations.load(std::memory_order_relaxed);
-    CHECK(builder->AddMany(samples).ok());
-    return g_allocations.load(std::memory_order_relaxed) - before;
-  };
-
-  const long long cold = run();  // pays ladder growth + engine warm-up
-  builder->Reset();
-  CHECK(builder->num_samples() == 0);
-  CHECK(builder->generation() == 0);
-  const long long warm1 = run();
-  builder->Reset();
-  const long long warm2 = run();
-  CHECK(warm1 == warm2);  // warm runs are allocation-deterministic
-  CHECK(warm1 < cold);    // the reused buffers actually got reused
+  const internal::EngineCounters& c = internal::EngineCountersForTesting();
+  CHECK(c.rounds == poly->num_rounds);
+  CHECK(c.evaluate_passes == 1);
+  CHECK(c.commit_passes == 1);
+  CHECK(c.fused_passes == poly->num_rounds - 1);
 }
 
 }  // namespace

@@ -7,9 +7,10 @@
 // absolute output bits of the served path instead: keyed store ingest,
 // ConstructHistogram / ConstructHistogramFast on empirical windows and on
 // dense inputs of up to 2^16 points, MergeHistograms (served shapes, and
-// large-k unions of up to about 800 atoms), and FoldBufferIntoSummary.  A
-// change to any of them — an operand reordered, an intermediate rounded
-// differently — moves the digest.
+// large-k unions of up to about 800 atoms), and FoldBufferIntoSummary.  Two
+// unserved constructions are pinned too: the piecewise polynomials and the
+// dyadic hierarchy.  A change to any of them — an operand reordered, an
+// intermediate rounded differently — moves the digest.
 //
 // Two constants per section: GCC contracts `a*b + c*d` into a fused
 // multiply-add when the target has FMA (e.g. -march=native builds), which
@@ -28,10 +29,12 @@
 #include <vector>
 
 #include "core/fast_merging.h"
+#include "core/hierarchical.h"
 #include "core/merging.h"
 #include "core/streaming.h"
 #include "dist/empirical.h"
 #include "dist/sparse_function.h"
+#include "poly/poly_merging.h"
 #include "service/wire_format.h"
 #include "store/summary_store.h"
 #include "tests/fasthist_test.h"
@@ -47,6 +50,8 @@ constexpr uint64_t kMergeDigest = 0xbe18cb8d70beca8aull;
 constexpr uint64_t kFoldDigest = 0xd843418ce629a099ull;
 constexpr uint64_t kMergeLargeKDigest = 0x71c35f3372343a20ull;
 constexpr uint64_t kConstructDenseDigest = 0xe7b48b481436d391ull;
+constexpr uint64_t kPolyDigest = 0xfe594df06edf1245ull;
+constexpr uint64_t kHierarchyDigest = 0xf13f4d431af92ffcull;
 #else
 constexpr uint64_t kStoreDigest = 0x9f7c453ed408c2ecull;
 constexpr uint64_t kConstructDigest = 0x07522b570374f9edull;
@@ -54,6 +59,8 @@ constexpr uint64_t kMergeDigest = 0xf778df95822802d2ull;
 constexpr uint64_t kFoldDigest = 0xd035992b2789a30full;
 constexpr uint64_t kMergeLargeKDigest = 0xa1ef211a686df215ull;
 constexpr uint64_t kConstructDenseDigest = 0xe7b48b481436d391ull;
+constexpr uint64_t kPolyDigest = 0xfff02c8a15d8439dull;
+constexpr uint64_t kHierarchyDigest = 0xf13f4d431af92ffcull;
 #endif
 
 // 64-bit FNV-1a.
@@ -375,6 +382,92 @@ TEST(PinnedBitsFoldBufferIntoSummary) {
     }
   }
   CheckDigest("FoldBufferIntoSummary", digest, kFoldDigest);
+}
+
+// A dense integer signal of n points with no zeros: random-length pieces,
+// each a + b*t + c*t*t / length at offset t into the piece (a 1 to 1000, b
+// -4 to 4, c 0 to 2), plus noise 0 to 7.  Slopes and curvature make fits
+// of every degree from 0 to 3 differ.
+std::vector<double> PolySignal(Rng& rng, int64_t n) {
+  std::vector<double> values(static_cast<size_t>(n));
+  int64_t i = 0;
+  while (i < n) {
+    const int64_t length = std::min(n - i, 1 + rng.UniformInt(n / 8 + 1));
+    const int64_t a = 1 + rng.UniformInt(1000);
+    const int64_t b = rng.UniformInt(9) - 4;
+    const int64_t c = rng.UniformInt(3);
+    for (int64_t t = 0; t < length; ++t) {
+      const int64_t value =
+          a + b * t + c * t * t / length + rng.UniformInt(8);
+      values[static_cast<size_t>(i + t)] =
+          static_cast<double>(value > 0 ? value : 1);
+    }
+    i += length;
+  }
+  return values;
+}
+
+// Two constructions no server runs, each under its own digest.
+// ConstructPiecewisePolynomial and ConstructPiecewisePolynomialFast at
+// degrees 0 to 3 on dense signals of 300, 4,096 and 20,000 points (as many
+// atoms), k 7 and 32, default knobs and delta 0.7 with gamma 2: every
+// piece's interval, coefficients and error, then err_squared and the round
+// count.  HierarchicalHistogram::Build on domains of 5,000, 65,536 and
+// 200,003 points, whose level 0 spans two to 49 blocks of 4,096 intervals:
+// every ParetoCurve point and the SelectForK histogram at k 4, 16 and 64.
+TEST(PinnedBitsPolynomialAndHierarchy) {
+  Digest poly_digest;
+  Rng rng(0x9017);
+  MergingOptions coarse;
+  coarse.delta = 0.7;
+  coarse.gamma = 2.0;
+  for (const int64_t n : {int64_t{300}, int64_t{4096}, int64_t{20000}}) {
+    const SparseFunction q = SparseFunction::FromDense(PolySignal(rng, n));
+    CHECK(static_cast<int64_t>(q.support_size()) == n);
+    for (int degree = 0; degree <= 3; ++degree) {
+      for (const int64_t k : {7, 32}) {
+        for (const MergingOptions& options : {MergingOptions(), coarse}) {
+          for (auto construct : {&ConstructPiecewisePolynomial,
+                                 &ConstructPiecewisePolynomialFast}) {
+            auto built = construct(q, k, degree, options);
+            CHECK_OK(built);
+            for (const PolyFit& piece : built->function.pieces()) {
+              poly_digest.U64(static_cast<uint64_t>(piece.interval.begin));
+              poly_digest.U64(static_cast<uint64_t>(piece.interval.end));
+              poly_digest.U64(piece.coefficients.size());
+              for (const double c : piece.coefficients) poly_digest.F64(c);
+              poly_digest.F64(piece.err_squared);
+            }
+            poly_digest.F64(built->err_squared);
+            poly_digest.U64(static_cast<uint64_t>(built->num_rounds));
+          }
+        }
+      }
+    }
+  }
+  CheckDigest("piecewise polynomial", poly_digest, kPolyDigest);
+
+  Digest hierarchy_digest;
+  for (const int64_t domain :
+       {int64_t{5000}, int64_t{65536}, int64_t{200003}}) {
+    const SparseFunction q =
+        SparseFunction::FromDense(PolySignal(rng, domain));
+    auto hierarchy = HierarchicalHistogram::Build(q);
+    CHECK_OK(hierarchy);
+    for (const auto& point : hierarchy->ParetoCurve()) {
+      hierarchy_digest.U64(static_cast<uint64_t>(point.level));
+      hierarchy_digest.U64(static_cast<uint64_t>(point.num_pieces));
+      hierarchy_digest.F64(point.err);
+    }
+    for (const int64_t k : {4, 16, 64}) {
+      auto selection = hierarchy->SelectForK(k);
+      CHECK_OK(selection);
+      hierarchy_digest.U64(static_cast<uint64_t>(selection->num_pieces));
+      hierarchy_digest.F64(selection->error_estimate);
+      hierarchy_digest.Hist(selection->histogram);
+    }
+  }
+  CheckDigest("HierarchicalHistogram", hierarchy_digest, kHierarchyDigest);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include "poly/poly_merging.h"
 #include "tests/fasthist_test.h"
 #include "tests/histogram_testutil.h"
-#include "util/parallel.h"
 #include "util/random.h"
 
 namespace fasthist {
@@ -86,6 +85,23 @@ void CheckHistogramsIdentical(const MergingResult& slow,
   }
 }
 
+void CheckPolysIdentical(const PiecewisePolyResult& slow,
+                         const PiecewisePolyResult& fast) {
+  CHECK(slow.num_rounds == fast.num_rounds);
+  CHECK_NEAR(slow.err_squared, fast.err_squared, 0.0);
+  CHECK(slow.function.num_pieces() == fast.function.num_pieces());
+  for (int64_t p = 0; p < slow.function.num_pieces(); ++p) {
+    const PolyFit& a = slow.function.pieces()[static_cast<size_t>(p)];
+    const PolyFit& b = fast.function.pieces()[static_cast<size_t>(p)];
+    CHECK(a.interval.begin == b.interval.begin);
+    CHECK(a.interval.end == b.interval.end);
+    CHECK(a.coefficients.size() == b.coefficients.size());
+    for (size_t j = 0; j < a.coefficients.size(); ++j) {
+      CHECK_NEAR(a.coefficients[j], b.coefficients[j], 0.0);
+    }
+  }
+}
+
 TEST(HistogramFastVsSlowRandomized) {
   // ConstructHistogramFast's contract over random inputs: identical output
   // to ConstructHistogram on every seed and knob combination.  Every fifth
@@ -115,12 +131,36 @@ TEST(HistogramFastVsSlowRandomized) {
       }
     }
   }
+  // Runs of tens of thousands of atoms, far above any served run: dense
+  // 30,000-point signals, and every third seed 20,000 samples over a
+  // 5 * 10^7 domain.
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(0x9a11'0000 + seed);
+    SparseFunction q;
+    if (seed % 3 == 2) {
+      const int64_t domain = 50'000'000;
+      std::vector<int64_t> samples;
+      for (int i = 0; i < 20'000; ++i) samples.push_back(rng.UniformInt(domain));
+      q = EmpiricalDistribution(domain, samples).value();
+    } else {
+      q = SparseFunction::FromDense(RandomSignal(rng, 30'000, 8, 0.5));
+    }
+    for (const MergingOptions& options :
+         {MergingOptions{1000.0, 1.0}, MergingOptions{0.5, 2.0}}) {
+      const auto slow = ConstructHistogram(q, 13, options);
+      const auto fast = ConstructHistogramFast(q, 13, options);
+      CHECK_OK(slow);
+      CHECK_OK(fast);
+      CheckHistogramsIdentical(*slow, *fast);
+    }
+  }
 }
 
 TEST(PolyFastVsSlowRandomized) {
   // The polynomial twin of the histogram contract: both speeds run the
   // same shared engine rounds, so pieces, coefficients, err_squared and
-  // num_rounds must be bit-identical at every degree.
+  // num_rounds must be bit-identical at every degree, on signals of 64 to
+  // 263 points and of 4,096.
   const MergingOptions sweeps[] = {{1000.0, 1.0}, {0.7, 1.0}, {2.0, 4.0}};
   for (int degree = 0; degree <= 3; ++degree) {
     for (uint64_t seed = 0; seed < 20; ++seed) {
@@ -134,21 +174,19 @@ TEST(PolyFastVsSlowRandomized) {
           auto fast = ConstructPiecewisePolynomialFast(q, k, degree, options);
           CHECK_OK(slow);
           CHECK_OK(fast);
-          CHECK(slow->num_rounds == fast->num_rounds);
-          CHECK_NEAR(slow->err_squared, fast->err_squared, 0.0);
-          CHECK(slow->function.num_pieces() == fast->function.num_pieces());
-          for (int64_t p = 0; p < slow->function.num_pieces(); ++p) {
-            const PolyFit& a = slow->function.pieces()[static_cast<size_t>(p)];
-            const PolyFit& b = fast->function.pieces()[static_cast<size_t>(p)];
-            CHECK(a.interval.begin == b.interval.begin);
-            CHECK(a.interval.end == b.interval.end);
-            CHECK(a.coefficients.size() == b.coefficients.size());
-            for (size_t j = 0; j < a.coefficients.size(); ++j) {
-              CHECK_NEAR(a.coefficients[j], b.coefficients[j], 0.0);
-            }
-          }
+          CheckPolysIdentical(*slow, *fast);
         }
       }
+    }
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      Rng rng(0x9a77'0000 + 1000 * static_cast<uint64_t>(degree) + seed);
+      const SparseFunction q =
+          SparseFunction::FromDense(RandomSignal(rng, 4096, 6, 0.4));
+      const auto slow = ConstructPiecewisePolynomial(q, 7, degree);
+      const auto fast = ConstructPiecewisePolynomialFast(q, 7, degree);
+      CHECK_OK(slow);
+      CHECK_OK(fast);
+      CheckPolysIdentical(*slow, *fast);
     }
   }
 }
@@ -214,88 +252,6 @@ TEST(PolyDegreeZeroMatchesHistogramMerging) {
   }
 }
 
-TEST(ThreadedHistogramMatchesSerialRandomized) {
-  // MergingOptions::num_threads must be invisible in the output.  Histogram
-  // runs ignore it (their loop is serial), so serial, 2-thread and 8-thread
-  // requests are bit-identical by construction; what this checks is
-  // fast == slow on the one histogram loop, on runs of tens of thousands
-  // of atoms (far above any served run) at two knob settings, under every
-  // thread request.  Every third seed uses a sparse empirical input over a
-  // huge domain.
-  for (uint64_t seed = 0; seed < 6; ++seed) {
-    Rng rng(0x9a11'0000 + seed);
-    SparseFunction q;
-    if (seed % 3 == 2) {
-      const int64_t domain = 50'000'000;
-      std::vector<int64_t> samples;
-      for (int i = 0; i < 20'000; ++i) samples.push_back(rng.UniformInt(domain));
-      q = EmpiricalDistribution(domain, samples).value();
-    } else {
-      q = SparseFunction::FromDense(RandomSignal(rng, 30'000, 8, 0.5));
-    }
-    for (const MergingOptions& base :
-         {MergingOptions{1000.0, 1.0, 1}, MergingOptions{0.5, 2.0, 1}}) {
-      const auto slow_serial = ConstructHistogram(q, 13, base);
-      const auto fast_serial = ConstructHistogramFast(q, 13, base);
-      CHECK_OK(slow_serial);
-      CHECK_OK(fast_serial);
-      CheckHistogramsIdentical(*slow_serial, *fast_serial);
-      for (int threads : {2, 8}) {
-        MergingOptions threaded = base;
-        threaded.num_threads = threads;
-        const auto slow = ConstructHistogram(q, 13, threaded);
-        const auto fast = ConstructHistogramFast(q, 13, threaded);
-        CHECK_OK(slow);
-        CHECK_OK(fast);
-        CheckHistogramsIdentical(*slow_serial, *slow);
-        CheckHistogramsIdentical(*slow_serial, *fast);
-      }
-    }
-  }
-}
-
-TEST(ThreadedPolyMatchesSerialRandomized) {
-  // The polynomial twin: threaded refits write disjoint coefficient-plane
-  // slots, so pieces, coefficients, err_squared and num_rounds are
-  // bit-identical to the serial run at every degree, again for both
-  // selection strategies.
-  for (int degree = 0; degree <= 3; ++degree) {
-    for (uint64_t seed = 0; seed < 3; ++seed) {
-      Rng rng(0x9a77'0000 + 1000 * static_cast<uint64_t>(degree) + seed);
-      const SparseFunction q =
-          SparseFunction::FromDense(RandomSignal(rng, 4096, 6, 0.4));
-      const MergingOptions serial{1000.0, 1.0, 1};
-      const auto reference = ConstructPiecewisePolynomial(q, 7, degree, serial);
-      CHECK_OK(reference);
-      for (int threads : {2, 8}) {
-        const MergingOptions threaded{1000.0, 1.0, threads};
-        const auto slow = ConstructPiecewisePolynomial(q, 7, degree, threaded);
-        const auto fast =
-            ConstructPiecewisePolynomialFast(q, 7, degree, threaded);
-        CHECK_OK(slow);
-        CHECK_OK(fast);
-        for (const PiecewisePolyResult* result : {&*slow, &*fast}) {
-          CHECK(reference->num_rounds == result->num_rounds);
-          CHECK_NEAR(reference->err_squared, result->err_squared, 0.0);
-          CHECK(reference->function.num_pieces() ==
-                result->function.num_pieces());
-          for (int64_t p = 0; p < reference->function.num_pieces(); ++p) {
-            const PolyFit& a =
-                reference->function.pieces()[static_cast<size_t>(p)];
-            const PolyFit& b = result->function.pieces()[static_cast<size_t>(p)];
-            CHECK(a.interval.begin == b.interval.begin);
-            CHECK(a.interval.end == b.interval.end);
-            CHECK(a.coefficients.size() == b.coefficients.size());
-            for (size_t j = 0; j < a.coefficients.size(); ++j) {
-              CHECK_NEAR(a.coefficients[j], b.coefficients[j], 0.0);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(ThresholdSelectionTieBreakingMatchesSort) {
   // The value-based threshold select must resolve duplicated candidate
   // errors exactly like the sort path's strict (error desc, index asc)
@@ -303,17 +259,15 @@ TEST(ThresholdSelectionTieBreakingMatchesSort) {
   // zero) — the worst case, where the whole round is one tie class — and
   // two-level inputs make the error plane take a handful of values per
   // round so the threshold always sits inside a tie run.  Checked
-  // bit-for-bit at 1/2/8 threads (the hardware override forces genuine
-  // pool dispatch even on a 1-core container) for histograms and poly
-  // degrees 0-3.  The retired index-indirect nth_element select was
-  // proven identical to kSort by this same comparison, so matching kSort
-  // also proves parity with it.  With the default delta, keep = k: k = 1
+  // bit-for-bit for histograms and poly degrees 0-3.  The retired
+  // index-indirect nth_element select was proven identical to kSort by this
+  // same comparison, so matching kSort also proves parity with it.  With
+  // the default delta, keep = k: k = 1
   // and 8 are the top-8 network's narrowest and full widths, k = 9 is the
   // heap tier's first keep, and k = 2100 (keep 2102) puts the nth_element
   // tier on planes full of ties.  For histograms the kSort side is the
   // histogram loop's sorted-copy threshold, so this also checks that the
   // sort and select thresholds feed the shared mark the same value.
-  SetHardwareParallelismForTesting(8);
   std::vector<std::vector<double>> inputs;
   inputs.push_back(std::vector<double>(30'000, 1.0));  // constant
   {
@@ -341,60 +295,24 @@ TEST(ThresholdSelectionTieBreakingMatchesSort) {
   for (const std::vector<double>& data : inputs) {
     const SparseFunction q = SparseFunction::FromDense(data);
     for (int64_t k : {1, 7, 8, 9, 32, 2100}) {
-      MergingOptions serial;
-      const auto reference = ConstructHistogram(q, k, serial);
-      CHECK_OK(reference);
-      for (int threads : {1, 2, 8}) {
-        MergingOptions options;
-        options.num_threads = threads;
-        const auto slow = ConstructHistogram(q, k, options);
-        const auto fast = ConstructHistogramFast(q, k, options);
-        CHECK_OK(slow);
-        CHECK_OK(fast);
-        CheckHistogramsIdentical(*reference, *slow);
-        CheckHistogramsIdentical(*reference, *fast);
-      }
+      const auto slow = ConstructHistogram(q, k);
+      const auto fast = ConstructHistogramFast(q, k);
+      CHECK_OK(slow);
+      CHECK_OK(fast);
+      CheckHistogramsIdentical(*slow, *fast);
     }
     // The polynomial engine shares the selection code but ranks refit
     // residuals; constant and two-level data keep those tied too.
     const SparseFunction q_small = SparseFunction::FromDense(
         std::vector<double>(data.begin(), data.begin() + 2'000));
     for (int degree = 0; degree <= 3; ++degree) {
-      MergingOptions serial;
-      const auto reference =
-          ConstructPiecewisePolynomial(q_small, 5, degree, serial);
-      CHECK_OK(reference);
-      for (int threads : {1, 2, 8}) {
-        MergingOptions options;
-        options.num_threads = threads;
-        const auto slow =
-            ConstructPiecewisePolynomial(q_small, 5, degree, options);
-        const auto fast =
-            ConstructPiecewisePolynomialFast(q_small, 5, degree, options);
-        CHECK_OK(slow);
-        CHECK_OK(fast);
-        for (const PiecewisePolyResult* result : {&*slow, &*fast}) {
-          CHECK(reference->num_rounds == result->num_rounds);
-          CHECK_NEAR(reference->err_squared, result->err_squared, 0.0);
-          CHECK(reference->function.num_pieces() ==
-                result->function.num_pieces());
-          for (int64_t p = 0; p < reference->function.num_pieces(); ++p) {
-            const PolyFit& a =
-                reference->function.pieces()[static_cast<size_t>(p)];
-            const PolyFit& b =
-                result->function.pieces()[static_cast<size_t>(p)];
-            CHECK(a.interval.begin == b.interval.begin);
-            CHECK(a.interval.end == b.interval.end);
-            CHECK(a.coefficients.size() == b.coefficients.size());
-            for (size_t j = 0; j < a.coefficients.size(); ++j) {
-              CHECK_NEAR(a.coefficients[j], b.coefficients[j], 0.0);
-            }
-          }
-        }
-      }
+      const auto slow = ConstructPiecewisePolynomial(q_small, 5, degree);
+      const auto fast = ConstructPiecewisePolynomialFast(q_small, 5, degree);
+      CHECK_OK(slow);
+      CHECK_OK(fast);
+      CheckPolysIdentical(*slow, *fast);
     }
   }
-  SetHardwareParallelismForTesting(0);
 }
 
 TEST(MergeHistogramsIsWeightRespecting) {

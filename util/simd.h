@@ -4,9 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 
-// The merge engine's streaming kernel for the polynomial store's candidate
-// pre-warm: a plain scalar loop that compilers auto-vectorize where the
-// hardware allows, with each output element computed exactly as the
+// The merge engine's streaming kernel for the polynomial store's first
+// candidate pass: a plain scalar loop that compilers auto-vectorize where
+// the hardware allows, with each output element computed exactly as the
 // scalar definition says.
 
 namespace fasthist {
