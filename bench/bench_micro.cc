@@ -3,8 +3,8 @@
 // 64-sample window condense and ladder carry, the store's batched ingest
 // at few and many keys, the ingest payload codec, the hierarchical
 // builder, Gram evaluation (O(d) per point), the projection oracle, alias
-// sampling (O(1)), empirical-distribution construction, selection, and the
-// exact DP for context.
+// sampling (O(1)), empirical-distribution construction, and the exact DP
+// for context.
 //
 // Invoked with --merge-grid the binary instead runs the size scaling grid
 // of the merge engine (histogram constructions at 2^20 .. 2^26 domains,
@@ -48,7 +48,6 @@
 #include "poly/poly_merging.h"
 #include "store/summary_store.h"
 #include "util/random.h"
-#include "util/selection.h"
 #include "util/span.h"
 #include "util/timer.h"
 
@@ -418,28 +417,6 @@ void BM_StreamingIngest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1 << 16));
 }
 BENCHMARK(BM_StreamingIngest)->Arg(512)->Arg(4096)->Arg(32768);
-
-void BM_SelectKth(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<double> v(static_cast<size_t>(state.range(0)));
-  for (double& x : v) x = rng.Gaussian();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SelectKth(v, v.size() / 2));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_SelectKth)->Range(1 << 10, 1 << 18)->Complexity();
-
-void BM_SelectKthMedianOfMedians(benchmark::State& state) {
-  Rng rng(4);
-  std::vector<double> v(static_cast<size_t>(state.range(0)));
-  for (double& x : v) x = rng.Gaussian();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SelectKthMedianOfMedians(v, v.size() / 2));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_SelectKthMedianOfMedians)->Range(1 << 10, 1 << 18)->Complexity();
 
 // ---------------------------------------------------------------------------
 // The size scaling grid (--merge-grid): the perf trajectory of the merge

@@ -1,12 +1,7 @@
-// End-to-end throughput of the service layer.  Three grids, each written
-// to its own machine-readable perf trajectory (same schema as
+// End-to-end throughput of the keyed store and of the server.  Two grids,
+// each written to its own machine-readable perf trajectory (same schema as
 // BENCH_merge.json):
 //
-//   --grid          shards x samples: per-shard ingest
-//                   (StreamingHistogramBuilder::AddMany), snapshot export +
-//                   wire encoding, merge-tree reduction at fan-in 2/4/8,
-//                   and quantile-query latency on the aggregate, written to
-//                   BENCH_service.json (--out=PATH).
 //   --net-grid      loops x connections x batch x offered load, over real
 //                   loopback sockets: an in-process ShardedIngestServer
 //                   (net/sharded_ingest_server.h) with `loops` worker event
@@ -35,26 +30,24 @@
 //                   Each row records the store's own byte accounting
 //                   (bytes_per_key_overhead, payload_bytes_per_key), the
 //                   process VmRSS after the build, and the ingest slowdown
-//                   vs a single-histogram ShardIngestor fed the identical
+//                   vs a single StreamingHistogramBuilder fed the identical
 //                   value stream.  Two budgets are enforced, not just
 //                   reported: overhead <= 150 bytes/key on every cell with
 //                   >= 65536 keys, and VmRSS < 2 GB always — a violation
 //                   exits 2, so the committed trajectory cannot drift past
 //                   the multi-tenancy budget silently.
 //
-// With no grid flag the shard grid runs (the store and net grids are
-// opt-in: each is a different binary contract with its own output file).
-// Every JSON row records threads_effective (what the machine actually ran,
-// so a 1-core container cannot masquerade as a scaling result) and the
-// min-of-R rep count (--reps=N, floor 3).
+// At least one grid flag is required: with none the binary prints its
+// usage and exits 2.  Every JSON row records threads_effective (what the
+// machine actually ran, so a 1-core container cannot masquerade as a
+// scaling result) and the min-of-R rep count (--reps=N, floor 3).
 //
-//   bench_service [--grid] [--store-grid] [--net-grid]
-//                 [--require-scaling] [--smoke] [--reps=N] [--out=PATH]
-//                 [--store-out=PATH] [--net-out=PATH]
+//   bench_service [--store-grid] [--net-grid] [--require-scaling]
+//                 [--smoke] [--reps=N] [--store-out=PATH] [--net-out=PATH]
 //
-// --smoke shrinks the grids for CI; the binary exits non-zero if any
-// service call fails or an aggregate loses mass, so the smoke run doubles
-// as an end-to-end correctness check.
+// --smoke shrinks the grids for CI; the binary exits non-zero if any store
+// or server call fails, a summary loses mass or a replay gate trips, so the
+// smoke run doubles as an end-to-end correctness check.
 
 #include <algorithm>
 #include <atomic>
@@ -68,7 +61,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "data/generators.h"
+#include "core/streaming.h"
 #if defined(FASTHIST_HAVE_NET)
 #include <chrono>
 
@@ -76,11 +69,6 @@
 #include "net/frame.h"
 #include "net/sharded_ingest_server.h"
 #endif
-#include "dist/alias_sampler.h"
-#include "dist/empirical.h"
-#include "service/aggregator.h"
-#include "service/merge_tree.h"
-#include "service/shard.h"
 #include "service/wire_format.h"
 #include "store/summary_store.h"
 #include "util/parallel.h"
@@ -91,184 +79,16 @@
 namespace fasthist {
 namespace {
 
-constexpr int64_t kDomain = 4096;
-constexpr int64_t kK = 16;
-constexpr size_t kBufferCapacity = 2048;
-constexpr int kNumQuantileQueries = 1024;
-
-struct GridPoint {
-  int64_t shards = 0;
-  int64_t samples_per_shard = 0;
-};
+constexpr char kUsage[] =
+    "usage: bench_service [--store-grid] [--net-grid] [--require-scaling]\n"
+    "                     [--smoke] [--reps=N] [--store-out=PATH]\n"
+    "                     [--net-out=PATH]\n"
+    "at least one of --store-grid and --net-grid is required\n";
 
 [[noreturn]] void Die(const char* where, const Status& status) {
   std::fprintf(stderr, "bench_service: %s: %s\n", where,
                status.message().c_str());
   std::exit(2);
-}
-
-std::vector<std::vector<int64_t>> MakeShardStreams(const AliasSampler& sampler,
-                                                   int64_t shards,
-                                                   int64_t samples_per_shard) {
-  std::vector<std::vector<int64_t>> streams;
-  streams.reserve(static_cast<size_t>(shards));
-  for (int64_t shard = 0; shard < shards; ++shard) {
-    Rng rng(0xbe9c0000 + static_cast<uint64_t>(shard));
-    streams.push_back(
-        sampler.SampleMany(static_cast<size_t>(samples_per_shard), &rng));
-  }
-  return streams;
-}
-
-std::vector<ShardSnapshot> IngestAndExport(
-    const std::vector<std::vector<int64_t>>& streams) {
-  std::vector<ShardSnapshot> snapshots;
-  snapshots.reserve(streams.size());
-  for (size_t shard = 0; shard < streams.size(); ++shard) {
-    auto ingestor = ShardIngestor::Create(static_cast<uint64_t>(shard),
-                                          kDomain, kK, kBufferCapacity);
-    if (!ingestor.ok()) Die("ShardIngestor::Create", ingestor.status());
-    if (Status s = ingestor->Ingest(streams[shard]); !s.ok()) {
-      Die("Ingest", s);
-    }
-    auto snapshot = ingestor->ExportSnapshot();
-    if (!snapshot.ok()) Die("ExportSnapshot", snapshot.status());
-    snapshots.push_back(std::move(snapshot).value());
-  }
-  return snapshots;
-}
-
-const AliasSampler& SharedSampler() {
-  static const AliasSampler* sampler = [] {
-    auto p = NormalizeToDistribution(MakeHistDataset({kDomain, 19980607, 10,
-                                                      20.0, 100.0, 1.0}));
-    if (!p.ok()) Die("NormalizeToDistribution", p.status());
-    auto s = AliasSampler::Create(*p);
-    if (!s.ok()) Die("AliasSampler::Create", s.status());
-    return new AliasSampler(std::move(s).value());
-  }();
-  return *sampler;
-}
-
-int RunGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
-  const std::vector<int64_t> shard_counts =
-      smoke ? std::vector<int64_t>{1, 4} : std::vector<int64_t>{1, 4, 16, 64};
-  const std::vector<int64_t> sample_counts =
-      smoke ? std::vector<int64_t>{4096}
-            : std::vector<int64_t>{16384, 131072};
-  const AliasSampler& sampler = SharedSampler();
-  // This grid's pipeline is single-threaded end to end, so every row's
-  // threads_effective is 1 regardless of the machine.
-  const double threads_effective = 1.0;
-
-  TablePrinter table({"shards", "samples/shard", "ingest Msamp/s",
-                      "snap bytes/shard", "reduce ms f2", "reduce ms f4",
-                      "reduce ms f8", "depth f2", "query us", "pieces"});
-
-  for (const int64_t shards : shard_counts) {
-    for (const int64_t samples_per_shard : sample_counts) {
-      const auto streams = MakeShardStreams(sampler, shards,
-                                            samples_per_shard);
-
-      // Ingest throughput: shard creation + AddMany + snapshot export, the
-      // full per-shard pipeline a server would run.
-      const double ingest_ms = bench_util::MinMillis(
-          [&] { IngestAndExport(streams); }, reps);
-      const double total_samples =
-          static_cast<double>(shards * samples_per_shard);
-      const double ingest_msamples_per_s = total_samples / (ingest_ms * 1e3);
-
-      const std::vector<ShardSnapshot> snapshots = IngestAndExport(streams);
-      double snapshot_bytes = 0.0;
-      for (const ShardSnapshot& snapshot : snapshots) {
-        snapshot_bytes +=
-            static_cast<double>(snapshot.encoded_histogram.size());
-      }
-      snapshot_bytes /= static_cast<double>(shards);
-
-      // Reduction time per fan-in (ReduceSnapshots includes the decode, the
-      // canonical sort, and every MergeHistograms of the tree).
-      double reduce_ms[3] = {0.0, 0.0, 0.0};
-      int depth_fan2 = 0;
-      MergeTreeResult reduced_fan2;
-      const int fan_ins[3] = {2, 4, 8};
-      for (int i = 0; i < 3; ++i) {
-        MergeTreeOptions options;
-        options.fan_in = fan_ins[i];
-        reduce_ms[i] = bench_util::MinMillis(
-            [&] {
-              auto reduced = ReduceSnapshots(snapshots, kK, options);
-              if (!reduced.ok()) Die("ReduceSnapshots", reduced.status());
-            },
-            reps);
-        auto reduced = ReduceSnapshots(snapshots, kK, options);
-        if (!reduced.ok()) Die("ReduceSnapshots", reduced.status());
-        if (std::abs(reduced->aggregate.TotalMass() - 1.0) > 1e-6) {
-          std::fprintf(stderr,
-                       "bench_service: aggregate mass drifted to %.9f\n",
-                       reduced->aggregate.TotalMass());
-          return 2;
-        }
-        if (fan_ins[i] == 2) {
-          depth_fan2 = reduced->depth;
-          reduced_fan2 = std::move(reduced).value();
-        }
-      }
-
-      // Query latency on the fan-in-2 aggregate (the MergeTreeResult
-      // overload, so a zero-weight aggregate would abort the bench).
-      auto aggregator = Aggregator::Create(reduced_fan2);
-      if (!aggregator.ok()) Die("Aggregator::Create", aggregator.status());
-      const double query_ms = bench_util::MinMillis(
-          [&] {
-            double sink = 0.0;
-            for (int i = 0; i < kNumQuantileQueries; ++i) {
-              const double q = (static_cast<double>(i) + 0.5) /
-                               static_cast<double>(kNumQuantileQueries);
-              sink += static_cast<double>(aggregator->Quantile(q));
-            }
-            if (sink < 0.0) std::abort();  // keep the loop observable
-          },
-          reps);
-      const double query_us =
-          query_ms * 1e3 / static_cast<double>(kNumQuantileQueries);
-
-      const std::string name = "shards" + std::to_string(shards) +
-                               "_samples" + std::to_string(samples_per_shard);
-      writer.Add(name,
-                 {{"shards", static_cast<double>(shards)},
-                  {"samples_per_shard",
-                   static_cast<double>(samples_per_shard)},
-                  {"threads_effective", threads_effective},
-                  {"reps", static_cast<double>(reps)},
-                  {"ingest_ms", ingest_ms},
-                  {"ingest_msamples_per_s", ingest_msamples_per_s},
-                  {"snapshot_bytes_per_shard", snapshot_bytes},
-                  {"reduce_ms_fan2", reduce_ms[0]},
-                  {"reduce_ms_fan4", reduce_ms[1]},
-                  {"reduce_ms_fan8", reduce_ms[2]},
-                  {"depth_fan2", static_cast<double>(depth_fan2)},
-                  {"error_levels",
-                   static_cast<double>(reduced_fan2.error_levels)},
-                  {"query_us_per_quantile", query_us},
-                  {"aggregate_pieces",
-                   static_cast<double>(reduced_fan2.aggregate.num_pieces())}});
-      table.AddRow({TablePrinter::FormatInt(shards),
-                    TablePrinter::FormatInt(samples_per_shard),
-                    TablePrinter::FormatDouble(ingest_msamples_per_s, 2),
-                    TablePrinter::FormatDouble(snapshot_bytes, 0),
-                    TablePrinter::FormatDouble(reduce_ms[0], 3),
-                    TablePrinter::FormatDouble(reduce_ms[1], 3),
-                    TablePrinter::FormatDouble(reduce_ms[2], 3),
-                    TablePrinter::FormatInt(depth_fan2),
-                    TablePrinter::FormatDouble(query_us, 3),
-                    TablePrinter::FormatInt(
-                        reduced_fan2.aggregate.num_pieces())});
-    }
-  }
-
-  table.Print(std::cout);
-  return 0;
 }
 
 // --- keyed store grid -------------------------------------------------------
@@ -293,7 +113,7 @@ struct StoreCell {
 // sample keeps generation cheap enough to run *inside* the timed region —
 // which it must, because pre-materializing the 1M-key cell's stream would
 // cost a gigabyte and poison the very RSS number this grid gates on.  The
-// store and the ShardIngestor baseline both pay it, so the slowdown ratio
+// store and its single-builder baseline both pay it, so the slowdown ratio
 // is apples-to-apples and the absolute throughput is (slightly)
 // conservative.
 uint64_t SplitMix(uint64_t x) {
@@ -368,18 +188,21 @@ double ReadRssMb() {
   return kb / 1024.0;
 }
 
-// The ShardIngestor baseline of a store cell: one ingestor swallowing the
-// identical value stream (same generator, same batch rhythm, no keys) with
-// its buffer sized to the store's per-key window — the same condensation
-// cadence, so the ratio prices multi-tenancy itself (grouping, index
-// probes, slab scatter), not a different summarization schedule.  (A
-// 2048-sample buffer baseline is ~2.7x faster per sample but produces a
-// different summary: fewer, larger condensations.)
+// The single-histogram baseline of a store cell (the column keeps its old
+// name, slowdown_vs_shard_ingestor): one StreamingHistogramBuilder
+// swallowing the identical value stream (same generator, same batch
+// rhythm, no keys) with its buffer sized to the store's per-key window —
+// the same condensation cadence, so the ratio prices multi-tenancy itself
+// (grouping, index probes, slab scatter), not a different summarization
+// schedule.  (A 2048-sample buffer baseline is ~2.7x faster per sample but
+// produces a different summary: fewer, larger condensations.)
 void RunShardBaselineOnce(const StoreCell& cell,
                           std::vector<int64_t>& scratch) {
-  auto ingestor = ShardIngestor::Create(/*shard_id=*/0, kStoreDomain, kStoreK,
-                                        kStoreWindow);
-  if (!ingestor.ok()) Die("ShardIngestor::Create", ingestor.status());
+  auto builder =
+      StreamingHistogramBuilder::Create(kStoreDomain, kStoreK, kStoreWindow);
+  if (!builder.ok()) {
+    Die("StreamingHistogramBuilder::Create", builder.status());
+  }
   const int64_t total = cell.keys * cell.samples_per_key;
   for (int64_t off = 0; off < total; off += cell.batch) {
     const int64_t len = std::min(cell.batch, total - off);
@@ -387,7 +210,7 @@ void RunShardBaselineOnce(const StoreCell& cell,
     for (int64_t s = off; s < off + len; ++s) {
       scratch.push_back(StoreValueOf(s));
     }
-    if (Status s = ingestor->Ingest(scratch); !s.ok()) Die("Ingest", s);
+    if (Status s = builder->AddMany(scratch); !s.ok()) Die("AddMany", s);
   }
 }
 
@@ -406,7 +229,7 @@ int RunStoreGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
                                      {65536, 64, 65536},
                                      {65536, 256, 65536},
                                      {1048576, 64, 65536}};
-  const double threads_effective = 1.0;  // serial end to end, like --grid
+  const double threads_effective = 1.0;  // serial end to end
 
   struct CellMemory {
     double overhead_per_key = 0.0;
@@ -490,7 +313,7 @@ int RunStoreGrid(bool smoke, int reps, bench_util::JsonBenchWriter& writer) {
 
   // Timed passes, min-of-R with the reps interleaved and rotated across
   // cells: each rep times every cell's store pass (store create + reserve +
-  // generate + AddBatch everything) and its ShardIngestor baseline back to
+  // generate + AddBatch everything) and its builder baseline back to
   // back, so a swing in host speed hits every cell alike instead of moving
   // one cell against its neighbours.
   // Pass -1 is an uncounted warm-up.
@@ -954,12 +777,13 @@ int main(int argc, char** argv) {
   using fasthist::bench_util::HasFlag;
 
   const bool smoke = HasFlag(argc, argv, "--smoke");
-  const bool grid_flag = HasFlag(argc, argv, "--grid");
   const bool store_flag = HasFlag(argc, argv, "--store-grid");
   const bool net_flag = HasFlag(argc, argv, "--net-grid");
+  if (!store_flag && !net_flag) {
+    std::fprintf(stderr, "%s", fasthist::kUsage);
+    return 2;
+  }
   const bool require_scaling = HasFlag(argc, argv, "--require-scaling");
-  const char* out = FlagValue(argc, argv, "--out=");
-  const std::string out_path = out != nullptr ? out : "BENCH_service.json";
   const char* store_out = FlagValue(argc, argv, "--store-out=");
   const std::string store_out_path =
       store_out != nullptr ? store_out : "BENCH_store.json";
@@ -978,38 +802,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // With no grid flag, run the shard grid.  The keyed store and net grids
-  // are opt-in only and write their own files.
-  const bool run_grid = grid_flag || (!store_flag && !net_flag);
-
-  fasthist::bench_util::JsonBenchWriter writer("service");
-  writer.AddContext("domain", static_cast<double>(fasthist::kDomain));
-  writer.AddContext("k", static_cast<double>(fasthist::kK));
-  writer.AddContext("buffer_capacity",
-                    static_cast<double>(fasthist::kBufferCapacity));
-  writer.AddContext("hardware_threads",
-                    static_cast<double>(std::thread::hardware_concurrency()));
-  writer.AddContext("hardware_parallelism",
-                    static_cast<double>(fasthist::HardwareParallelism()));
-  writer.AddContext("smoke", smoke ? 1.0 : 0.0);
-  writer.AddContext("reps", static_cast<double>(reps));
-
   int rc = 0;
-  if (run_grid) rc = fasthist::RunGrid(smoke, reps, writer);
-  if (rc != 0) return rc;
-
-  // Only a run that produced shard-grid records may touch the service
-  // trajectory file — a store-only invocation from the repo root must not
-  // clobber the committed BENCH_service.json with an empty record set.
-  if (run_grid) {
-    if (!writer.WriteFile(out_path)) {
-      std::fprintf(stderr, "bench_service: cannot write %s\n",
-                   out_path.c_str());
-      return 2;
-    }
-    std::printf("\nwrote %s\n", out_path.c_str());
-  }
-
   if (store_flag) {
     fasthist::bench_util::JsonBenchWriter store_writer("store");
     store_writer.AddContext("domain",

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "poly/fit_poly.h"
-#include "util/simd.h"
 
 namespace fasthist {
 namespace internal {
@@ -229,7 +228,6 @@ class PolyStore {
     }
     cand_coeff_.reserve((n / 2) * stride_);
     cand_basis_.reserve(n / 2);
-    span_scratch_.reserve(n / 2);
     next_begin_.reserve(n);
     next_end_.reserve(n);
     next_err_.reserve(n);
@@ -244,13 +242,9 @@ class PolyStore {
     err.resize(num_pairs);
     cand_coeff_.resize(num_pairs * stride_);
     cand_basis_.resize(num_pairs);
-    span_scratch_.resize(num_pairs);
-    // The merged spans come from one streaming kernel sweep; each merged
-    // length then gets its cache entry and the pair its refit.
-    simd::PairwiseSpan(begin_.data(), end_.data(), num_pairs,
-                       span_scratch_.data());
+    // Each merged length gets its cache entry and the pair its refit.
     for (size_t p = 0; p < num_pairs; ++p) {
-      cand_basis_[p] = &cache_->For(static_cast<int64_t>(span_scratch_[p]));
+      cand_basis_[p] = &cache_->For(end_[2 * p + 1] - begin_[2 * p]);
       err[p] = Refit(begin_[2 * p], end_[2 * p + 1], *cand_basis_[p],
                      &cand_coeff_[p * stride_]);
     }
@@ -399,7 +393,6 @@ class PolyStore {
   // Candidate planes.
   std::vector<double> cand_coeff_;
   std::vector<const GramBasis*> cand_basis_;
-  std::vector<double> span_scratch_;
   // Next-generation double buffers.
   std::vector<int64_t> next_begin_, next_end_;
   std::vector<double> next_err_;
@@ -913,13 +906,13 @@ StatusOr<PiecewisePolyResult> RunPolyMergingRounds(
   if (degree < 0) {
     return Status::Invalid("poly merging: degree must be >= 0");
   }
-  // The first candidate pass keys the per-length cache through a
-  // double-valued span plane (simd::PairwiseSpan), exact only up to 2^53 —
-  // the same explicit limit as the histogram path's length planes.
+  // Every refit evaluates its basis at each support offset as a double
+  // (ProjectOntoBasis), exact only up to 2^53 — the same explicit limit as
+  // the histogram path's length planes.
   if (q.domain_size() > (int64_t{1} << 53)) {
     return Status::Invalid(
-        "poly merging: domain above 2^53 not supported (merged spans are "
-        "tracked as exact doubles)");
+        "poly merging: domain above 2^53 not supported (support offsets are "
+        "evaluated as exact doubles)");
   }
 
   GramBasisCache cache(degree);

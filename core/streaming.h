@@ -67,8 +67,8 @@ class StreamingHistogramBuilder {
   // Const snapshot: folds the live ladder slots (oldest/highest level first)
   // and then the condensed buffered samples, without mutating any builder
   // state, so a reader can export the current summary without forcing a
-  // flush (ShardIngestor::ExportSnapshot is the serving caller).  Peek
-  // never mutates, but it is not synchronized — callers must serialize it
+  // flush (LatencyRecorder, the server timing itself, is the serving
+  // caller).  Peek never mutates, but it is not synchronized — callers must serialize it
   // against concurrent writers (Add/AddMany/Snapshot).
   StatusOr<Histogram> Peek() const;
 

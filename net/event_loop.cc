@@ -26,7 +26,7 @@ Status SetNonBlocking(int fd) {
 
 EventLoopBackend ResolveBackend(EventLoopBackend requested) {
   if (requested != EventLoopBackend::kDefault) return requested;
-#if defined(__linux__) && !defined(FASTHIST_FORCE_POLL)
+#if defined(__linux__)
   return EventLoopBackend::kEpoll;
 #else
   return EventLoopBackend::kPoll;

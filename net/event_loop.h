@@ -15,10 +15,10 @@ namespace fasthist {
 // Readiness backend.  kPoll is the portable poll(2) baseline that builds
 // anywhere POSIX poll exists; kEpoll is the Linux epoll(7) fast path (O(1)
 // dispatch instead of rebuilding an O(fds) pollfd array every iteration —
-// what makes a many-connection loop cheap).  kDefault resolves at configure
-// time: epoll on Linux unless FASTHIST_FORCE_POLL was set, poll everywhere
-// else.  Both backends compile on Linux so one process can run both — the
-// epoll-vs-poll equivalence test drives the same fixture through each.
+// what makes a many-connection loop cheap).  kDefault resolves from the
+// platform alone: epoll on Linux, poll everywhere else.  Both backends
+// compile on Linux so one process can run both — the epoll-vs-poll
+// equivalence test drives the same fixture through each.
 enum class EventLoopBackend {
   kDefault,
   kPoll,

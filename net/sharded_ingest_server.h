@@ -45,10 +45,12 @@ struct ShardedIngestServerOptions {
 // The multi-core socket front-end: one acceptor distributing connections
 // round-robin across N worker event loops, each worker owning the key-hash
 // partition `PartitionOfKey(key, N) == worker index` of a
-// PartitionedSummaryStore.  Mergeability is what makes this scaling free:
-// partitions reduce through the deterministic merge tree with accounted
-// error, so correctness never asks for a cross-thread lock — and indeed the
-// request path has none.
+// PartitionedSummaryStore.  Every key lives in one partition, so a per-key
+// read is served by its owner alone and correctness never asks for a
+// cross-thread lock — and indeed the request path has none.  Summaries
+// built apart meet only through mergeability: the kStats latency recorders
+// fold through ReduceSummaries, and a client folds pulled keyed snapshots
+// with ReduceSnapshots.
 //
 //   clients ──> acceptor (loop 0) ──round-robin──> worker loops 0..N-1
 //                 each loop:  parse ─ decode ─ stable-partition by key
@@ -57,7 +59,8 @@ struct ShardedIngestServerOptions {
 //              SPSC ring[owner][producer]  (bounded, lock-free)
 //                       ▼
 //              owner loop drains rings ─ size/deadline flush ─ partition
-//              store (single writer)  ──(queries)──> ReduceSummaries fan-in
+//              store (single writer)  ──(queries, pulls)──> reply on the
+//                                                            conn's loop
 //
 // Ingest: the receiving loop decodes a batch, stable-partitions it by
 // PartitionOfKey, and applies the two-tier shed policy *per partition*

@@ -48,8 +48,8 @@ inline StatusOr<Histogram> DecodeHistogram(const std::vector<uint8_t>& bytes) {
 }
 
 // One shard's exported summary: identity, merge weight, and the encoded
-// histogram.  This is what travels from a ShardIngestor to the merge tree
-// (service/merge_tree.h); `encoded_histogram` stays opaque bytes until the
+// histogram.  This is what travels from a store's keyed export or a
+// server's snapshot pull to the merge tree (service/merge_tree.h); `encoded_histogram` stays opaque bytes until the
 // reducer decodes it, so snapshots can be shipped, stored, or replayed
 // without the receiver trusting the sender's memory layout.
 struct ShardSnapshot {

@@ -156,12 +156,11 @@ Status ArchetypePool::AddChunk() {
   }
   chunk->window_len.assign(kSlotsPerChunk, 0);
   chunk->summarized.assign(kSlotsPerChunk, 0);
-  chunk->key.assign(kSlotsPerChunk, 0);
   chunks_.push_back(std::move(chunk));
   return Status::Ok();
 }
 
-StatusOr<uint64_t> ArchetypePool::AllocateSlot(uint64_t key) {
+StatusOr<uint64_t> ArchetypePool::AllocateSlot() {
   if (next_unused_ == chunks_.size() * kSlotsPerChunk) {
     if (Status s = AddChunk(); !s.ok()) return s;
   }
@@ -170,7 +169,6 @@ StatusOr<uint64_t> ArchetypePool::AllocateSlot(uint64_t key) {
   const uint64_t ref =
       PackRef(next_unused_ / kSlotsPerChunk, next_unused_ % kSlotsPerChunk);
   ++next_unused_;
-  chunks_[ChunkOf(ref)]->key[SlotOf(ref)] = key;
   return ref;
 }
 
@@ -322,8 +320,7 @@ ArchetypePool::MemoryStats ArchetypePool::memory() const {
     const Chunk& chunk = *chunks_[c];
     stats.total_bytes += sizeof(Chunk) + kSlotsPerChunk * bytes_per_window +
                          chunk.window_len.capacity() * sizeof(int32_t) +
-                         chunk.summarized.capacity() * sizeof(int64_t) +
-                         chunk.key.capacity() * sizeof(uint64_t);
+                         chunk.summarized.capacity() * sizeof(int64_t);
     for (int level = 0; level < chunk.num_levels; ++level) {
       const LevelPlane& plane = *chunk.levels[static_cast<size_t>(level)];
       stats.total_bytes += sizeof(LevelPlane) +

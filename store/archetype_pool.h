@@ -41,8 +41,8 @@ struct ArchetypeConfig {
 // structure-of-arrays slabs (ECS style): a chunk owns kSlotsPerChunk slots,
 // and each logical field of "a streaming builder" lives in its own
 // contiguous plane — sample windows, window lengths, summarized counts,
-// keys, and one (ends, values, piece_count, count) plane set per ladder
-// level, allocated lazily the first time any slot in the chunk carries that
+// and one (ends, values, piece_count, count) plane set per ladder level,
+// allocated lazily the first time any slot in the chunk carries that
 // deep.  Per-key state is therefore pure array slices: no Histogram, no
 // std::vector, no heap object per key — the entire per-key overhead beyond
 // the payload planes is one index entry plus this pool's amortized chunk
@@ -92,11 +92,11 @@ class ArchetypePool {
   ArchetypePool(ArchetypePool&&) = default;
   ArchetypePool& operator=(ArchetypePool&&) = default;
 
-  // Bump-allocates the next slot, growing by one chunk when full, and
-  // stamps `key` into the slot's key plane for the bulk sweeps.  The
+  // Bump-allocates the next slot, growing by one chunk when full.  The
   // returned ref is (chunk << 16) | slot; refs are handed out in order from
-  // 0, and a slot is never released.
-  StatusOr<uint64_t> AllocateSlot(uint64_t key);
+  // 0, and a slot is never released.  The pool keeps no key: the store's
+  // index maps a key to its ref.
+  StatusOr<uint64_t> AllocateSlot();
 
   // An allocated slot resolved to its chunk: a chunk pointer and a slot
   // index.  AddBatch resolves each present key's ref once, at its probe
@@ -179,16 +179,6 @@ class ArchetypePool {
   };
   MemoryStats memory() const;
 
-  // Enumerates allocated slots as (ref, key), in allocation order.
-  template <typename Fn>
-  void ForEachSlot(Fn&& fn) const {
-    for (size_t i = 0; i < next_unused_; ++i) {
-      const size_t c = i / kSlotsPerChunk;
-      const size_t s = i % kSlotsPerChunk;
-      fn(PackRef(c, s), chunks_[c]->key[s]);
-    }
-  }
-
  private:
   // One ladder level's planes for a whole chunk: slot s owns
   // [s * piece_capacity, (s+1) * piece_capacity) of ends/values and entry s
@@ -210,7 +200,6 @@ class ArchetypePool {
     WindowPlane window{nullptr, nullptr};
     std::vector<int32_t> window_len;  // per slot
     std::vector<int64_t> summarized;  // per slot
-    std::vector<uint64_t> key;        // per slot
     // Lazily-deepened ladder: levels[L] is null until some slot commits at
     // depth L, and levels [0, num_levels) are allocated.
     std::array<std::unique_ptr<LevelPlane>, kMaxLadderLevels> levels;

@@ -46,33 +46,4 @@ size_t PartitionedSummaryStore::num_keys() const {
   return total;
 }
 
-StatusOr<MergeTreeResult> PartitionedSummaryStore::MergeAllMatching(
-    const std::function<bool(uint64_t)>& pred, int64_t k,
-    const MergeTreeOptions& options) const {
-  std::vector<ShardSummary> per_partition;
-  per_partition.reserve(partitions_.size());
-  for (const SummaryStore& store : partitions_) {
-    StatusOr<MergeTreeResult> local = store.MergeAllMatching(pred, k, options);
-    if (!local.ok()) {
-      // An empty partition carries no mass — it drops out of the rollup the
-      // way empty shards drop out of ReduceSnapshots.  Any other failure is
-      // a real error and propagates.
-      if (local.status().message() ==
-          "SummaryStore: no matching key has samples") {
-        continue;
-      }
-      return local.status();
-    }
-    MergeTreeResult result = std::move(local).value();
-    per_partition.push_back(ShardSummary{std::move(result.aggregate),
-                                         result.total_weight,
-                                         result.error_levels});
-  }
-  if (per_partition.empty()) {
-    return Status::Invalid(
-        "PartitionedSummaryStore: no matching key has samples");
-  }
-  return ReduceSummaries(std::move(per_partition), k, options);
-}
-
 }  // namespace fasthist

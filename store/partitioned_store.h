@@ -3,10 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "service/merge_tree.h"
 #include "store/summary_store.h"
 #include "util/span.h"
 #include "util/status.h"
@@ -34,9 +32,10 @@ inline uint32_t PartitionOfKey(uint64_t key, uint32_t num_partitions) {
 // per-key bit-identity contract of SummaryStore carries over unchanged
 // (partitioning changes which store holds a key, never the computation on
 // its samples).  This is the storage side of the sharded ingest server:
-// each worker loop owns partition(i) exclusively; cross-partition reads
-// (MergeAllMatching) fan in through the deterministic merge tree, which is
-// the paper's mergeability doing the horizontal-scaling work.
+// each worker loop owns partition(i) exclusively, and every read is a
+// per-key read served by the key's one partition.  Summaries of different
+// keys combine only outside the store, through the keyed snapshots they
+// export (ReduceSnapshots, service/merge_tree.h).
 //
 // The facade itself adds no locking, and a SummaryStore is not thread-safe:
 // the caller owns the one-thread-per-partition discipline (the sharded
@@ -88,18 +87,6 @@ class PartitionedSummaryStore {
   }
 
   size_t num_keys() const;
-
-  // Cross-partition reduction: each partition reduces its matching keys
-  // locally (SummaryStore::MergeAllMatching — canonical key order), then
-  // the per-partition aggregates fold through ReduceSummaries in
-  // partition-id order.  Both levels are deterministic trees, so the result
-  // is a pure function of the store contents — bit-identical regardless of
-  // which worker ingested what when.  Partitions where no matching key has
-  // samples drop out (they carry no mass); if that is every partition, the
-  // call is Invalid like the single-store version.
-  StatusOr<MergeTreeResult> MergeAllMatching(
-      const std::function<bool(uint64_t)>& pred, int64_t k,
-      const MergeTreeOptions& options = MergeTreeOptions()) const;
 
  private:
   explicit PartitionedSummaryStore(std::vector<SummaryStore> partitions)

@@ -21,7 +21,7 @@ StatusOr<uint64_t> SummaryStore::FindRef(uint64_t key) const {
 StatusOr<uint64_t> SummaryStore::FindOrCreateRef(uint64_t key) {
   const uint64_t existing = index_.Find(key);
   if (existing != KeyIndex::kNotFound) return existing;
-  auto ref = pool_.AllocateSlot(key);
+  auto ref = pool_.AllocateSlot();
   if (!ref.ok()) return ref.status();
   index_.Insert(key, *ref);
   return *ref;
@@ -172,104 +172,6 @@ StatusOr<ShardSnapshot> SummaryStore::ExportKeyedSnapshot(
   snapshot.error_levels = pool_.ErrorLevels(ref);
   snapshot.encoded_histogram = EncodeHistogram(*histogram);
   return snapshot;
-}
-
-Status SummaryStore::CollectSummaries(
-    const std::function<bool(uint64_t)>& pred,
-    std::vector<std::pair<uint64_t, ShardSummary>>* out) const {
-  Status status = Status::Ok();
-  pool_.ForEachSlot([&](uint64_t ref, uint64_t key) {
-    if (!status.ok() || !pred(key)) return;
-    const int64_t num_samples = pool_.NumSamples(ref);
-    if (num_samples == 0) return;  // empty summaries carry no mass
-    auto histogram = pool_.Query(ref);
-    if (!histogram.ok()) {
-      status = histogram.status();
-      return;
-    }
-    out->emplace_back(key, ShardSummary{std::move(histogram).value(),
-                                        static_cast<double>(num_samples),
-                                        std::max(1, pool_.ErrorLevels(ref))});
-  });
-  if (!status.ok()) return status;
-  // Canonical leaf order: the reduction must not depend on slab placement
-  // (allocation history), only on the key set.
-  std::sort(out->begin(), out->end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return status;
-}
-
-StatusOr<MergeTreeResult> SummaryStore::MergeAllMatching(
-    const std::function<bool(uint64_t)>& pred, int64_t k,
-    const MergeTreeOptions& options) const {
-  std::vector<std::pair<uint64_t, ShardSummary>> matched;
-  if (Status s = CollectSummaries(pred, &matched); !s.ok()) return s;
-  if (matched.empty()) {
-    return Status::Invalid("SummaryStore: no matching key has samples");
-  }
-  std::vector<ShardSummary> summaries;
-  summaries.reserve(matched.size());
-  for (auto& entry : matched) summaries.push_back(std::move(entry.second));
-  return ReduceSummaries(std::move(summaries), k, options);
-}
-
-StatusOr<std::vector<std::pair<uint64_t, MergeTreeResult>>>
-SummaryStore::GroupByRollup(const std::function<uint64_t(uint64_t)>& group_of,
-                            int64_t k, const MergeTreeOptions& options) const {
-  std::vector<std::pair<uint64_t, ShardSummary>> all;
-  if (Status s = CollectSummaries([](uint64_t) { return true; }, &all);
-      !s.ok()) {
-    return s;
-  }
-  // Stable re-sort by (group, key): groups become contiguous runs and the
-  // leaf order within each run stays canonical.
-  std::vector<std::pair<uint64_t, size_t>> grouped(all.size());
-  for (size_t i = 0; i < all.size(); ++i) {
-    grouped[i] = {group_of(all[i].first), i};
-  }
-  std::stable_sort(grouped.begin(), grouped.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::pair<uint64_t, MergeTreeResult>> results;
-  size_t run_begin = 0;
-  while (run_begin < grouped.size()) {
-    const uint64_t group = grouped[run_begin].first;
-    size_t run_end = run_begin + 1;
-    while (run_end < grouped.size() && grouped[run_end].first == group) {
-      ++run_end;
-    }
-    std::vector<ShardSummary> summaries;
-    summaries.reserve(run_end - run_begin);
-    for (size_t i = run_begin; i < run_end; ++i) {
-      summaries.push_back(std::move(all[grouped[i].second].second));
-    }
-    auto reduced = ReduceSummaries(std::move(summaries), k, options);
-    if (!reduced.ok()) return reduced.status();
-    results.emplace_back(group, std::move(reduced).value());
-    run_begin = run_end;
-  }
-  return results;
-}
-
-std::vector<std::pair<uint64_t, int64_t>> SummaryStore::TopKHeaviest(
-    size_t n) const {
-  std::vector<std::pair<uint64_t, int64_t>> weights;
-  pool_.ForEachSlot([&](uint64_t ref, uint64_t key) {
-    const int64_t num_samples = pool_.NumSamples(ref);
-    if (num_samples > 0) weights.emplace_back(key, num_samples);
-  });
-  const auto heavier = [](const std::pair<uint64_t, int64_t>& a,
-                          const std::pair<uint64_t, int64_t>& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  };
-  if (weights.size() > n) {
-    std::nth_element(weights.begin(),
-                     weights.begin() + static_cast<ptrdiff_t>(n),
-                     weights.end(), heavier);
-    weights.resize(n);
-  }
-  std::sort(weights.begin(), weights.end(), heavier);
-  return weights;
 }
 
 Status SummaryStore::ReserveKeys(size_t n) {

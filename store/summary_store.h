@@ -3,13 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
-#include <vector>
 
 #include "dist/histogram.h"
 #include "service/aggregator.h"
-#include "service/merge_tree.h"
 #include "service/wire_format.h"
 #include "store/archetype_pool.h"
 #include "store/key_index.h"
@@ -74,11 +71,6 @@ struct StoreMemoryStats {
 // bench/ab_store.sh sweep over 8, 16 and 32: 16 was fastest at 131072
 // keys; 8 was 2-5 % faster at 64 keys but 6-12 % slower at 131072.
 //
-// Bulk read-side ops — merge all keys matching a predicate, group-by
-// rollups, top-k — sweep the slabs chunk-major and reduce through the
-// deterministic merge tree, so their outputs are bit-identical regardless
-// of insertion history (canonical key order) and thread count.
-//
 // Not thread-safe: one thread at a time.  The server gives each key-hash
 // partition's store exactly one writer, its owner loop, which also serves
 // the partition's reads (PartitionedSummaryStore).
@@ -123,28 +115,6 @@ class SummaryStore {
   StatusOr<ShardSnapshot> ExportKeyedSnapshot(uint64_t key,
                                               uint64_t shard_id) const;
 
-  // --- Bulk cross-key operations ------------------------------------------
-  //
-  // All three sweep the slabs chunk-major, order keys canonically, skip
-  // keys with zero samples, and (for the reductions) require every
-  // participating key to share one domain.  `k` is the output summary's
-  // pieces knob; `options` shapes the reduction tree.
-
-  // Reduces every key with pred(key) true into one aggregate.
-  StatusOr<MergeTreeResult> MergeAllMatching(
-      const std::function<bool(uint64_t)>& pred, int64_t k,
-      const MergeTreeOptions& options = MergeTreeOptions()) const;
-
-  // Reduces keys sharing group_of(key) into one aggregate per group;
-  // results are ordered by group id.
-  StatusOr<std::vector<std::pair<uint64_t, MergeTreeResult>>> GroupByRollup(
-      const std::function<uint64_t(uint64_t)>& group_of, int64_t k,
-      const MergeTreeOptions& options = MergeTreeOptions()) const;
-
-  // The n keys with the most samples, heaviest first (ties: smaller key
-  // first, so the answer is insertion-order invariant).
-  std::vector<std::pair<uint64_t, int64_t>> TopKHeaviest(size_t n) const;
-
   // Pre-sizes the index and the slabs so a bulk load of `n` keys never
   // rehashes or chunk-allocates mid-ingest.
   Status ReserveKeys(size_t n);
@@ -158,11 +128,6 @@ class SummaryStore {
   StatusOr<uint64_t> FindRef(uint64_t key) const;
   // The pool ref of the key, creating the key if absent.
   StatusOr<uint64_t> FindOrCreateRef(uint64_t key);
-
-  // Canonically-ordered (key, summary) sweep of keys passing `pred`.
-  Status CollectSummaries(
-      const std::function<bool(uint64_t)>& pred,
-      std::vector<std::pair<uint64_t, ShardSummary>>* out) const;
 
   KeyIndex index_;
   ArchetypePool pool_;

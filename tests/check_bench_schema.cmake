@@ -1,7 +1,7 @@
-# Schema check for the committed service benchmark results.  Fails when any
-# record in the JSON drops a field downstream consumers key on — so a
-# regenerated BENCH_service.json with a narrower schema fails ctest (and all
-# five CI jobs) before it lands.
+# Schema check for the committed benchmark results.  Fails when any record
+# in the JSON drops a field downstream consumers key on — so a regenerated
+# BENCH_store.json, BENCH_net.json or BENCH_trajectory.json with a narrower
+# schema fails ctest (and all five CI jobs) before it lands.
 #
 # Inputs (via -D):
 #   BENCH_JSON       path to the benchmark JSON (top-level "records" array)

@@ -1,6 +1,6 @@
 // The service layer end to end: wire-format round trips and corruption
-// handling, shard snapshot export without flushes, the merge tree's
-// determinism/accounting contracts, and the query API.
+// handling, the merge tree's determinism/accounting contracts over
+// builder-made shard snapshots, and the query API.
 
 #include <algorithm>
 #include <cmath>
@@ -10,12 +10,12 @@
 #include <vector>
 
 #include "core/fast_merging.h"
+#include "core/streaming.h"
 #include "data/generators.h"
 #include "dist/alias_sampler.h"
 #include "dist/empirical.h"
 #include "service/aggregator.h"
 #include "service/merge_tree.h"
-#include "service/shard.h"
 #include "service/wire_format.h"
 #include "tests/fasthist_test.h"
 #include "tests/histogram_testutil.h"
@@ -346,48 +346,24 @@ TEST(SnapshotEnvelopeVersionedDecodeV1V2V3) {
   }
 }
 
-TEST(ShardIngestorExportsWithoutFlushing) {
-  const int64_t domain = 1000;
-  auto p = NormalizeToDistribution(MakeHistDataset({domain, 7, 10, 20.0,
-                                                    100.0, 1.0}));
-  CHECK_OK(p);
-  auto sampler = AliasSampler::Create(*p);
-  CHECK_OK(sampler);
-  Rng rng(99);
-  // 1000 samples with a 256-sample buffer: three flushes + 232 buffered, so
-  // the export path exercises the peek-merge of a partial buffer.
-  const std::vector<int64_t> samples = sampler->SampleMany(1000, &rng);
-
-  auto ingestor = ShardIngestor::Create(17, domain, 8, 256);
-  CHECK_OK(ingestor);
-  CHECK_OK(ingestor->ExportSnapshot());  // empty export: uniform, 0 samples
-  CHECK(ingestor->ExportSnapshot()->num_samples == 0);
-  CHECK(ingestor->ExportSnapshot()->error_levels == 0);  // fabricated summary
-  CHECK(ingestor->Ingest(samples).ok());
-
-  auto snapshot = ingestor->ExportSnapshot();
-  CHECK_OK(snapshot);
-  CHECK(snapshot->shard_id == 17);
-  CHECK(snapshot->num_samples == 1000);
-  // 3 flushes -> ladder slots at levels 0 and 1 (depth 2), plus the
-  // buffered remainder: one read-fold pass over 3 sources = 3 levels.
-  CHECK(snapshot->error_levels == 3);
-  // Export is read-only: the builder state (partial buffer included) is
-  // untouched, so a shadow builder fed the same stream and then snapshotted
-  // produces a bit-identical summary.
-  CHECK(ingestor->num_samples() == 1000);
-  auto shadow = StreamingHistogramBuilder::Create(domain, 8, 256);
-  CHECK_OK(shadow);
-  CHECK(shadow->AddMany(samples).ok());
-  auto shadow_summary = shadow->Snapshot();
-  CHECK_OK(shadow_summary);
-  auto exported = DecodeHistogram(snapshot->encoded_histogram);
-  CHECK_OK(exported);
-  CHECK(BitIdentical(*shadow_summary, *exported));
-  // And exporting twice is idempotent.
-  auto again = ingestor->ExportSnapshot();
-  CHECK_OK(again);
-  CHECK(again->encoded_histogram == snapshot->encoded_histogram);
+// The unkeyed (v2) snapshot of one shard of a stream: a
+// StreamingHistogramBuilder(domain, k, buffer_capacity) fed `samples`,
+// exported without a flush — its Peek fold, sample count and ladder error
+// levels.
+ShardSnapshot BuilderSnapshot(uint64_t shard_id, int64_t domain, int64_t k,
+                              size_t buffer_capacity,
+                              const std::vector<int64_t>& samples) {
+  auto builder = StreamingHistogramBuilder::Create(domain, k, buffer_capacity);
+  CHECK_OK(builder);
+  CHECK(builder->AddMany(samples).ok());
+  auto summary = builder->Peek();
+  CHECK_OK(summary);
+  ShardSnapshot snapshot;
+  snapshot.shard_id = shard_id;
+  snapshot.num_samples = builder->num_samples();
+  snapshot.error_levels = builder->error_levels();
+  snapshot.encoded_histogram = EncodeHistogram(*summary);
+  return snapshot;
 }
 
 // Builds N shard snapshots (a few deliberately empty) over one distribution.
@@ -398,13 +374,13 @@ std::vector<ShardSnapshot> MakeSnapshots(int64_t num_shards, Rng* rng) {
   auto sampler = AliasSampler::Create(*p);
   std::vector<ShardSnapshot> snapshots;
   for (int64_t shard = 0; shard < num_shards; ++shard) {
-    auto ingestor = ShardIngestor::Create(static_cast<uint64_t>(shard),
-                                          domain, 8, 128);
+    std::vector<int64_t> samples;
     if (rng->UniformInt(8) != 0) {  // ~1/8 of shards stay empty
       const size_t count = 200 + static_cast<size_t>(rng->UniformInt(2000));
-      CHECK(ingestor->Ingest(sampler->SampleMany(count, rng)).ok());
+      samples = sampler->SampleMany(count, rng);
     }
-    snapshots.push_back(std::move(ingestor->ExportSnapshot()).value());
+    snapshots.push_back(BuilderSnapshot(static_cast<uint64_t>(shard), domain,
+                                        8, 128, samples));
   }
   return snapshots;
 }
@@ -453,11 +429,9 @@ TEST(MergeTreeDepthAndErrorAccounting) {
   for (const int64_t num_shards : {1, 2, 3, 7, 8, 9, 16}) {
     std::vector<ShardSnapshot> snapshots;
     for (int64_t shard = 0; shard < num_shards; ++shard) {
-      auto ingestor = ShardIngestor::Create(static_cast<uint64_t>(shard),
-                                            domain, 8, 128);
-      CHECK_OK(ingestor);
-      CHECK(ingestor->Ingest(sampler->SampleMany(500, &rng)).ok());
-      snapshots.push_back(std::move(ingestor->ExportSnapshot()).value());
+      snapshots.push_back(BuilderSnapshot(static_cast<uint64_t>(shard),
+                                          domain, 8, 128,
+                                          sampler->SampleMany(500, &rng)));
     }
     for (const int fan_in : {2, 4, 8}) {
       MergeTreeOptions options;
@@ -669,14 +643,11 @@ TEST(ServiceEndToEndQuantiles) {
   std::vector<ShardSnapshot> snapshots;
   std::vector<int64_t> pooled;
   for (int64_t shard = 0; shard < 4; ++shard) {
-    auto ingestor = ShardIngestor::Create(static_cast<uint64_t>(shard),
-                                          domain, k, 2048);
-    CHECK_OK(ingestor);
     Rng rng(1000 + static_cast<uint64_t>(shard));
     const std::vector<int64_t> samples = sampler->SampleMany(25000, &rng);
-    CHECK(ingestor->Ingest(samples).ok());
     pooled.insert(pooled.end(), samples.begin(), samples.end());
-    snapshots.push_back(std::move(ingestor->ExportSnapshot()).value());
+    snapshots.push_back(BuilderSnapshot(static_cast<uint64_t>(shard), domain,
+                                        k, 2048, samples));
   }
   auto reduced = ReduceSnapshots(snapshots, k);
   CHECK_OK(reduced);

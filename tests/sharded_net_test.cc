@@ -27,6 +27,7 @@
 #include "net/frame.h"
 #include "net/sharded_ingest_server.h"
 #include "net/spsc_ring.h"
+#include "service/merge_tree.h"
 #include "service/wire_format.h"
 #include "store/partitioned_store.h"
 #include "store/summary_store.h"
@@ -119,12 +120,23 @@ TEST(PartitionedStoreRoutesAndRollsUpDeterministically) {
     stream[i].value = rng.UniformInt(config.domain_size);
   }
 
+  // The cross-key rollup of a store: ReduceSnapshots over the keyed
+  // exports of every key it holds.
+  const auto rollup = [&](const PartitionedSummaryStore& store) {
+    std::vector<ShardSnapshot> exports;
+    for (const uint64_t key : keys) {
+      if (!store.Contains(key)) continue;
+      auto snapshot = store.ExportKeyedSnapshot(key, 77);
+      CHECK_OK(snapshot);
+      exports.push_back(std::move(snapshot).value());
+    }
+    return ReduceSnapshots(std::move(exports), config.k);
+  };
+
   auto partitioned = PartitionedSummaryStore::Create(config, 4);
   CHECK_OK(partitioned);
-  // Empty store: the cross-partition reduce has nothing to fold.
-  CHECK(!partitioned
-             ->MergeAllMatching([](uint64_t) { return true; }, config.k)
-             .ok());
+  // Empty store: no key to export, so the rollup has nothing to fold.
+  CHECK(!rollup(*partitioned).ok());
   CHECK(partitioned->AddBatch(stream).ok());
   auto plain = SummaryStore::Create(config);
   CHECK_OK(plain);
@@ -164,10 +176,8 @@ TEST(PartitionedStoreRoutesAndRollsUpDeterministically) {
     }
     CHECK(replayed->AddBatch(only).ok());
   }
-  auto rollup_a =
-      partitioned->MergeAllMatching([](uint64_t) { return true; }, config.k);
-  auto rollup_b =
-      replayed->MergeAllMatching([](uint64_t) { return true; }, config.k);
+  auto rollup_a = rollup(*partitioned);
+  auto rollup_b = rollup(*replayed);
   CHECK_OK(rollup_a);
   CHECK_OK(rollup_b);
   CHECK(BitIdentical(rollup_a->aggregate, rollup_b->aggregate));
@@ -385,12 +395,42 @@ TEST(ShardedLoopbackIngestQueryEndToEnd) {
     CHECK(stats->batches_ingested == 35);
     CHECK(stats->batches_rejected == 0);
   }
+  std::vector<uint64_t> all_keys = alice_keys;
+  all_keys.insert(all_keys.end(), bob_keys.begin(), bob_keys.end());
+  {
+    // The cross-key rollup on the served path: all 16 keys pulled over the
+    // wire, in shuffled order, reduce bit-identically to the offline
+    // store's exports and carry every accepted sample.
+    std::vector<uint64_t> order = all_keys;
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(
+                                  static_cast<int64_t>(i)))]);
+    }
+    std::vector<ShardSnapshot> pulled;
+    for (const uint64_t key : order) {
+      auto snapshot = bob.PullSnapshot(key);
+      CHECK_OK(snapshot);
+      pulled.push_back(std::move(snapshot).value());
+    }
+    std::vector<ShardSnapshot> exported;
+    for (const uint64_t key : all_keys) {
+      auto snapshot = offline->ExportKeyedSnapshot(key, options.base.shard_id);
+      CHECK_OK(snapshot);
+      exported.push_back(std::move(snapshot).value());
+    }
+    const int64_t k = options.base.archetype.k;
+    auto served = ReduceSnapshots(std::move(pulled), k);
+    auto expected = ReduceSnapshots(std::move(exported), k);
+    CHECK_OK(served);
+    CHECK_OK(expected);
+    CHECK(BitIdentical(served->aggregate, expected->aggregate));
+    CHECK(served->total_weight == expected->total_weight);
+    CHECK(served->total_weight == static_cast<double>(total));
+  }
 
   alice.Close();
   bob.Close();
   CHECK(server->Shutdown().ok());
-  std::vector<uint64_t> all_keys = alice_keys;
-  all_keys.insert(all_keys.end(), bob_keys.begin(), bob_keys.end());
   CheckDrainedMatchesReplay(*server, *offline, all_keys,
                             options.base.shard_id);
 }

@@ -2,7 +2,7 @@
 // standalone streaming builders (the store changes layout, never the
 // computation), the pool's refusal of refs it never handed out, the
 // two-level key index against a reference map under collision-heavy fuzz,
-// and bulk cross-key reductions against hand-built merge trees.
+// and cross-key reductions of keyed exports against hand-built merge trees.
 
 #include <algorithm>
 #include <functional>
@@ -417,7 +417,7 @@ TEST(StoreMemoryCountsWindowsAtDomainWidth) {
     config.window_capacity = kWindow;
     auto pool = ArchetypePool::Create(config);
     CHECK_OK(pool);
-    auto ref = pool->AllocateSlot(7);
+    auto ref = pool->AllocateSlot();
     CHECK_OK(ref);
     const KeyedSample run[] = {{7, 0}, {7, width.domain - 1}, {7, 5}};
     CHECK(pool->Append(*ref, run).ok());
@@ -445,8 +445,8 @@ TEST(StoreMemoryCountsWindowsAtDomainWidth) {
 TEST(StorePoolRejectsRefsNotAllocated) {
   auto pool = ArchetypePool::Create(ArchetypeConfig());
   CHECK_OK(pool);
-  const auto first = pool->AllocateSlot(11);
-  const auto second = pool->AllocateSlot(12);
+  const auto first = pool->AllocateSlot();
+  const auto second = pool->AllocateSlot();
   CHECK_OK(first);
   CHECK_OK(second);
   CHECK(*first == 0 && *second == 1);
@@ -512,11 +512,12 @@ TEST(StoreKeyIndexFuzzCollisionHeavyKeys) {
   for (const auto& [key, value] : reference) CHECK(index.Find(key) == value);
 }
 
-// Bulk ops against hand-built references: MergeAllMatching and
-// GroupByRollup must equal ReduceSummaries over the per-key summaries in
-// canonical key order (bit-identical aggregates, matching accounting),
-// TopKHeaviest must equal a sort, and keyed exports must survive the wire
-// and reduce like any snapshots.
+// Cross-key reductions run outside the store, over its keyed exports:
+// exports survive the v3 wire round trip and reduce through
+// ReduceSnapshots bit-identically to ReduceSummaries over the per-key
+// summaries in canonical key order, with matching accounting.  A
+// sample-less key's export joins every reduction and drops out as zero
+// weight; alone it reduces to no weight, which no aggregator serves.
 TEST(StoreBulkOpsMatchReferenceReduction) {
   ArchetypeConfig config;
   config.domain_size = 400;
@@ -528,9 +529,10 @@ TEST(StoreBulkOpsMatchReferenceReduction) {
   const std::vector<KeyedSample> stream =
       MakeKeyedStream(40, 30000, config.domain_size, 0xb01d);
   CHECK(store->AddBatch(stream).ok());
-  // A keyed but sample-less key: bulk ops must skip it, not crash or merge
-  // a fabricated uniform into the aggregate.  Add creates the key, then
-  // rejects the out-of-domain value (the per-sample Add contract).
+  // A keyed but sample-less key: its export must drop out of a reduction,
+  // not merge a fabricated uniform into the aggregate.  Add creates the
+  // key, then rejects the out-of-domain value (the per-sample Add
+  // contract).
   const uint64_t empty_key = 0xeeeeeeeeull;
   CHECK(!store->Add(empty_key, -1).ok());
   CHECK(store->Contains(empty_key));
@@ -557,67 +559,16 @@ TEST(StoreBulkOpsMatchReferenceReduction) {
         }
         return ReduceSummaries(std::move(summaries), k, tree_options);
       };
-
-  {  // MergeAllMatching over everything (the empty key is skipped).
-    auto all = store->MergeAllMatching([](uint64_t) { return true; }, k,
-                                       tree_options);
-    CHECK_OK(all);
-    auto reference = reference_reduce([](uint64_t) { return true; });
-    CHECK_OK(reference);
-    CHECK(BitIdentical(all->aggregate, reference->aggregate));
-    CHECK(all->total_weight == reference->total_weight);
-    CHECK(all->error_levels == reference->error_levels);
-  }
-  {  // A selective predicate.
-    const auto pred = [](uint64_t key) { return key % 3 == 0; };
-    auto matched = store->MergeAllMatching(pred, k, tree_options);
-    CHECK_OK(matched);
-    auto reference = reference_reduce(pred);
-    CHECK_OK(reference);
-    CHECK(BitIdentical(matched->aggregate, reference->aggregate));
-  }
-  {  // Nothing matches -> error, not a fabricated summary.
-    CHECK(!store->MergeAllMatching([](uint64_t) { return false; }, k,
-                                   tree_options)
-               .ok());
-  }
-  {  // Group-by rollup: groups ordered by id, each bit-identical to its
-     // own reference reduction.
-    const auto group_of = [](uint64_t key) { return key % 5; };
-    auto rollup = store->GroupByRollup(group_of, k, tree_options);
-    CHECK_OK(rollup);
-    CHECK(!rollup->empty());
-    uint64_t previous_group = 0;
-    bool first = true;
-    for (const auto& [group, result] : *rollup) {
-      CHECK(first || group > previous_group);
-      first = false;
-      previous_group = group;
-      auto reference = reference_reduce(
-          [&](uint64_t key) { return group_of(key) == group; });
-      CHECK_OK(reference);
-      CHECK(BitIdentical(result.aggregate, reference->aggregate));
-    }
-  }
-  {  // TopKHeaviest == full sort by (count desc, key asc).
-    std::vector<std::pair<uint64_t, int64_t>> expected;
-    for (uint64_t key : keys) {
-      expected.emplace_back(key, store->NumSamples(key).value());
-    }
-    std::sort(expected.begin(), expected.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-    expected.resize(10);
-    const auto top = store->TopKHeaviest(10);
-    CHECK(top == expected);
-  }
-  {  // Keyed exports: v3 round trip, then a cross-key reduction through
-     // ReduceSnapshots matches MergeAllMatching over the same keys.
+  // The keyed exports of the keys passing `pred` plus the sample-less
+  // key's, each through a v3 encode/decode round trip.
+  const auto exports_of = [&](const std::function<bool(uint64_t)>& pred) {
     std::vector<ShardSnapshot> snapshots;
+    std::vector<uint64_t> exported;
     for (uint64_t key : keys) {
-      if (key % 4 != 0) continue;
+      if (pred(key)) exported.push_back(key);
+    }
+    exported.push_back(empty_key);
+    for (uint64_t key : exported) {
       auto snapshot = store->ExportKeyedSnapshot(key, /*shard_id=*/5);
       CHECK_OK(snapshot);
       CHECK(snapshot->keyed);
@@ -627,12 +578,30 @@ TEST(StoreBulkOpsMatchReferenceReduction) {
       CHECK(decoded->keyed && decoded->key_id == key);
       snapshots.push_back(std::move(decoded).value());
     }
-    auto reduced = ReduceSnapshots(std::move(snapshots), k, tree_options);
+    return snapshots;
+  };
+
+  const std::function<bool(uint64_t)> preds[] = {
+      [](uint64_t) { return true; },
+      [](uint64_t key) { return key % 3 == 0; },
+      [](uint64_t key) { return key % 4 == 0; }};
+  for (const auto& pred : preds) {
+    auto reduced = ReduceSnapshots(exports_of(pred), k, tree_options);
     CHECK_OK(reduced);
-    auto direct = store->MergeAllMatching(
-        [](uint64_t key) { return key % 4 == 0; }, k, tree_options);
-    CHECK_OK(direct);
-    CHECK(BitIdentical(reduced->aggregate, direct->aggregate));
+    auto reference = reference_reduce(pred);
+    CHECK_OK(reference);
+    CHECK(BitIdentical(reduced->aggregate, reference->aggregate));
+    CHECK(reduced->total_weight == reference->total_weight);
+    CHECK(reduced->error_levels == reference->error_levels);
+    CHECK(reduced->depth == reference->depth);
+  }
+  {  // Only the sample-less key: no weight, so nothing to serve.
+    auto reduced =
+        ReduceSnapshots(exports_of([](uint64_t) { return false; }), k,
+                        tree_options);
+    CHECK_OK(reduced);
+    CHECK(reduced->total_weight == 0.0);
+    CHECK(!Aggregator::Create(*reduced).ok());
   }
   {  // Per-key serving: the aggregator answers, empty keys are rejected.
     auto served = store->QueryAggregator(keys.front(), 0.01);

@@ -10,8 +10,6 @@
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/span.h"
-#include "util/selection.h"
-#include "util/simd.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -67,23 +65,6 @@ TEST(RunningStatsMatchesClosedForm) {
   CHECK_NEAR(StdDev({1.0, 2.0, 3.0}), 1.0, 1e-12);
 }
 
-TEST(SelectionAgreesWithSorting) {
-  Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t n = 1 + static_cast<size_t>(rng.UniformInt(500));
-    std::vector<double> values(n);
-    for (double& v : values) {
-      v = trial % 2 == 0 ? rng.Gaussian()
-                         : static_cast<double>(rng.UniformInt(5));  // ties
-    }
-    std::vector<double> sorted = values;
-    std::sort(sorted.begin(), sorted.end());
-    const size_t k = static_cast<size_t>(rng.UniformInt(static_cast<int64_t>(n)));
-    CHECK_NEAR(SelectKth(values, k), sorted[k], 0.0);
-    CHECK_NEAR(SelectKthMedianOfMedians(values, k), sorted[k], 0.0);
-  }
-}
-
 TEST(RngIsDeterministicPerSeed) {
   Rng a(42), b(42), c(43);
   bool all_equal_c = true;
@@ -100,29 +81,6 @@ TEST(RngIsDeterministicPerSeed) {
   for (int i = 0; i < 20000; ++i) stats.Add(g.Gaussian());
   CHECK_NEAR(stats.Mean(), 0.0, 0.05);
   CHECK_NEAR(stats.StdDev(), 1.0, 0.05);
-}
-
-TEST(PairwiseSpanMatchesScalar) {
-  // The merged-pair span kernel: dst[i] = double(end[2i+1] - begin[2i]),
-  // exact for any int64 difference a double can hold, including the
-  // unaligned tail and huge endpoints.
-  Rng rng(31);
-  for (size_t n : {0, 1, 3, 4, 5, 31, 128}) {
-    std::vector<int64_t> begin(2 * n), end(2 * n);
-    int64_t cursor = rng.UniformInt(1'000'000'000);
-    for (size_t i = 0; i < 2 * n; ++i) {
-      begin[i] = cursor;
-      cursor += 1 + rng.UniformInt(1 << 20);
-      end[i] = cursor;
-    }
-    std::vector<double> span(n, -1.0);
-    simd::PairwiseSpan(begin.data(), end.data(), n, span.data());
-    for (size_t i = 0; i < n; ++i) {
-      CHECK_NEAR(span[i],
-                 static_cast<double>(end[2 * i + 1] - begin[2 * i]), 0.0);
-      CHECK(span[i] > 0.0);
-    }
-  }
 }
 
 TEST(TablePrinterFormatsAndPrints) {
