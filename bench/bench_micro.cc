@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the library's kernels: merging at
 // several input sizes (sample-linear time, Theorem 3.4), the served
 // 64-sample window condense and ladder carry, the store's batched ingest
-// at few and many keys, the ingest payload codec, the hierarchical
+// at few and many keys, its served quantile and summary fold at
+// query_mix's key shape, the ingest payload codec, the hierarchical
 // builder, Gram evaluation (O(d) per point), the projection oracle, alias
 // sampling (O(1)), empirical-distribution construction, and the exact DP
 // for context.
@@ -250,6 +251,86 @@ void BM_StoreAddBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kFlush));
 }
 BENCHMARK(BM_StoreAddBatch)->Arg(64)->Arg(131072);
+
+// The served per-key reads at query_mix's key shape: 2048 keys of 256 to
+// 1023 hist-panel samples each (ladders 2-4 levels deep, most windows
+// partial) in one store of the served archetype.  BM_StoreQuantile is what
+// the server's kQuantileQuery runs (SummaryStore::Quantile, read from the
+// ladder mixture); BM_StoreQueryFold is the fold a snapshot pull runs
+// before it encodes (SummaryStore::Query).  Iterations cycle through 4096
+// pre-drawn requests: a random key and, for the quantile, one of the nine
+// probe qs.
+struct ServedReads {
+  SummaryStore store;
+  std::vector<uint64_t> keys;  // one per request
+  std::vector<double> qs;      // one per request
+};
+
+ServedReads MakeServedReads() {
+  constexpr uint64_t kKeys = 2048;
+  constexpr size_t kRequests = 4096;
+  constexpr double kProbeQs[] = {0.01, 0.05, 0.1,  0.25, 0.5,
+                                 0.75, 0.9,  0.95, 0.99};
+  const auto key_of = [](uint64_t slot) { return (uint64_t{1} << 40) | slot; };
+  ArchetypeConfig config;
+  config.domain_size = kServedDomain;
+  config.k = kServedK;
+  config.window_capacity = kServedWindow;
+  Rng rng(13);
+  std::vector<size_t> counts(kKeys);
+  size_t total = 0;
+  for (size_t& count : counts) {
+    count = 256 + static_cast<size_t>(rng.UniformInt(768));
+    total += count;
+  }
+  const std::vector<int64_t> values =
+      ServedWindowSamples(total / kServedWindow + 1);
+  std::vector<KeyedSample> setup;
+  setup.reserve(total);
+  for (uint64_t slot = 0; slot < kKeys; ++slot) {
+    for (size_t i = 0; i < counts[slot]; ++i) {
+      setup.push_back({key_of(slot), values[setup.size()]});
+    }
+  }
+  ServedReads reads{SummaryStore::Create(config).value(), {}, {}};
+  if (!reads.store.AddBatch(setup).ok()) std::abort();
+  for (size_t r = 0; r < kRequests; ++r) {
+    reads.keys.push_back(key_of(static_cast<uint64_t>(
+        rng.UniformInt(static_cast<int64_t>(kKeys)))));
+    reads.qs.push_back(kProbeQs[r % 9]);
+  }
+  return reads;
+}
+
+void BM_StoreQuantile(benchmark::State& state) {
+  const ServedReads reads = MakeServedReads();
+  size_t r = 0;
+  for (auto _ : state) {
+    auto answer = reads.store.Quantile(reads.keys[r], reads.qs[r]);
+    if (!answer.ok()) {
+      state.SkipWithError("Quantile failed");
+      break;
+    }
+    benchmark::DoNotOptimize(answer->value);
+    r = (r + 1) % reads.keys.size();
+  }
+}
+BENCHMARK(BM_StoreQuantile);
+
+void BM_StoreQueryFold(benchmark::State& state) {
+  const ServedReads reads = MakeServedReads();
+  size_t r = 0;
+  for (auto _ : state) {
+    auto summary = reads.store.Query(reads.keys[r]);
+    if (!summary.ok()) {
+      state.SkipWithError("Query failed");
+      break;
+    }
+    benchmark::DoNotOptimize(summary->pieces().data());
+    r = (r + 1) % reads.keys.size();
+  }
+}
+BENCHMARK(BM_StoreQueryFold);
 
 #if defined(FASTHIST_HAVE_NET)
 // The kIngest payload codec at query_mix's batch (64 samples) and the

@@ -650,22 +650,22 @@ void ShardedIngestServer::HandleQuantileQuery(Worker& w, Connection& conn,
   ServeFromOwner(
       w, conn, query->key, start_ns,
       [q = *query](const SummaryStore& part, std::vector<uint8_t>* payload) {
-        auto aggregator = part.QueryAggregator(q.key);
-        if (!aggregator.ok()) {
-          // The key exists and Create refused every merging knob a fold
-          // could reject, so the one failure left is a key with zero
-          // samples.
+        auto answer = part.Quantile(q.key, q.q);
+        if (!answer.ok()) {
+          // The key exists, so it either holds no samples or has a ladder
+          // slot that is not a distribution.
+          auto count = part.NumSamples(q.key);
+          const ErrorCode code = count.ok() && *count == 0
+                                     ? ErrorCode::kEmptyKey
+                                     : ErrorCode::kInternal;
           *payload = EncodeErrorReply(
-              ErrorReply{ErrorCode::kEmptyKey, aggregator.status().message()});
+              ErrorReply{code, answer.status().message()});
           return FrameType::kError;
         }
-        const double rank = std::min(1.0, std::max(0.0, q.q));
         QuantileReply reply;
-        reply.value = aggregator->Quantile(rank);
-        reply.error_budget = aggregator->error_budget();
-        if (auto count = part.NumSamples(q.key); count.ok()) {
-          reply.num_samples = *count;
-        }
+        reply.value = answer->value;
+        reply.num_samples = answer->num_samples;
+        // error_budget stays 0: the server reports no budget yet.
         *payload = EncodeQuantileReply(reply);
         return FrameType::kQuantileReply;
       });

@@ -1,6 +1,8 @@
 #include "store/archetype_pool.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
 #include <new>
 #include <type_traits>
@@ -284,6 +286,103 @@ StatusOr<Histogram> ArchetypePool::Query(uint64_t ref) const {
   return StreamingHistogramBuilder::FoldBufferIntoSummary(
       &*committed, summarized, WindowValues(chunk, slot, len),
       config_.domain_size, config_.k, config_.options);
+}
+
+StatusOr<int64_t> ArchetypePool::Quantile(uint64_t ref, double q) const {
+  if (!Allocated(ref)) {
+    return Status::Invalid("ArchetypePool: quantile of a slot not allocated");
+  }
+  const Chunk& chunk = *chunks_[ChunkOf(ref)];
+  const size_t slot = SlotOf(ref);
+  const auto len = static_cast<size_t>(chunk.window_len[slot]);
+  const int64_t num_samples =
+      chunk.summarized[slot] + static_cast<int64_t>(len);
+  if (num_samples == 0) {
+    return Status::Invalid("ArchetypePool: quantile of a slot with no samples");
+  }
+  // NaN lands at 0 here, not in the comparisons below.
+  if (!(q >= 0.0)) q = 0.0;
+  if (q > 1.0) q = 1.0;
+  const double target = q * static_cast<double>(num_samples);
+
+  // The occupied ladder slots, highest level first: a slice of pieces, its
+  // sample count and its mass.
+  struct Term {
+    const int64_t* ends;
+    const double* values;
+    size_t num_pieces;
+    double count;
+    double mass;
+  };
+  std::array<Term, kMaxLadderLevels> terms{};
+  size_t num_terms = 0;
+  // Mass of a slice's pieces below y.  One statement sums every piece, the
+  // last one cut at y, so each term is monotone in y even where the
+  // compiler fuses the multiply-add, and M_l is this at domain_size.
+  const auto mass_below = [](const Term& term, int64_t y) {
+    double mass = 0.0;
+    int64_t begin = 0;
+    for (size_t i = 0; i < term.num_pieces && begin < y; ++i) {
+      mass += term.values[i] *
+              static_cast<double>(std::min(term.ends[i], y) - begin);
+      begin = term.ends[i];
+    }
+    return mass;
+  };
+  const size_t base = slot * static_cast<size_t>(piece_capacity_);
+  for (int level = chunk.num_levels; level-- > 0;) {
+    const LevelPlane& plane = *chunk.levels[static_cast<size_t>(level)];
+    if (plane.count[slot] == 0) continue;
+    Term& term = terms[num_terms++];
+    term.ends = plane.ends.data() + base;
+    term.values = plane.values.data() + base;
+    term.num_pieces = static_cast<size_t>(plane.piece_count[slot]);
+    term.count = static_cast<double>(plane.count[slot]);
+    // Aggregator::Create's checks.
+    for (size_t i = 0; i < term.num_pieces; ++i) {
+      if (!(std::isfinite(term.values[i]) && term.values[i] >= 0.0)) {
+        return Status::Invalid(
+            "ArchetypePool: ladder slot values must be finite and "
+            "non-negative");
+      }
+    }
+    term.mass = mass_below(term, config_.domain_size);
+    if (!(term.mass > 0.0 && std::isfinite(term.mass))) {
+      return Status::Invalid(
+          "ArchetypePool: ladder slot mass must be finite and positive");
+    }
+  }
+
+  return WithWindowType([&](auto zero) -> int64_t {
+    using T = decltype(zero);
+    const T* window = WindowOf<T>(chunk, slot);
+    const auto mixture_at_most = [&](int64_t x) {
+      double below = 0.0;
+      for (size_t t = 0; t < num_terms; ++t) {
+        below += terms[t].count *
+                 (mass_below(terms[t], x + 1) / terms[t].mass);
+      }
+      // Compared at the stored width: x < domain_size fits T.  len fits
+      // int32_t, so the count fits uint32_t.
+      const auto top = static_cast<T>(x);
+      uint32_t in_window = 0;
+      for (size_t i = 0; i < len; ++i) in_window += window[i] <= top;
+      return below + static_cast<double>(in_window);
+    };
+    // x = domain_size - 1, where F is N, is never evaluated: it is the
+    // answer when no smaller x reaches the target.
+    int64_t lo = 0;
+    int64_t hi = config_.domain_size - 1;
+    while (lo < hi) {
+      const int64_t mid = lo + (hi - lo) / 2;
+      if (mixture_at_most(mid) >= target) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  });
 }
 
 int64_t ArchetypePool::NumSamples(uint64_t ref) const {

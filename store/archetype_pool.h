@@ -58,7 +58,8 @@ struct ArchetypeConfig {
 // narrowing store, so an out-of-domain value is rejected, never wrapped
 // into range; the condense and Query read the window widened back to
 // int64_t (WindowValues), so the engine sees the same values, and every
-// output bit is the same, at every width.
+// output bit is the same, at every width.  Quantile compares the window at
+// its stored width and copies nothing.
 //
 // Every slot runs the *same* ladder computation as a standalone
 // StreamingHistogramBuilder — Append mirrors AddMany (valid-prefix
@@ -152,6 +153,23 @@ class ArchetypePool {
   // StreamingHistogramBuilder::Peek (uniform when empty).  Invalid for a
   // ref that names no allocated slot.
   StatusOr<Histogram> Query(uint64_t ref) const;
+
+  // The q-quantile of the slot's samples, read in place from the exact
+  // mixture of its ladder slots and its window (Lemma 4.2) instead of from
+  // Query's fold: the smallest x in [0, domain_size) with
+  //   F(x) = sum_l count_l * (MassBelow_l(x + 1) / M_l) + #{window <= x}
+  //        >= q * N,
+  // where occupied ladder slot l holds count_l samples under pieces of
+  // total mass M_l, and N is the slot's sample count.  q is clamped as
+  // Aggregator::Quantile clamps it: NaN and negatives to 0, above 1 to 1.
+  // A binary search over x; each step sums the slots highest level first,
+  // then counts the window at its stored width.  Every term is monotone in
+  // x and the order is fixed, so F is monotone in floating point too.
+  // O(log domain * (pieces + window)), with no allocation.  Invalid for a
+  // ref that names no allocated slot, a slot with no samples, and a ladder
+  // slot that fails Aggregator::Create's checks: a negative or non-finite
+  // value, or a mass that is not finite and positive.
+  StatusOr<int64_t> Quantile(uint64_t ref, double q) const;
 
   // 0 for a ref that names no allocated slot.
   int64_t NumSamples(uint64_t ref) const;

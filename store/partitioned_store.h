@@ -76,10 +76,8 @@ class PartitionedSummaryStore {
   StatusOr<int64_t> NumSamples(uint64_t key) const {
     return partitions_[partition_of(key)].NumSamples(key);
   }
-  StatusOr<Aggregator> QueryAggregator(uint64_t key,
-                                       double per_level_error = 0.0) const {
-    return partitions_[partition_of(key)].QueryAggregator(key,
-                                                          per_level_error);
+  StatusOr<SummaryStore::KeyQuantile> Quantile(uint64_t key, double q) const {
+    return partitions_[partition_of(key)].Quantile(key, q);
   }
   StatusOr<ShardSnapshot> ExportKeyedSnapshot(uint64_t key,
                                               uint64_t shard_id) const {

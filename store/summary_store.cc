@@ -138,23 +138,13 @@ StatusOr<int> SummaryStore::ErrorLevels(uint64_t key) const {
   return pool_.ErrorLevels(*ref);
 }
 
-StatusOr<Aggregator> SummaryStore::QueryAggregator(
-    uint64_t key, double per_level_error) const {
-  auto found = FindRef(key);
-  if (!found.ok()) return found.status();
-  const uint64_t ref = *found;
-  if (pool_.NumSamples(ref) <= 0) {
-    return Status::Invalid(
-        "SummaryStore: key has no samples — nothing to serve");
-  }
-  if (!(per_level_error >= 0.0)) {
-    return Status::Invalid("SummaryStore: per_level_error must be >= 0");
-  }
-  auto histogram = pool_.Query(ref);
-  if (!histogram.ok()) return histogram.status();
-  const double error_levels = std::max(1, pool_.ErrorLevels(ref));
-  return Aggregator::Create(std::move(histogram).value(),
-                            per_level_error * error_levels);
+StatusOr<SummaryStore::KeyQuantile> SummaryStore::Quantile(uint64_t key,
+                                                          double q) const {
+  auto ref = FindRef(key);
+  if (!ref.ok()) return ref.status();
+  auto value = pool_.Quantile(*ref, q);
+  if (!value.ok()) return value.status();
+  return KeyQuantile{*value, pool_.NumSamples(*ref)};
 }
 
 StatusOr<ShardSnapshot> SummaryStore::ExportKeyedSnapshot(

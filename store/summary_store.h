@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dist/histogram.h"
-#include "service/aggregator.h"
 #include "service/wire_format.h"
 #include "store/archetype_pool.h"
 #include "store/key_index.h"
@@ -104,11 +103,16 @@ class SummaryStore {
   StatusOr<int64_t> NumSamples(uint64_t key) const;
   StatusOr<int> ErrorLevels(uint64_t key) const;
 
-  // Per-key serving: an Aggregator over the key's summary with error budget
-  // per_level_error * error_levels (rejects keys with no samples, like
-  // Aggregator::CreateForSnapshot).
-  StatusOr<Aggregator> QueryAggregator(uint64_t key,
-                                       double per_level_error = 0.0) const;
+  // Per-key serving: the q-quantile of the key's samples and their count,
+  // from one index probe.  The quantile is read from the exact mixture of
+  // the key's ladder slots and window (ArchetypePool::Quantile), not from
+  // Query's fold, and allocates nothing.  Invalid for an absent key, a key
+  // with no samples, and a ladder slot that is not a distribution.
+  struct KeyQuantile {
+    int64_t value = 0;
+    int64_t num_samples = 0;
+  };
+  StatusOr<KeyQuantile> Quantile(uint64_t key, double q) const;
 
   // Per-key export: a keyed (wire v3) snapshot envelope, `key` as key_id.
   // Feeds the same merge trees and aggregators as whole-shard snapshots.

@@ -137,6 +137,43 @@ TEST(WarmAddBatchAllocatesPerWindowAndPerCarry) {
   CHECK(store->NumSamples(measured_key).value() == kWindows * window);
 }
 
+// A served quantile is read in place from the key's slab planes, so on a
+// warm store it allocates nothing, at either window width (domain 1024
+// stores 2-byte values, 2^16 + 1 8-byte ones).  Each measured key holds 11
+// full windows (three occupied ladder slots) and 37 samples in its window.
+TEST(WarmStoreQuantileAllocatesNothing) {
+  for (const int64_t domain : {int64_t{1024}, (int64_t{1} << 16) + 1}) {
+    ArchetypeConfig config;
+    config.domain_size = domain;
+    auto store = SummaryStore::Create(config);
+    CHECK_OK(store);
+    const auto window = static_cast<int64_t>(config.window_capacity);
+    std::vector<KeyedSample> batch;
+    for (uint64_t key = 1; key <= 4; ++key) {
+      for (int64_t i = 0; i < 11 * window + 37; ++i) {
+        const auto value = static_cast<int64_t>(
+            (static_cast<uint64_t>(i) * 2654435761u + key) %
+            static_cast<uint64_t>(domain));
+        batch.push_back({key, value});
+      }
+    }
+    CHECK(store->AddBatch(batch).ok());
+    for (uint64_t key = 1; key <= 4; ++key) {
+      // Depth 4 (slots at levels 0, 1 and 3: 11 = 0b1011), plus 1 for the
+      // fold of four sources.
+      CHECK(store->ErrorLevels(key).value() == 5);
+    }
+    CHECK_OK(store->Quantile(1, 0.5));
+    const double qs[] = {0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0};
+    const long long count = CountAllocations([&] {
+      for (uint64_t key = 1; key <= 4; ++key) {
+        for (const double q : qs) CHECK_OK(store->Quantile(key, q));
+      }
+    });
+    CHECK(count == 0);
+  }
+}
+
 // The per-thread histogram planes must not keep what a huge run grew: a
 // construction larger than kWorkspaceRetainedAtoms frees its planes when
 // it ends, and a small construction afterwards leaves them at or below the

@@ -161,6 +161,14 @@ TEST(PartitionedStoreRoutesAndRollsUpDeterministically) {
     CHECK_OK(n_partitioned);
     CHECK_OK(n_plain);
     CHECK(*n_partitioned == *n_plain);
+    for (const double q : {0.1, 0.5, 0.9}) {
+      auto q_partitioned = partitioned->Quantile(key, q);
+      auto q_plain = plain->Quantile(key, q);
+      CHECK_OK(q_partitioned);
+      CHECK_OK(q_plain);
+      CHECK(q_partitioned->value == q_plain->value);
+      CHECK(q_partitioned->num_samples == *n_plain);
+    }
   }
 
   // The cross-partition rollup is a pure function of per-key state: a
@@ -375,15 +383,22 @@ TEST(ShardedLoopbackIngestQueryEndToEnd) {
     CHECK_OK(expected);
     CHECK(SnapshotsBitIdentical(*pulled, *expected));
   }
-  {
-    auto reply = bob.Quantile(bob_keys[0], 0.5);
-    CHECK_OK(reply);
-    CHECK(reply->value >= 0 && reply->value < domain);
-    auto count = offline->NumSamples(bob_keys[0]);
-    CHECK_OK(count);
-    CHECK(reply->num_samples == *count);
-  }
   CHECK(!alice.PullSnapshot(999999).ok());  // unknown key, connection lives
+  std::vector<uint64_t> all_keys = alice_keys;
+  all_keys.insert(all_keys.end(), bob_keys.begin(), bob_keys.end());
+  // Every key's served quantiles are the offline store's, value and sample
+  // count.  One connection asks, so most keys' owners are other loops.
+  for (const uint64_t key : all_keys) {
+    for (const double q : {0.0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
+                           0.99, 1.0}) {
+      auto reply = bob.Quantile(key, q);
+      CHECK_OK(reply);
+      auto expected = offline->Quantile(key, q);
+      CHECK_OK(expected);
+      CHECK(reply->value == expected->value);
+      CHECK(reply->num_samples == expected->num_samples);
+    }
+  }
   {
     auto stats = alice.Stats();
     CHECK_OK(stats);
@@ -395,8 +410,6 @@ TEST(ShardedLoopbackIngestQueryEndToEnd) {
     CHECK(stats->batches_ingested == 35);
     CHECK(stats->batches_rejected == 0);
   }
-  std::vector<uint64_t> all_keys = alice_keys;
-  all_keys.insert(all_keys.end(), bob_keys.begin(), bob_keys.end());
   {
     // The cross-key rollup on the served path: all 16 keys pulled over the
     // wire, in shuffled order, reduce bit-identically to the offline

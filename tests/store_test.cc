@@ -2,9 +2,11 @@
 // standalone streaming builders (the store changes layout, never the
 // computation), the pool's refusal of refs it never handed out, the
 // two-level key index against a reference map under collision-heavy fuzz,
-// and cross-key reductions of keyed exports against hand-built merge trees.
+// served quantiles against a dense scan of the ladder mixture, and
+// cross-key reductions of keyed exports against hand-built merge trees.
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <unordered_map>
@@ -12,6 +14,11 @@
 #include <vector>
 
 #include "core/streaming.h"
+#include "core/streaming_ladder.h"
+#include "data/generators.h"
+#include "dist/alias_sampler.h"
+#include "dist/empirical.h"
+#include "service/aggregator.h"
 #include "service/merge_tree.h"
 #include "service/wire_format.h"
 #include "store/key_index.h"
@@ -512,6 +519,183 @@ TEST(StoreKeyIndexFuzzCollisionHeavyKeys) {
   for (const auto& [key, value] : reference) CHECK(index.Find(key) == value);
 }
 
+// A ladder fed the way the store feeds a key's slot: each full window is
+// condensed alone (FoldBufferIntoSummary with no summary) and committed
+// with streaming_ladder::Commit.  What is left is the partial window.
+struct TestLadder {
+  std::vector<Histogram> summaries;
+  std::vector<int64_t> counts;
+  std::vector<int64_t> window;
+
+  int levels() const { return static_cast<int>(counts.size()); }
+  int64_t count(int level) const { return counts[static_cast<size_t>(level)]; }
+  StatusOr<Histogram> Load(int level) const {
+    return summaries[static_cast<size_t>(level)];
+  }
+  Status Store(int level, Histogram histogram, int64_t count) {
+    summaries[static_cast<size_t>(level)] = std::move(histogram);
+    counts[static_cast<size_t>(level)] = count;
+    return Status::Ok();
+  }
+  void Clear(int level) { counts[static_cast<size_t>(level)] = 0; }
+  Status PushLevel() {
+    summaries.emplace_back();
+    counts.push_back(0);
+    return Status::Ok();
+  }
+};
+
+TestLadder BuildTestLadder(const std::vector<int64_t>& values,
+                           const ArchetypeConfig& config) {
+  TestLadder ladder;
+  for (const int64_t value : values) {
+    ladder.window.push_back(value);
+    if (ladder.window.size() < config.window_capacity) continue;
+    auto condensed = StreamingHistogramBuilder::FoldBufferIntoSummary(
+        nullptr, 0, ladder.window, config.domain_size, config.k,
+        config.options);
+    CHECK_OK(condensed);
+    CHECK(streaming_ladder::Commit(ladder, std::move(condensed).value(),
+                                   static_cast<int64_t>(ladder.window.size()),
+                                   config.k, config.options)
+              .ok());
+    ladder.window.clear();
+  }
+  return ladder;
+}
+
+// Mass of h's pieces below y, summed as the store sums a slot's: one
+// statement per piece, the last piece cut at y.
+double MassBelow(const Histogram& h, int64_t y) {
+  double mass = 0.0;
+  for (const HistogramPiece& piece : h.pieces()) {
+    if (piece.interval.begin >= y) break;
+    mass += piece.value * static_cast<double>(std::min(piece.interval.end, y) -
+                                              piece.interval.begin);
+  }
+  return mass;
+}
+
+// F(x) at every x of the domain: for each occupied slot, highest level
+// first, count * (MassBelow(x + 1) / MassBelow(domain)), then the window
+// values <= x.
+std::vector<double> DenseMixture(const TestLadder& ladder, int64_t domain) {
+  std::vector<double> mass(ladder.summaries.size(), 0.0);
+  for (int level = 0; level < ladder.levels(); ++level) {
+    if (ladder.count(level) == 0) continue;
+    mass[static_cast<size_t>(level)] =
+        MassBelow(ladder.summaries[static_cast<size_t>(level)], domain);
+  }
+  std::vector<double> mixture(static_cast<size_t>(domain), 0.0);
+  std::vector<int64_t> at(static_cast<size_t>(domain), 0);
+  for (const int64_t value : ladder.window) ++at[static_cast<size_t>(value)];
+  int64_t in_window = 0;
+  for (int64_t x = 0; x < domain; ++x) {
+    double below = 0.0;
+    for (int level = ladder.levels(); level-- > 0;) {
+      if (ladder.count(level) == 0) continue;
+      const auto l = static_cast<size_t>(level);
+      below += static_cast<double>(ladder.count(level)) *
+               (MassBelow(ladder.summaries[l], x + 1) / mass[l]);
+    }
+    in_window += at[static_cast<size_t>(x)];
+    mixture[static_cast<size_t>(x)] = below + static_cast<double>(in_window);
+  }
+  return mixture;
+}
+
+// A key's served quantile is read from the exact mixture of its ladder
+// slots and its window (ArchetypePool::Quantile), at both window widths
+// (domain 1024 stores 2-byte values, 2^16 + 1 8-byte ones).  A key whose
+// samples all sit in its window answers the exact sample quantile: the
+// smallest x with #{v <= x} >= q * N, compared as integers.  A key with
+// occupied slots answers the smallest x with F(x) >= q * N, F computed
+// densely above from a test-side ladder; F is non-decreasing.  Streams:
+// iid hist-panel samples,
+// the same samples sorted and in reverse order, a mix drifting toward the
+// top quarter, and four atoms with heavy duplicates, each at 40 samples
+// (window only), 257 (one slot, a 1-sample window), 384 (two slots, empty
+// window) and 741 (three slots, a partial window).  q runs over the probe
+// quantiles plus 0, 1, NaN, -0.5 and 2; NaN and -0.5 answer as 0 and 2 as
+// 1, as Aggregator::Quantile clamps them.
+TEST(StoreQuantileReadsTheLadderMixture) {
+  const double qs[] = {0.01, 0.05, 0.1, 0.25, 0.5,  0.75, 0.9,
+                       0.95, 0.99, 0.0,  1.0, std::nan(""), -0.5, 2.0};
+  const size_t sizes[] = {40, 257, 384, 741};
+  for (const int64_t domain : {int64_t{1024}, (int64_t{1} << 16) + 1}) {
+    ArchetypeConfig config;
+    config.domain_size = domain;
+    auto store = SummaryStore::Create(config);
+    CHECK_OK(store);
+    HistDatasetOptions hist;
+    hist.domain_size = domain;
+    auto panel = NormalizeToDistribution(MakeHistDataset(hist));
+    CHECK_OK(panel);
+    auto sampler = AliasSampler::Create(*panel);
+    CHECK_OK(sampler);
+    Rng rng(static_cast<uint64_t>(domain) + 5);
+    const int64_t atoms[] = {0, 1, domain / 3, domain - 1};
+
+    std::vector<std::pair<uint64_t, std::vector<int64_t>>> keys;
+    for (const size_t n : sizes) {
+      std::vector<int64_t> iid = sampler->SampleMany(n, &rng);
+      std::vector<int64_t> sorted = iid;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<int64_t> reversed(sorted.rbegin(), sorted.rend());
+      std::vector<int64_t> drifting(n);
+      for (size_t i = 0; i < n; ++i) {
+        const bool top = rng.UniformDouble() * static_cast<double>(n) <
+                         static_cast<double>(i);
+        drifting[i] = top ? domain - 1 - rng.UniformInt(domain / 4)
+                          : sampler->Sample(&rng);
+      }
+      std::vector<int64_t> duplicates(n);
+      for (int64_t& value : duplicates) {
+        const int64_t draw = rng.UniformInt(10);
+        value = atoms[draw < 5 ? 0 : draw < 8 ? 2 : draw < 9 ? 1 : 3];
+      }
+      for (std::vector<int64_t>* values :
+           {&iid, &sorted, &reversed, &drifting, &duplicates}) {
+        keys.emplace_back(keys.size() * 2654435761u + 11, std::move(*values));
+      }
+    }
+    for (const auto& [key, values] : keys) {
+      std::vector<KeyedSample> batch;
+      for (const int64_t value : values) batch.push_back({key, value});
+      CHECK(store->AddBatch(batch).ok());
+    }
+
+    for (const auto& [key, values] : keys) {
+      const auto n = static_cast<int64_t>(values.size());
+      const TestLadder ladder = BuildTestLadder(values, config);
+      const std::vector<double> mixture = DenseMixture(ladder, domain);
+      CHECK(std::is_sorted(mixture.begin(), mixture.end()));
+      std::vector<int64_t> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      for (const double q : qs) {
+        auto served = store->Quantile(key, q);
+        CHECK_OK(served);
+        CHECK(served->num_samples == n);
+        const double clamped = q >= 0.0 ? std::min(q, 1.0) : 0.0;
+        const double target = clamped * static_cast<double>(n);
+        if (ladder.levels() == 0) {
+          // The c-th smallest sample, c the least count >= target.
+          const auto c = static_cast<int64_t>(std::ceil(target));
+          const int64_t expected =
+              c <= 0 ? 0 : sorted[static_cast<size_t>(c - 1)];
+          CHECK(served->value == expected);
+          continue;
+        }
+        // The store never evaluates the top of the domain: it answers
+        // there when nothing below reaches the target.
+        const auto first = std::lower_bound(mixture.begin(),
+                                            mixture.end() - 1, target);
+        CHECK(served->value == first - mixture.begin());
+      }
+    }
+  }
+}
+
 // Cross-key reductions run outside the store, over its keyed exports:
 // exports survive the v3 wire round trip and reduce through
 // ReduceSnapshots bit-identically to ReduceSummaries over the per-key
@@ -603,11 +787,12 @@ TEST(StoreBulkOpsMatchReferenceReduction) {
     CHECK(reduced->total_weight == 0.0);
     CHECK(!Aggregator::Create(*reduced).ok());
   }
-  {  // Per-key serving: the aggregator answers, empty keys are rejected.
-    auto served = store->QueryAggregator(keys.front(), 0.01);
+  {  // Per-key serving: a key with samples answers, empty keys are refused.
+    auto served = store->Quantile(keys.front(), 0.5);
     CHECK_OK(served);
-    CHECK(served->Cdf(config.domain_size) == 1.0);
-    CHECK(!store->QueryAggregator(empty_key).ok());
+    CHECK(served->value >= 0 && served->value < config.domain_size);
+    CHECK(served->num_samples == store->NumSamples(keys.front()).value());
+    CHECK(!store->Quantile(empty_key, 0.5).ok());
   }
 }
 
